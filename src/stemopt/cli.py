@@ -11,7 +11,7 @@ import configparser
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +38,16 @@ _KNOWN_KEYS = {
     "params": {"theta0", "kappa", "ell", "rho", "alpha", "c", "rho0"},
     "profile": {"kind", "level", "epsilon", "y_jump", "width", "csv",
                 "rate", "height"},
-    "solver": {"grid", "tol", "seed", "damping", "method", "example34",
-               "h_lo", "h_hi", "scan_samples"},
     "sweep": {"parameter", "values"},
     "halfline": {"rho_scale", "b", "n_stems", "iterations", "grid", "relax"},
     "op3": {"root", "nx", "ny"},
+}
+
+# [solver] keys each kind reads; any other key is rejected
+_SOLVER_KEYS = {
+    "op1": {"grid", "example34"},
+    "op2": {"tol", "scan_samples", "h_lo", "h_hi"},
+    "eq2": {"method", "damping"},
 }
 
 _REQUIRED_PARAMS = {
@@ -92,6 +97,8 @@ def parse_scenario(path) -> Scenario:
         raise ValidationError("scenario", "missing [scenario] section")
 
     for section in cp.sections():
+        if section == "solver":
+            continue  # its keys depend on the kind, checked below
         if section not in _KNOWN_KEYS:
             raise ValidationError(section, "unknown section")
         for key in cp[section]:
@@ -129,6 +136,8 @@ def parse_scenario(path) -> Scenario:
         raise ValidationError("profile", f"required for kind={kind}")
 
     solver = dict(cp["solver"]) if "solver" in cp else {}
+    for key in solver:
+        _check_solver_key(kind, key, f"solver.{key}")
     sweep = dict(cp["sweep"]) if "sweep" in cp else {}
     halfline = dict(cp["halfline"]) if "halfline" in cp else {}
     op3 = dict(cp["op3"]) if "op3" in cp else {}
@@ -140,6 +149,13 @@ def parse_scenario(path) -> Scenario:
     return Scenario(kind=kind, params=params, profile=profile, solver=solver,
                     sweep=sweep, halfline=halfline, op3=op3,
                     source_path=str(path))
+
+
+def _check_solver_key(kind: str, key: str, name: str):
+    accepted = sorted(_SOLVER_KEYS.get(kind, ()))
+    if key not in accepted:
+        raise ValidationError(
+            name, f"not read by kind={kind} (accepted: {', '.join(accepted) or 'none'})")
 
 
 def _build_profile(sec, base_dir: Path) -> LightProfile:
@@ -318,10 +334,7 @@ def _run_sweep(scn: Scenario, out: Path) -> dict:
     values = [float(v) for v in scn.sweep["values"].split()]
     rows = []
     for v in values:
-        params = ModelParams(theta0=scn.params.theta0, kappa=scn.params.kappa,
-                             ell=scn.params.ell, rho=scn.params.rho,
-                             alpha=scn.params.alpha, c=scn.params.c, rho0=v)
-        res = equilibrium2.solve_equilibrium_direct(params)
+        res = equilibrium2.solve_equilibrium_direct(replace(scn.params, rho0=v))
         rows.append((v, res.h, res.residual_map))
     _write_csv(out / "sweep.csv", ["rho0", "h", "residual_map"],
                [np.array([r[i] for r in rows]) for i in range(3)])
@@ -462,11 +475,9 @@ def main(argv=None) -> int:
     parser.add_argument("--scenario", required=True, help="scenario config file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--grid", type=int, default=None,
-                        help="override solver grid size")
+                        help="override the op1 solver grid size")
     parser.add_argument("--tol", type=float, default=None,
-                        help="override solver tolerance")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="seed for oracle multi-starts")
+                        help="override the op2 solver tolerance")
     parser.add_argument("--quiet", action="store_true")
     parser.add_argument("--plotdata", action="store_true",
                         help="also emit tidy plot data")
@@ -474,12 +485,10 @@ def main(argv=None) -> int:
 
     try:
         scenario = parse_scenario(args.scenario)
-        if args.grid is not None:
-            scenario.solver["grid"] = str(args.grid)
-        if args.tol is not None:
-            scenario.solver["tol"] = str(args.tol)
-        if args.seed is not None:
-            scenario.solver["seed"] = str(args.seed)
+        for key, value in (("grid", args.grid), ("tol", args.tol)):
+            if value is not None:
+                _check_solver_key(scenario.kind, key, f"--{key}")
+                scenario.solver[key] = str(value)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

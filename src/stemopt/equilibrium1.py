@@ -63,7 +63,7 @@ def solve_bcp(params: ModelParams, t_min: float | None = None,
         th = model1.phi_inverse(z_top * math.exp(state[0]), params)
         return np.array([-rk / math.sin(th)])
 
-    problem = OdeProblem(1, rhs, direction="backward")
+    problem = OdeProblem(1, rhs)
     if rk == 0.0:
         ts = np.linspace(0.0, -span, 65)
         zeros = np.zeros((65, 1))
@@ -123,8 +123,8 @@ def solve_equilibrium1(params: ModelParams, n_grid: int = 2048,
 
     uniq_ok, uniq_margin = check_uniqueness_condition(I_star, params, h_star)
 
-    # map residual: rebuild the shade from the shape and compare
-    residual_map = _map_residual(y, theta_star, I_star, params)
+    # map residual: the profile built from the shape against the BCP's shade
+    residual_map = _map_residual(traj, y, h_star, I_star)
 
     residual_refit = math.nan
     if run_refit:
@@ -134,17 +134,17 @@ def solve_equilibrium1(params: ModelParams, n_grid: int = 2048,
     return Equilibrium1Result(
         h_star=float(h_star), y=y, theta_star=theta_star, x=x, I_star=I_star,
         t_hat=y - h_star, theta_hat=theta_star,
-        residual_refit=residual_refit, residual_map=float(residual_map),
+        residual_refit=residual_refit, residual_map=residual_map,
         rho_kappa=params.rho * params.kappa,
         uniqueness_ok=uniq_ok, uniqueness_margin=uniq_margin,
     )
 
 
-def _map_residual(y, theta_star, I_star: LightProfile, params: ModelParams):
-    rk = params.rho * params.kappa
-    shade_exp = trapezoid_cumulative(y, rk / np.sin(theta_star))
-    rebuilt = np.exp(shade_exp - shade_exp[-1])
-    return np.max(np.abs(rebuilt - I_star.eval(y)))
+def _map_residual(traj: Trajectory, y, h_star: float, I_star: LightProfile):
+    """Sup gap between the stored profile and exp(-zeta(y - h*)), the shade
+    the backward Cauchy problem integrated along the stem."""
+    zeta = traj.sample(y - h_star)[:, 0]
+    return float(np.max(np.abs(I_star.eval(y) - np.exp(-zeta))))
 
 
 @dataclass
@@ -157,11 +157,11 @@ def verify_fixed_point(result: Equilibrium1Result, params: ModelParams) -> Fixed
     """Measure both halves of the equilibrium definition.
 
     refit: re-solve the shape problem under the equilibrium light and compare
-    angle profiles in sup norm.  map: rebuild the shade integral from the
-    shape and compare against the stored profile in sup norm.
+    angle profiles in sup norm.  map: re-solve the backward Cauchy problem
+    and compare its shade exp(-zeta) against the stored profile in sup norm.
     """
     refit = model1.solve_op1(result.I_star, params)[0]
     residual_refit = float(np.max(np.abs(refit.theta_at(result.y) - result.theta_star)))
-    residual_map = float(_map_residual(result.y, result.theta_star,
-                                       result.I_star, params))
+    residual_map = _map_residual(solve_bcp(params), result.y, result.h_star,
+                                 result.I_star)
     return FixedPointReport(residual_refit=residual_refit, residual_map=residual_map)

@@ -9,15 +9,15 @@ main consistency check of the whole pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import model2
-from .errors import NoBracketError, NotConvergedError
+from .errors import NotConvergedError
 from .lightfield import LightProfile, check_class_F
 from .model2 import Op2Config, StemState2
-from .numerics import Bracket, OdeProblem, find_root, integrate
+from .numerics import OdeProblem, integrate
 from .params import ModelParams
 
 _Q_CUT = 1e-6   # drop nodes where q/I is residual noise when building shade rates
@@ -94,12 +94,14 @@ def verify_equilibrium(result: Equilibrium2Result, params: ModelParams,
 
     refit: fresh best response under the stored profile, compared to the
     stored stem controls in sup norm (angles everywhere; leaf density away
-    from the ground where it is log-divergent).  map: stored profile against
-    the shade rebuilt from the stored stem.
+    from the ground where it is log-divergent).  map: the larger of two sup
+    gaps, the stored profile against the shade rebuilt from the stored stem
+    on [0, 1.05 h], and the intensity the stem carries (the integrated
+    intensity column for direct shooting) against the stored profile at the
+    stem's nodes.
     """
-    cfg = config or Op2Config()
-    lo = max(1e-6, result.h * 0.9)
-    cfg = Op2Config(**{**cfg.__dict__, "h_bracket": (lo, result.h * 1.1)})
+    cfg = replace(config or Op2Config(),
+                  h_bracket=(max(1e-6, result.h * 0.9), result.h * 1.1))
     fresh = model2.shoot_op2(result.I_star, params, cfg)
     ys = np.linspace(0.0, min(fresh.h, result.h) * 0.999, 800)
     d_theta = np.max(np.abs(fresh.interp("theta", ys)
@@ -109,9 +111,10 @@ def verify_equilibrium(result: Equilibrium2Result, params: ModelParams,
     ys_u = ys[ys > 0.05 * result.h]
     d_u = np.max(np.abs(fresh.interp("u", ys_u) - result.stem.interp("u", ys_u)))
     residual_refit = float(max(d_theta, d_u, abs(fresh.h - result.h)))
-    residual_map = _sup_gap_profiles(result.I_star,
-                                     shade_map(result.stem, params),
-                                     1.05 * result.h)
+    stem = result.stem
+    residual_map = max(
+        _sup_gap_profiles(result.I_star, shade_map(stem, params), 1.05 * result.h),
+        float(np.max(np.abs(stem.I - result.I_star.eval(stem.y)))))
     return residual_refit, residual_map
 
 
@@ -153,13 +156,12 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         iterations = k + 1
         # inner iterates run at relaxed accuracy; the returned stem and the
         # residual verification are recomputed at full accuracy below
-        inner = {**cfg.__dict__, "rtol": max(cfg.rtol, 1e-9),
-                 "atol": max(cfg.atol, 1e-12),
-                 "root_tol": max(cfg.root_tol, 1e-10), "n_out": 1024}
+        inner = replace(cfg, rtol=max(cfg.rtol, 1e-9), atol=max(cfg.atol, 1e-12),
+                        root_tol=max(cfg.root_tol, 1e-10), n_out=1024)
         if h_prev is not None:
             width = 0.1 if k < 2 else 0.02
-            inner["h_bracket"] = ((1.0 - width) * h_prev, (1.0 + width) * h_prev)
-        stem = model2.shoot_op2(profile, params, Op2Config(**inner))
+            inner.h_bracket = ((1.0 - width) * h_prev, (1.0 + width) * h_prev)
+        stem = model2.shoot_op2(profile, params, inner)
         h_prev = stem.h
         h_roots = stem.h_candidates
         if len(h_roots) > 1:
@@ -187,8 +189,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
             f"fixed point not reached in {max_iter} iterations (last change {history[-1]:.2e})")
 
     # full-accuracy stem under the converged profile
-    final_cfg = Op2Config(**{**cfg.__dict__,
-                             "h_bracket": (0.98 * h_prev, 1.02 * h_prev)})
+    final_cfg = replace(cfg, h_bracket=(0.98 * h_prev, 1.02 * h_prev))
     stem = model2.shoot_op2(profile, params, final_cfg)
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="fixed_point", iterations=iterations,
@@ -221,7 +222,7 @@ def _coupled_residual(h, params, cfg: Op2Config, rtol=None):
     eps = cfg.epsilon_rel * h
     p0, q0 = model2.seed_terminal_layer(h, LightProfile.constant(1.0), params, eps)
     z0 = model2.z_first_integral(1.0, p0, q0, params)
-    problem = OdeProblem(4, _coupled_rhs(params), direction="backward")
+    problem = OdeProblem(4, _coupled_rhs(params))
     traj = integrate(problem, (h - eps, 0.0), [p0, q0, z0, 1.0],
                      rtol=cfg.scan_rtol if rtol is None else rtol, atol=cfg.atol)
     return float(traj.y[-1, 1]), traj
@@ -231,18 +232,14 @@ def _coupled_scan(hs, params: ModelParams, cfg: Op2Config) -> np.ndarray:
     """Vectorized ground residuals of the coupled system over many heights."""
     d0 = params.rho0 / math.cos(params.theta0)
 
-    def extra(mode, y, Y, I_h):
-        if mode == "init":
-            return np.ones((len(I_h), 1))
+    def slope(Y):
         I = np.maximum(Y[:, 3], 1e-12)
         f1, f2, zs = model2._rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
         f3 = -d0 * I * zs
         return np.stack([-f3 * f1, f2, zs, f3], axis=1)
 
-    out = model2.residual_batch(np.asarray(hs, dtype=float),
-                                LightProfile.constant(1.0), params,
-                                eps_rel=cfg.epsilon_rel, extra_rhs=extra)
-    return out[:, 1]
+    return model2.residual_batch(hs, LightProfile.constant(1.0), params,
+                                 eps_rel=cfg.epsilon_rel, coupled_slope=slope)
 
 
 def solve_equilibrium_direct(params: ModelParams,
@@ -251,63 +248,31 @@ def solve_equilibrium_direct(params: ModelParams,
     """Shoot the coupled (p, q, z, I) system backward from the stem tip.
 
     Terminal values p=0, q=I=1 hold at the unknown height h; the ground
-    residual is again the mass costate.  The intensity component of the
-    solution is the equilibrium profile itself.
+    residual is again the mass costate.  The equilibrium profile is the
+    shade cast by the solved stem; the verification compares it against the
+    integrated intensity component.
     """
     cfg = config or Op2Config()
     h0 = model2.estimate_h0(params)
 
-    brackets: list[Bracket] = []
-    if cfg.h_bracket is not None:
-        lo, hi = cfg.h_bracket
-        f_lo = _coupled_residual(lo, params, cfg)[0]
-        f_hi = _coupled_residual(hi, params, cfg)[0]
-        if f_lo * f_hi <= 0.0:
-            brackets.append(Bracket(lo, hi, f_lo, f_hi))
-    if not brackets:
-        hs = np.linspace(max(1e-3 * h0, 1e-9), 3.0 * h0, cfg.scan_samples)
-        fs = _coupled_scan(hs, params, cfg)
-        for i in range(len(hs) - 1):
-            if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0:
-                brackets.append(Bracket(float(hs[i]), float(hs[i + 1]),
-                                        float(fs[i]), float(fs[i + 1])))
-    if not brackets:
-        raise NoBracketError("coupled residual has no sign change over the scan")
-
-    roots = [find_root(lambda h: _coupled_residual(h, params, cfg, rtol=cfg.rtol)[0],
-                       brk, tol=cfg.root_tol) for brk in brackets]
-
-    best = None
-    for h in roots:
+    def finalize(h):
         resid, traj = _coupled_residual(h, params, cfg, rtol=cfg.rtol)
         eps = cfg.epsilon_rel * h
         y_all = model2.output_mesh(traj.t[::-1], h, eps, cfg.n_out)
         samp = traj.sample(y_all)
         I_arr = np.clip(samp[:, 3], 1e-12, 1.0)
-        stem = model2.assemble_state(h, y_all, samp[:, 0], samp[:, 1],
+        return model2.assemble_state(h, y_all, samp[:, 0], samp[:, 1],
                                      samp[:, 2], I_arr, params, eps, resid)
-        if best is None or stem.payoff > best.payoff:
-            best = stem
-    stem = best
 
-    # equilibrium profile from the integrated intensity slope I'/I = rate
-    d0 = params.rho0 / math.cos(params.theta0)
-    keep = (stem.q / stem.I) > _Q_CUT
-    idx = np.flatnonzero(keep)[_thin_nodes(stem.y[keep])]
-    rate_y = np.concatenate([[0.0], stem.y[idx], [stem.h]])
-    with np.errstate(divide="ignore"):
-        log_r = np.log(np.maximum(stem.q[idx] / stem.I[idx], 1e-300))
-    w_idx = np.maximum(stem.p[idx], 0.0) / np.maximum(
-        stem.I[idx] * model2._one_minus_r_term(stem.q[idx] / stem.I[idx]), 1e-300)
-    sa = math.sin(params.theta0)
-    rate_mid = -d0 * log_r * (1.0 + w_idx * sa) / (sa + w_idx)
-    rate = np.concatenate([[rate_mid[0]], rate_mid, [0.0]])
-    profile = LightProfile.exponential_canopy(rate_y, rate, stem.h)
+    stem, roots = model2._shoot_tip_height(
+        lambda h, rtol: _coupled_residual(h, params, cfg, rtol=rtol)[0],
+        lambda hs: _coupled_scan(hs, params, cfg), finalize, h0, cfg)
+    profile = shade_map(stem, params)
     report = check_class_F(profile, y_max=2.0 * h0)
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="direct_shooting", iterations=1,
         residual_map=math.nan, residual_refit=math.nan, h=stem.h,
-        h_roots=[float(r) for r in roots], class_f_ok=report.in_class,
+        h_roots=roots, class_f_ok=report.in_class,
         class_f_delta=report.delta, multiroot_flag=len(roots) > 1,
     )
     if verify:

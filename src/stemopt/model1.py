@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, DomainError, NoCandidateError, NoCrossingError
 from .lightfield import LightProfile
-from .numerics import Bracket, find_root, trapezoid_cumulative
+from .numerics import Bracket, find_root, sign_change_brackets, trapezoid_cumulative
 from .params import ModelParams
 
 _THETA_CAP = 1e-9  # feedback angle never reaches pi/2; cap the search there
@@ -318,13 +318,9 @@ def solve_op1(profile: LightProfile, params: ModelParams,
         n_samp = max(64, int(scan_samples * (b_in - a_in) / ell))
         hs = np.linspace(a_in, b_in, n_samp)
         fs = np.array([resid(float(h)) for h in hs])
-        for i in range(len(hs) - 1):
-            if fs[i] == 0.0:
-                roots.append(float(hs[i]))
-            elif fs[i] * fs[i + 1] < 0.0:
-                brk = Bracket(float(hs[i]), float(hs[i + 1]), float(fs[i]), float(fs[i + 1]))
-                roots.append(find_root(lambda h: resid(h, fine_density), brk,
-                                       tol=tol * max(1.0, ell)))
+        roots += [find_root(lambda h: resid(h, fine_density), brk,
+                            tol=tol * max(1.0, ell))
+                  for brk in sign_change_brackets(hs, fs)]
     if not roots:
         raise NoCandidateError("length equation has no root bracket on ]0, ell]")
 

@@ -13,7 +13,7 @@ on the ground residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from .numerics import (
     find_root,
     integrate,
     quad,
+    rk4_mesh,
+    sign_change_brackets,
     trapezoid_cumulative,
 )
 from .params import ModelParams
@@ -249,7 +251,7 @@ def _shoot_once(h, profile, params, cfg: Op2Config, rtol=None):
         f1, f2, zs = _rhs_terms(I, s[0], s[1], params)
         return np.array([-Ip * f1, f2, zs])
 
-    problem = OdeProblem(3, rhs, direction="backward")
+    problem = OdeProblem(3, rhs)
     traj = integrate(problem, (h - eps, 0.0), state0,
                      rtol=cfg.scan_rtol if rtol is None else rtol,
                      atol=cfg.atol)
@@ -269,14 +271,14 @@ def _graded_sigma(n_layer: int = 64, n_main: int = 384) -> np.ndarray:
 
 
 def residual_batch(hs, profile: LightProfile, params: ModelParams,
-                   eps_rel: float = 1e-6, extra_rhs=None,
-                   sigma: np.ndarray | None = None) -> np.ndarray:
+                   eps_rel: float = 1e-6, coupled_slope=None) -> np.ndarray:
     """Ground residual q(0, h) for many tip heights in one vectorized sweep.
 
     Fixed-step RK4 in the scaled coordinate sigma = (h - eps - y)/(h - eps)
     on a tip-graded mesh; accuracy is ample for locating sign changes, which
-    Brent then refines with the adaptive integrator.  `extra_rhs` appends
-    state columns (used by the coupled equilibrium system).
+    Brent then refines with the adaptive integrator.  `coupled_slope(Y)`
+    gives the slopes of a system that carries the intensity as a fourth
+    state column, started at I(h) (the coupled equilibrium system).
     """
     hs = np.asarray(hs, dtype=float)
     eps = eps_rel * hs
@@ -285,39 +287,22 @@ def residual_batch(hs, profile: LightProfile, params: ModelParams,
 
     p0 = np.zeros(n)
     q0 = np.empty(n)
-    z0 = np.empty(n)
     I_h = np.atleast_1d(profile.eval(hs))
     for i, h in enumerate(hs):
         _, q0[i] = seed_terminal_layer(float(h), profile, params, float(eps[i]))
     z0 = z_first_integral(I_h, p0, q0, params)
-    extra0 = None if extra_rhs is None else extra_rhs("init", None, None, I_h)
-    cols = 3 if extra_rhs is None else 3 + extra0.shape[1]
-    Y = np.empty((n, cols))
-    Y[:, 0], Y[:, 1], Y[:, 2] = p0, q0, z0
-    if extra_rhs is not None:
-        Y[:, 3:] = extra0
+    Y = np.stack([p0, q0, z0] if coupled_slope is None else [p0, q0, z0, I_h], axis=1)
 
     def slope(sig, Y):
+        if coupled_slope is not None:
+            return -h_eff[:, None] * coupled_slope(Y)
         y = h_eff * (1.0 - sig)
-        if extra_rhs is None:
-            I = np.atleast_1d(profile.eval(y))
-            Ip = np.atleast_1d(profile.derivative(y))
-            f1, f2, zs = _rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
-            out = np.stack([-Ip * f1, f2, zs], axis=1)
-        else:
-            out = extra_rhs("slope", y, Y, None)
-        return -h_eff[:, None] * out
+        I = np.atleast_1d(profile.eval(y))
+        Ip = np.atleast_1d(profile.derivative(y))
+        f1, f2, zs = _rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
+        return -h_eff[:, None] * np.stack([-Ip * f1, f2, zs], axis=1)
 
-    sig_mesh = _graded_sigma() if sigma is None else sigma
-    for k in range(len(sig_mesh) - 1):
-        s0, s1 = sig_mesh[k], sig_mesh[k + 1]
-        dt = s1 - s0
-        k1 = slope(s0, Y)
-        k2 = slope(s0 + dt / 2, Y + dt / 2 * k1)
-        k3 = slope(s0 + dt / 2, Y + dt / 2 * k2)
-        k4 = slope(s1, Y + dt * k3)
-        Y = Y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return Y[:, 1].copy() if extra_rhs is None else Y
+    return rk4_mesh(slope, _graded_sigma(), Y)[:, 1].copy()
 
 
 def estimate_h0(params: ModelParams) -> float:
@@ -326,6 +311,38 @@ def estimate_h0(params: ModelParams) -> float:
     val = quad(lambda s: _one_minus_r_scalar(s) ** ((1.0 - a) / a),
                0.0, 1.0, 1e-12)
     return math.sin(t0) / (a * c ** (1.0 / a)) * val
+
+
+def _shoot_tip_height(residual, scan, finalize, h0: float, cfg: Op2Config):
+    """Shared tip-height shooting driver; returns (best state, all roots).
+
+    Tries the warm bracket `cfg.h_bracket` with `residual(h, rtol)` at the
+    scan tolerance, else samples the batched `scan(hs)` on [1e-3, 3]*h0 and
+    brackets every sign change.  Brent refines each bracket at `cfg.rtol`,
+    `finalize(h)` builds a state per root, and the best payoff wins (first
+    one on ties).
+    """
+    brackets: list[Bracket] = []
+    if cfg.h_bracket is not None:
+        lo, hi = cfg.h_bracket
+        f_lo = residual(lo, cfg.scan_rtol)
+        f_hi = residual(hi, cfg.scan_rtol)
+        if f_lo * f_hi <= 0.0:
+            brackets.append(Bracket(lo, hi, f_lo, f_hi))
+    if not brackets:
+        hs = np.linspace(max(1e-3 * h0, 1e-9), 3.0 * h0, cfg.scan_samples)
+        fs = scan(hs)
+        brackets = sign_change_brackets(hs, fs)
+        if not brackets:
+            raise NoBracketError(
+                f"ground residual has no sign change for h in [{hs[0]:.6g}, "
+                f"{hs[-1]:.6g}] ({len(hs)} samples): f(lo)={fs[0]:.3e}, "
+                f"f(hi)={fs[-1]:.3e}, min {np.min(fs):.3e}, max {np.max(fs):.3e}")
+
+    roots = [find_root(lambda h: residual(h, cfg.rtol), brk, tol=cfg.root_tol)
+             for brk in brackets]
+    states = [finalize(h) for h in roots]
+    return max(states, key=lambda s: s.payoff), [float(h) for h in roots]
 
 
 def shoot_op2(profile: LightProfile, params: ModelParams,
@@ -338,35 +355,12 @@ def shoot_op2(profile: LightProfile, params: ModelParams,
     invariant diagnostics.
     """
     cfg = config or Op2Config()
-    h0_est = estimate_h0(params)
-
-    brackets: list[Bracket] = []
-    if cfg.h_bracket is not None:
-        lo, hi = cfg.h_bracket
-        f_lo = shoot_residual(lo, profile, params, cfg)
-        f_hi = shoot_residual(hi, profile, params, cfg)
-        if f_lo * f_hi <= 0.0:
-            brackets.append(Bracket(lo, hi, f_lo, f_hi))
-    if not brackets:
-        lo = max(1e-3 * h0_est, 1e-9)
-        hi = 3.0 * h0_est
-        hs = np.linspace(lo, hi, cfg.scan_samples)
-        fs = residual_batch(hs, profile, params, eps_rel=cfg.epsilon_rel)
-        for i in range(len(hs) - 1):
-            if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0:
-                brackets.append(Bracket(float(hs[i]), float(hs[i + 1]),
-                                        float(fs[i]), float(fs[i + 1])))
-    if not brackets:
-        raise NoBracketError("ground residual has no sign change over the scan range")
-
-    roots = [find_root(lambda h: shoot_residual(h, profile, params, cfg,
-                                                rtol=cfg.rtol),
-                       brk, tol=cfg.root_tol) for brk in brackets]
-
-    states = [_finalize(h, profile, params, cfg) for h in roots]
-    states.sort(key=lambda s: -s.payoff)
-    best = states[0]
-    best.h_candidates = [float(h) for h in roots]
+    best, roots = _shoot_tip_height(
+        lambda h, rtol: shoot_residual(h, profile, params, cfg, rtol=rtol),
+        lambda hs: residual_batch(hs, profile, params, eps_rel=cfg.epsilon_rel),
+        lambda h: _finalize(h, profile, params, cfg),
+        estimate_h0(params), cfg)
+    best.h_candidates = roots
     return best
 
 
@@ -426,8 +420,7 @@ def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
                            params, eps, float(traj.y[-1, 1]))
 
     if cfg.richardson:
-        cfg_half = Op2Config(**{**cfg.__dict__, "epsilon_rel": cfg.epsilon_rel / 2,
-                                "richardson": False, "h_bracket": cfg.h_bracket})
+        cfg_half = replace(cfg, epsilon_rel=cfg.epsilon_rel / 2, richardson=False)
         traj_half = _shoot_once(h, profile, params, cfg_half, rtol=cfg.rtol)
         state.richardson_dq = abs(float(traj_half.y[-1, 1]) - float(traj.y[-1, 1]))
     return state

@@ -25,6 +25,7 @@ _EPS = np.finfo(float).eps
 
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-10
+_MAX_STEPS = 200_000
 
 
 # ---------------------------------------------------------------------------
@@ -118,29 +119,16 @@ def find_root(
     raise MaxIterationsError(f"Brent did not converge in {max_iter} iterations")
 
 
-def scan_brackets(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    samples: int = 1000,
-) -> list[Bracket]:
-    """Sample f uniformly on [lo, hi] and return every sign-change bracket.
+def sign_change_brackets(xs, fs) -> list[Bracket]:
+    """Every sign-change bracket [xs[i], xs[i+1]] of a sampled function.
 
-    Used when the residual may have multiple roots and a single Brent call is
-    not enough.
+    A sample that is exactly zero opens a bracket of its own, which Brent
+    returns at once.  Used when the residual may have several roots and a
+    single Brent call is not enough.
     """
-    xs = np.linspace(lo, hi, samples)
-    fs = np.array([f(float(x)) for x in xs])
-    out: list[Bracket] = []
-    for i in range(len(xs) - 1):
-        f0, f1 = fs[i], fs[i + 1]
-        if not (np.isfinite(f0) and np.isfinite(f1)):
-            continue
-        if f0 == 0.0:
-            out.append(Bracket(float(xs[i]) - 1e-300, float(xs[i]), -0.0, 0.0))
-        elif f0 * f1 < 0.0:
-            out.append(Bracket(float(xs[i]), float(xs[i + 1]), float(f0), float(f1)))
-    return out
+    return [Bracket(float(xs[i]), float(xs[i + 1]), float(fs[i]), float(fs[i + 1]))
+            for i in range(len(xs) - 1)
+            if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +141,6 @@ class OdeProblem:
 
     dimension: int
     rhs: Callable[[float, np.ndarray], np.ndarray]
-    direction: str = "auto"  # 'forward' | 'backward' | 'auto' (from span order)
 
 
 @dataclass
@@ -186,10 +173,11 @@ class Trajectory:
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-
-    def sample_scalar(self, ts, component: int = 0) -> np.ndarray:
-        return self.sample(ts)[:, component]
+        out = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+        # h00 + h01 == 1 holds only to rounding; keep constant components exact
+        const = np.all(y == y[0], axis=0) & np.all(dy == 0.0, axis=0)
+        out[:, const] = y[0, const]
+        return out
 
 
 # Dormand-Prince 5(4) tableau
@@ -209,47 +197,23 @@ _DP_B4 = np.array(
 )
 
 
-def _integrate_rk4(problem, a, b, y0, n_steps):
-    h = (b - a) / n_steps
-    ts = np.empty(n_steps + 1)
-    ys = np.empty((n_steps + 1, problem.dimension))
-    dys = np.empty_like(ys)
-    t, y = a, np.asarray(y0, dtype=float).copy()
-    f = problem.rhs
-    ts[0], ys[0] = t, y
-    dys[0] = f(t, y)
-    for i in range(n_steps):
-        k1 = dys[i]
-        k2 = np.asarray(f(t + h / 2, y + h / 2 * k1))
-        k3 = np.asarray(f(t + h / 2, y + h / 2 * k2))
-        k4 = np.asarray(f(t + h, y + h * k3))
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t = a + (i + 1) * h
-        ts[i + 1], ys[i + 1] = t, y
-        dys[i + 1] = f(t, y)
-    return Trajectory(ts, ys, dys)
-
-
-def _integrate_dp45(problem, a, b, y0, rtol, atol, max_steps, first_step=None):
+def _integrate_dp45(problem, a, b, y0, rtol, atol):
     f = problem.rhs
     span = b - a
     direction = 1.0 if span > 0 else -1.0
     t = a
     y = np.asarray(y0, dtype=float).copy()
     k0 = np.asarray(f(t, y))
-    if first_step is None:
-        scale = atol + rtol * np.abs(y)
-        d0 = np.sqrt(np.mean((y / scale) ** 2)) if y.size else 0.0
-        d1 = np.sqrt(np.mean((k0 / scale) ** 2))
-        h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * abs(span)
-        h = min(h, 0.1 * abs(span)) * direction
-    else:
-        h = abs(first_step) * direction
+    scale = atol + rtol * np.abs(y)
+    d0 = np.sqrt(np.mean((y / scale) ** 2)) if y.size else 0.0
+    d1 = np.sqrt(np.mean((k0 / scale) ** 2))
+    h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * abs(span)
+    h = min(h, 0.1 * abs(span)) * direction
 
     ts, ys, dys = [t], [y.copy()], [k0.copy()]
     floor = 16.0 * _EPS * max(abs(a), abs(b))
     ks = np.empty((7, problem.dimension))
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if direction * (t + h) > direction * b:
             h = b - t
         if abs(h) < floor:
@@ -286,7 +250,7 @@ def _integrate_dp45(problem, a, b, y0, rtol, atol, max_steps, first_step=None):
             h *= factor
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
-    raise MaxIterationsError(f"adaptive integrator exceeded {max_steps} steps")
+    raise MaxIterationsError(f"adaptive integrator exceeded {_MAX_STEPS} steps")
 
 
 def integrate(
@@ -294,17 +258,13 @@ def integrate(
     span: tuple[float, float],
     initial: Sequence[float],
     *,
-    n_steps: int | None = None,
     rtol: float | None = None,
     atol: float | None = None,
-    max_steps: int = 200_000,
-    first_step: float | None = None,
 ) -> Trajectory:
     """Integrate an ODE system over span=(a, b), a != b.
 
-    Fixed-step classical RK4 when `n_steps` is given; otherwise an embedded
-    Dormand-Prince 5(4) pair with per-step error control at (rtol, atol),
-    defaulting to 1e-10 absolute and relative.
+    Embedded Dormand-Prince 5(4) pair with per-step error control at
+    (rtol, atol), defaulting to 1e-10 absolute and relative.
     """
     a, b = float(span[0]), float(span[1])
     if a == b:
@@ -314,11 +274,24 @@ def integrate(
         raise ValueError(f"initial state must have shape ({problem.dimension},)")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
-    if n_steps is not None:
-        return _integrate_rk4(problem, a, b, y0, n_steps)
     rtol = DEFAULT_REL_TOL if rtol is None else rtol
     atol = DEFAULT_ABS_TOL if atol is None else atol
-    return _integrate_dp45(problem, a, b, y0, rtol, atol, max_steps, first_step)
+    return _integrate_dp45(problem, a, b, y0, rtol, atol)
+
+
+def rk4_mesh(slope, mesh: np.ndarray, y0: np.ndarray) -> np.ndarray:
+    """Classical fixed-step RK4 over the nodes of `mesh`; returns the state
+    at mesh[-1].  `slope(t, y)` may act on a batch of stacked states."""
+    y = y0
+    for k in range(len(mesh) - 1):
+        s0, s1 = mesh[k], mesh[k + 1]
+        dt = s1 - s0
+        k1 = slope(s0, y)
+        k2 = slope(s0 + dt / 2, y + dt / 2 * k1)
+        k3 = slope(s0 + dt / 2, y + dt / 2 * k2)
+        k4 = slope(s1, y + dt * k3)
+        y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -434,17 +407,6 @@ def trapezoid_cumulative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
     return out
-
-
-def composite_simpson(fvals: np.ndarray, x: np.ndarray) -> float:
-    """Composite Simpson on a uniform grid with an odd number of points."""
-    n = len(x) - 1
-    if n % 2 != 0:
-        raise ValueError("composite_simpson needs an even interval count")
-    h = (x[-1] - x[0]) / n
-    return float(h / 3.0 * (fvals[0] + fvals[-1]
-                            + 4.0 * np.sum(fvals[1:-1:2])
-                            + 2.0 * np.sum(fvals[2:-1:2])))
 
 
 def invert_sampled_monotone(x: np.ndarray, fx: np.ndarray, target: float) -> float:

@@ -43,8 +43,3 @@ class ModelParams:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.rho0 < 0.0:
             raise ValueError(f"rho0 must be non-negative, got {self.rho0}")
-
-    @property
-    def sun_direction(self) -> tuple[float, float]:
-        """Unit vector along which the light travels (downward, +x)."""
-        return (math.sin(self.theta0), -math.cos(self.theta0))

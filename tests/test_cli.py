@@ -71,6 +71,35 @@ def test_parse_rejects_unknown_key(tmp_path):
     assert "solver.wibble" in str(err.value)
 
 
+def test_parse_rejects_solver_key_the_kind_ignores(tmp_path):
+    bad = OP1_SCENARIO + "\n[solver]\nseed = 1\n"
+    with pytest.raises(ValidationError) as err:
+        cli.parse_scenario(_write(tmp_path, bad))
+    assert "solver.seed" in str(err.value)
+    code = cli.main(["--scenario", str(_write(tmp_path, bad)),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+    assert code == 1
+
+
+def test_tol_override_rejected_for_eq1(tmp_path, capsys):
+    text = """\
+[scenario]
+schema_version = 1
+kind = eq1
+
+[params]
+theta0 = 0.7853981633974483
+kappa = 1.0
+ell = 1.0
+rho = 0.05
+"""
+    code = cli.main(["--scenario", str(_write(tmp_path, text)),
+                     "--out", str(tmp_path / "out"), "--quiet", "--tol", "1e-9"])
+    assert code == 1
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parse_rejects_wrong_schema(tmp_path):
     bad = OP1_SCENARIO.replace("schema_version = 1", "schema_version = 99")
     with pytest.raises(ValidationError):
@@ -97,8 +126,7 @@ def test_run_determinism(tmp_path):
     scn_path = _write(tmp_path, OP1_SCENARIO)
     for sub in ("a", "b"):
         assert cli.main(["--scenario", str(scn_path),
-                         "--out", str(tmp_path / sub), "--quiet",
-                         "--seed", "7"]) == 0
+                         "--out", str(tmp_path / sub), "--quiet"]) == 0
     for name in ("shape.csv", "summary.json"):
         assert (tmp_path / "a" / name).read_bytes() \
             == (tmp_path / "b" / name).read_bytes()

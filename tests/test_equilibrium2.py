@@ -6,6 +6,7 @@ import pytest
 from stemopt import LightProfile, ModelParams
 from stemopt import equilibrium2 as e2
 from stemopt import model2 as m2
+from stemopt.errors import NoBracketError
 from stemopt.lightfield import check_class_F
 
 
@@ -105,6 +106,19 @@ def test_direct_zero_density_reduces_to_flat(stem_flat):
     assert res.residual_refit < 1e-5
 
 
+def test_direct_no_bracket_reports_scan():
+    # dense, low-angle canopy: the coupled residual keeps one sign on the scan
+    params = ModelParams(theta0=0.06, alpha=0.5, c=1.0, rho0=0.5)
+    with pytest.raises(NoBracketError) as err:
+        e2.solve_equilibrium_direct(params, verify=False)
+    msg = str(err.value)
+    h0 = m2.estimate_h0(params)
+    assert f"[{1e-3 * h0:.6g}, {3.0 * h0:.6g}]" in msg
+    assert "(200 samples)" in msg
+    for part in ("f(lo)=", "f(hi)=", "min ", "max "):
+        assert part in msg
+
+
 def test_direct_agrees_with_fixed_point(pair_001):
     direct, fixed, params = pair_001
     assert abs(direct.h - fixed.h) <= 1e-5
@@ -142,6 +156,8 @@ def test_verify_residuals_small(pair_001):
     assert direct.residual_refit <= 1e-5
     assert direct.residual_map <= 1e-5
     assert fixed.residual_map <= 1e-5
+    # integrated intensity against the shade of the stem: not zero by design
+    assert direct.residual_map > 1e-12
 
 
 def test_verify_detects_perturbation(pair_001):
