@@ -63,13 +63,10 @@ def solve_bcp(params: ModelParams, t_min: float | None = None,
         th = model1.phi_inverse(z_top * math.exp(state[0]), params)
         return np.array([-rk / math.sin(th)])
 
-    problem = OdeProblem(1, rhs)
     if rk == 0.0:
         ts = np.linspace(0.0, -span, 65)
-        zeros = np.zeros((65, 1))
-        slope = np.full((65, 1), 0.0)
-        return Trajectory(ts, zeros, slope)
-    return integrate(problem, (0.0, -span), [0.0], rtol=rtol, atol=atol)
+        return Trajectory(ts, np.zeros((65, 1)), np.zeros((65, 1)))
+    return integrate(OdeProblem(1, rhs), (0.0, -span), [0.0], rtol=rtol, atol=atol)
 
 
 def theta_hat_at(traj: Trajectory, t, params: ModelParams):

@@ -9,6 +9,7 @@ which may have several roots when the light profile rises steeply.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .numerics import Bracket, find_root, sign_change_brackets, trapezoid_cumula
 from .params import ModelParams
 
 _THETA_CAP = 1e-9  # feedback angle never reaches pi/2; cap the search there
+_TABLE_NODES = 1025  # nodes of the cached feedback table that seeds Newton
+_MAX_NEWTON = 100  # safeguarded iterations; a table seed needs two or three
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +78,27 @@ def _F_and_deriv(th, t0, k):
     return Gp * t - G, Gpp * t + Gp * t * t
 
 
+@functools.lru_cache(maxsize=4)
+def _feedback_table(t0: float, k: float):
+    """Monotone table of F on [theta0, pi/2 - cap], nodes clustered toward
+    pi/2 (geometric in pi/2 - theta), as (theta, -F) with -F increasing."""
+    w = np.geomspace(math.pi / 2 - t0, _THETA_CAP, _TABLE_NODES)
+    th = math.pi / 2 - w
+    th[0], th[-1] = t0, math.pi / 2 - _THETA_CAP
+    neg_f = np.maximum.accumulate(-_F_and_deriv(th, t0, k)[0])
+    th.flags.writeable = neg_f.flags.writeable = False  # shared by every caller
+    return th, neg_f
+
+
 def phi_inverse(z, params: ModelParams):
     """Invert the feedback: the unique theta in [theta0, pi/2[ with F(theta)=z.
 
-    Vectorized safeguarded Newton on a shrinking bracket; exact at the
-    endpoint z = e^-kappa - 1 (returns theta0).  Raises DomainError for
-    z above that endpoint.
+    Newton seeded by linear interpolation in a cached table of F, safeguarded
+    by bisection on the two table nodes around the seed.  An element stops
+    once its residual meets 1e-13*(1+|z|), its Newton step vanishes in
+    rounding or its bracket closes, and keeps its iterate.  Exact at the
+    endpoint z = e^-kappa - 1 (returns theta0).  Raises DomainError for z
+    above that endpoint.
     """
     t0, k = params.theta0, params.kappa
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
@@ -90,35 +108,30 @@ def phi_inverse(z, params: ModelParams):
         raise DomainError(f"feedback value {bad} exceeds upper limit {z_max}")
 
     hi_cap = math.pi / 2 - _THETA_CAP
-    at_top = z_arr >= z_max
-    lo = np.full_like(z_arr, t0)
-    hi = np.full_like(z_arr, hi_cap)
-    th = np.full_like(z_arr, 0.5 * (t0 + hi_cap))
-    th[at_top] = t0
-    active = ~at_top
-    if np.any(active):
+    out = np.where(z_arr >= z_max, t0, np.nan)
+    active = z_arr < z_max
+    if active.any():
+        tab_th, tab_nf = _feedback_table(t0, k)
         # F(hi_cap) is astronomically negative; clamp z below it
-        f_hi = _F_and_deriv(np.array([hi_cap]), t0, k)[0][0]
-        z_eff = np.maximum(z_arr, f_hi)
-        for _ in range(120):
-            f, fp = _F_and_deriv(th[active], t0, k)
-            r = f - z_eff[active]
+        nz = np.minimum(-z_arr[active], tab_nf[-1])
+        th = np.interp(nz, tab_nf, tab_th)
+        j = np.minimum(np.searchsorted(tab_nf, nz), _TABLE_NODES - 1)
+        lo, hi = tab_th[np.maximum(j - 1, 0)], tab_th[j]
+        tol = 1e-13 * (1.0 + nz)
+        for _ in range(_MAX_NEWTON):
+            f, fp = _F_and_deriv(th, t0, k)
+            r = f + nz
             # F decreasing: positive residual means the root lies above
-            la, ha = lo[active], hi[active]
-            la = np.where(r > 0, th[active], la)
-            ha = np.where(r < 0, th[active], ha)
-            lo[active], hi[active] = la, ha
-            step = np.where(fp != 0.0, r / fp, 0.0)
-            cand = th[active] - step
-            bad = (cand <= la) | (cand >= ha) | ~np.isfinite(cand)
-            cand = np.where(bad, 0.5 * (la + ha), cand)
-            th[active] = cand
-            done = (np.abs(r) <= 1e-13 * (1.0 + np.abs(z_eff[active]))) | \
-                   ((ha - la) <= 1e-15)
-            if np.all(done):
+            lo = np.where(r > 0, th, lo)
+            hi = np.where(r < 0, th, hi)
+            cand = th - r / fp
+            done = (np.abs(r) <= tol) | (cand == th) | (hi - lo <= 1e-15)
+            if done.all():
                 break
-        th = np.clip(th, t0, hi_cap)
-    return float(th[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else th
+            inside = (cand > lo) & (cand < hi)
+            th = np.where(done, th, np.where(inside, cand, 0.5 * (lo + hi)))
+        out[active] = np.minimum(np.maximum(th, t0), hi_cap)
+    return float(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,17 @@ def test_fixed_point_residuals(rk):
     assert res.uniqueness_ok
 
 
+def test_former_runaway_draw():
+    # a wrong feedback root made the backward solve's step size collapse here
+    params = ModelParams(theta0=0.7642311192707387, kappa=2.8119289102694713,
+                         ell=1.9943380715350787, rho=0.07723037028980666)
+    assert len(e1.solve_bcp(params).t) < 1000
+    res = e1.solve_equilibrium1(params)
+    rep = e1.verify_fixed_point(res, params)
+    assert rep.residual_refit <= 1e-6
+    assert rep.residual_map <= 1e-6
+
+
 def test_perturbation_detector(eq_01):
     res = eq_01
     params = _params(0.1)

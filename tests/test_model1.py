@@ -61,6 +61,23 @@ def test_phi_domain_error(params45):
         m1.phi_inverse(0.5, params45)
 
 
+def test_phi_exact_over_eq1_box():
+    # every call, scalar or array, returns a root meeting the residual
+    # tolerance, and the two call forms agree
+    rng = np.random.default_rng(7)
+    for _ in range(16):
+        params = ModelParams(theta0=rng.uniform(0.2, 1.35),
+                             kappa=rng.uniform(0.3, 3.0))
+        z_max = math.exp(-params.kappa) - 1.0
+        z = z_max * np.exp(rng.uniform(0.0, 4.0, 64))
+        tol = 1e-12 * (1.0 + np.abs(z))
+        th = m1.phi_inverse(z, params)
+        th_scalar = np.array([m1.phi_inverse(float(v), params) for v in z])
+        assert np.all(np.abs(m1.F_of(th_scalar, params) - z) <= tol)
+        assert np.all(np.abs(m1.F_of(th, params) - z) <= tol)
+        assert np.max(np.abs(th - th_scalar)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # payoffs
 # ---------------------------------------------------------------------------
