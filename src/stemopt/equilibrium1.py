@@ -35,8 +35,6 @@ class Equilibrium1Result:
     theta_star: np.ndarray
     x: np.ndarray
     I_star: LightProfile
-    t_hat: np.ndarray            # tip-relative coordinate, [-h*, 0]
-    theta_hat: np.ndarray
     residual_refit: float
     residual_map: float
     rho_kappa: float
@@ -130,7 +128,6 @@ def solve_equilibrium1(params: ModelParams, n_grid: int = 2048,
 
     return Equilibrium1Result(
         h_star=float(h_star), y=y, theta_star=theta_star, x=x, I_star=I_star,
-        t_hat=y - h_star, theta_hat=theta_star,
         residual_refit=residual_refit, residual_map=residual_map,
         rho_kappa=params.rho * params.kappa,
         uniqueness_ok=uniq_ok, uniqueness_margin=uniq_margin,

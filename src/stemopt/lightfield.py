@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,8 +18,6 @@ import numpy as np
 from .errors import NotDifferentiableError
 from .numerics import trapezoid_cumulative
 from .params import ModelParams
-
-KINDS = ("constant", "step", "mollified-step", "tabulated", "exponential-canopy")
 
 
 @dataclass(frozen=True)
@@ -33,49 +32,20 @@ class LightProfile:
                         flat extension at the last knot value
     exponential-canopy  I(y) = exp(-R(y)), R(y) = integral of a piecewise-
                         linear shading rate from y up to the canopy height
+
+    Each kind's constructor validates its inputs and fixes the evaluators
+    of that kind, so evaluating a profile does no per-call dispatch.
     """
 
     kind: str
-    eps: float = 1.0
-    y_jump: float = 1.0
-    width: float = 0.05
-    knots_y: np.ndarray | None = None
-    knots_i: np.ndarray | None = None
+    _intensity: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    _slope: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    top: float                   # height above which the profile is constant
+    discontinuities: tuple[float, ...] = ()
+    breakpoints: tuple | np.ndarray = ()   # knots the checks add to their grid
     rate_y: np.ndarray | None = None
     rate_v: np.ndarray | None = None
     height: float = 0.0
-    _rate_cum: np.ndarray | None = field(default=None, repr=False)
-    _slopes: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
-        if self.kind in ("step", "mollified-step"):
-            if not 0.0 < self.eps <= 1.0:
-                raise ValueError(f"step level must lie in ]0, 1], got {self.eps}")
-            if self.y_jump <= 0.0:
-                raise ValueError("y_jump must be positive")
-        if self.kind == "mollified-step" and self.width <= 0.0:
-            raise ValueError("mollifier width must be positive")
-        if self.kind == "tabulated":
-            ky, ki = np.asarray(self.knots_y, float), np.asarray(self.knots_i, float)
-            if np.any(np.diff(ky) <= 0.0):
-                raise ValueError("tabulated knots must have strictly increasing y")
-            if np.any(np.diff(ki) < 0.0):
-                raise ValueError("tabulated intensities must be non-decreasing")
-            if ki.min() < 0.0 or ki.max() > 1.0:
-                raise ValueError("intensities must lie in [0, 1]")
-            object.__setattr__(self, "_slopes", np.diff(ki) / np.diff(ky))
-        if self.kind == "exponential-canopy":
-            ry, rv = np.asarray(self.rate_y, float), np.asarray(self.rate_v, float)
-            if np.any(np.diff(ry) <= 0.0):
-                raise ValueError("rate knots must have strictly increasing y")
-            if np.any(rv < 0.0):
-                raise ValueError("shading rate must be non-negative")
-            if self.height <= 0.0:
-                raise ValueError("canopy height must be positive")
-            # cumulative of the piecewise-linear rate, exact
-            object.__setattr__(self, "_rate_cum", trapezoid_cumulative(ry, rv))
 
     # -- constructors -------------------------------------------------------
 
@@ -83,28 +53,82 @@ class LightProfile:
     def constant(level: float = 1.0) -> "LightProfile":
         if not 0.0 <= level <= 1.0:
             raise ValueError("constant level must lie in [0, 1]")
-        return LightProfile("constant", eps=level)
+        return LightProfile("constant", lambda y: np.full_like(y, level),
+                            np.zeros_like, top=0.0)
 
     @staticmethod
     def step(eps: float, y_jump: float = 1.0) -> "LightProfile":
-        return LightProfile("step", eps=eps, y_jump=y_jump)
+        _check_step(eps, y_jump)
+
+        def slope(y):
+            if np.any(np.abs(y - y_jump) < 1e-12):
+                raise NotDifferentiableError(f"step profile has a jump at y={y_jump}")
+            return np.zeros_like(y)
+        return LightProfile("step", lambda y: np.where(y <= y_jump, eps, 1.0), slope,
+                            top=y_jump, discontinuities=(y_jump,),
+                            breakpoints=(y_jump,))
 
     @staticmethod
     def mollified_step(eps: float, y_jump: float = 1.0, width: float = 0.05) -> "LightProfile":
-        return LightProfile("mollified-step", eps=eps, y_jump=y_jump, width=width)
+        _check_step(eps, y_jump)
+        if width <= 0.0:
+            raise ValueError("mollifier width must be positive")
+        half = 0.75 * width
+        start, span, rise = y_jump - half, 2.0 * half, 1.0 - eps
+
+        def intensity(y):
+            t = np.clip((y - start) / span, 0.0, 1.0)
+            return eps + rise * t * t * (3.0 - 2.0 * t)
+
+        def slope(y):
+            t = (y - start) / span
+            tt = np.clip(t, 0.0, 1.0)
+            return np.where((t > 0.0) & (t < 1.0),
+                            rise * 6.0 * tt * (1.0 - tt) / span, 0.0)
+        return LightProfile("mollified-step", intensity, slope, top=y_jump + half,
+                            breakpoints=(y_jump, start, y_jump + half))
 
     @staticmethod
     def tabulated(knots_y, knots_i) -> "LightProfile":
-        return LightProfile("tabulated",
-                            knots_y=np.asarray(knots_y, float),
-                            knots_i=np.asarray(knots_i, float))
+        ky, ki = np.asarray(knots_y, float), np.asarray(knots_i, float)
+        if np.any(np.diff(ky) <= 0.0):
+            raise ValueError("tabulated knots must have strictly increasing y")
+        if np.any(np.diff(ki) < 0.0):
+            raise ValueError("tabulated intensities must be non-decreasing")
+        if ki.min() < 0.0 or ki.max() > 1.0:
+            raise ValueError("intensities must lie in [0, 1]")
+        slopes = np.diff(ki) / np.diff(ky)
+
+        def intensity(y):
+            return np.interp(y, ky, ki, left=ki[0], right=ki[-1])
+
+        def slope(y):
+            idx = np.clip(np.searchsorted(ky, y, side="right") - 1, 0, len(ky) - 2)
+            return np.where((y >= ky[0]) & (y < ky[-1]), slopes[idx], 0.0)
+        return LightProfile("tabulated", intensity, slope, top=float(ky[-1]),
+                            breakpoints=ky)
 
     @staticmethod
     def exponential_canopy(rate_y, rate_v, height: float) -> "LightProfile":
-        return LightProfile("exponential-canopy",
-                            rate_y=np.asarray(rate_y, float),
-                            rate_v=np.asarray(rate_v, float),
-                            height=float(height))
+        ry, rv = np.asarray(rate_y, float), np.asarray(rate_v, float)
+        height = float(height)
+        if np.any(np.diff(ry) <= 0.0):
+            raise ValueError("rate knots must have strictly increasing y")
+        if np.any(rv < 0.0):
+            raise ValueError("shading rate must be non-negative")
+        if height <= 0.0:
+            raise ValueError("canopy height must be positive")
+        cum = trapezoid_cumulative(ry, rv)   # of the piecewise-linear rate, exact
+
+        def intensity(y):
+            below = np.interp(y, ry, cum, left=cum[0], right=cum[-1])
+            return np.where(y >= height, 1.0, np.exp(-(cum[-1] - below)))
+
+        def slope(y):   # I' = rate * I below the canopy
+            rate = np.interp(y, ry, rv, left=rv[0], right=rv[-1])
+            return np.where(y < height, rate * intensity(y), 0.0)
+        return LightProfile("exponential-canopy", intensity, slope, top=height,
+                            breakpoints=ry, rate_y=ry, rate_v=rv, height=height)
 
     @staticmethod
     def constant_rate_canopy(rate: float, height: float) -> "LightProfile":
@@ -123,69 +147,21 @@ class LightProfile:
     def eval(self, y):
         """Intensity at height(s) y >= 0; vectorized."""
         y_arr = np.asarray(y, dtype=float)
-        scalar = y_arr.ndim == 0
-        y_arr = np.atleast_1d(y_arr)
-        if self.kind == "constant":
-            out = np.full_like(y_arr, self.eps)
-        elif self.kind == "step":
-            out = np.where(y_arr <= self.y_jump, self.eps, 1.0)
-        elif self.kind == "mollified-step":
-            half = 0.75 * self.width
-            t = np.clip((y_arr - (self.y_jump - half)) / (2.0 * half), 0.0, 1.0)
-            out = self.eps + (1.0 - self.eps) * t * t * (3.0 - 2.0 * t)
-        elif self.kind == "tabulated":
-            out = np.interp(y_arr, self.knots_y, self.knots_i,
-                            left=self.knots_i[0], right=self.knots_i[-1])
-        else:  # exponential-canopy
-            cum = np.interp(y_arr, self.rate_y, self._rate_cum,
-                            left=self._rate_cum[0], right=self._rate_cum[-1])
-            out = np.exp(-(self._rate_cum[-1] - cum))
-            out = np.where(y_arr >= self.height, 1.0, out)
-        return float(out[0]) if scalar else out
+        out = self._intensity(np.atleast_1d(y_arr))
+        return float(out[0]) if y_arr.ndim == 0 else out
 
     def derivative(self, y):
         """Almost-everywhere derivative I'(y) >= 0; vectorized."""
         y_arr = np.asarray(y, dtype=float)
-        scalar = y_arr.ndim == 0
-        y_arr = np.atleast_1d(y_arr)
-        if self.kind == "constant":
-            out = np.zeros_like(y_arr)
-        elif self.kind == "step":
-            if np.any(np.abs(y_arr - self.y_jump) < 1e-12):
-                raise NotDifferentiableError(f"step profile has a jump at y={self.y_jump}")
-            out = np.zeros_like(y_arr)
-        elif self.kind == "mollified-step":
-            half = 0.75 * self.width
-            t = (y_arr - (self.y_jump - half)) / (2.0 * half)
-            inside = (t > 0.0) & (t < 1.0)
-            tt = np.clip(t, 0.0, 1.0)
-            out = np.where(inside,
-                           (1.0 - self.eps) * 6.0 * tt * (1.0 - tt) / (2.0 * half),
-                           0.0)
-        elif self.kind == "tabulated":
-            ky = self.knots_y
-            idx = np.clip(np.searchsorted(ky, y_arr, side="right") - 1, 0, len(ky) - 2)
-            out = np.where((y_arr >= ky[0]) & (y_arr < ky[-1]), self._slopes[idx], 0.0)
-        else:  # exponential-canopy: I' = rate * I below the canopy
-            rate = np.interp(y_arr, self.rate_y, self.rate_v,
-                             left=self.rate_v[0], right=self.rate_v[-1])
-            out = np.where(y_arr < self.height, rate * self.eval(y_arr), 0.0)
-        return float(out[0]) if scalar else out
+        out = self._slope(np.atleast_1d(y_arr))
+        return float(out[0]) if y_arr.ndim == 0 else out
 
-    def discontinuities(self) -> tuple[float, ...]:
-        return (self.y_jump,) if self.kind == "step" else ()
 
-    def top(self) -> float:
-        """Height above which the profile is constant."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "step":
-            return self.y_jump
-        if self.kind == "mollified-step":
-            return self.y_jump + 0.75 * self.width
-        if self.kind == "tabulated":
-            return float(self.knots_y[-1])
-        return self.height
+def _check_step(eps: float, y_jump: float):
+    if not 0.0 < eps <= 1.0:
+        raise ValueError(f"step level must lie in ]0, 1], got {eps}")
+    if y_jump <= 0.0:
+        raise ValueError("y_jump must be positive")
 
 
 @dataclass(frozen=True)
@@ -222,16 +198,8 @@ def load_tabulated_csv(path) -> LightProfile:
 
 def _check_grid(profile: LightProfile, y_max: float, n: int = 10_000) -> np.ndarray:
     grid = np.linspace(0.0, y_max, n)
-    extra = []
-    if profile.kind == "tabulated":
-        extra = list(profile.knots_y)
-    elif profile.kind == "exponential-canopy":
-        extra = list(profile.rate_y)
-    elif profile.kind in ("step", "mollified-step"):
-        extra = [profile.y_jump, profile.y_jump - 0.75 * profile.width,
-                 profile.y_jump + 0.75 * profile.width]
-    pts = np.unique(np.clip(np.concatenate([grid, np.asarray(extra, float)]), 0.0, y_max))
-    return pts
+    extra = np.asarray(profile.breakpoints, float)
+    return np.unique(np.clip(np.concatenate([grid, extra]), 0.0, y_max))
 
 
 def check_uniqueness_condition(
@@ -251,7 +219,7 @@ def check_uniqueness_condition(
     t0, k = params.theta0, params.kappa
     rhs = math.tan(t0) ** 2 * math.cos(math.pi / 2 - t0) \
         * (1.0 - (k + 1.0) * math.exp(-k)) / (1.0 - math.exp(-k))
-    if any(0.0 < d <= h_max for d in profile.discontinuities()):
+    if any(0.0 < d <= h_max for d in profile.discontinuities):
         return False, -math.inf
     ys = _check_grid(profile, h_max)
     inv_i = 1.0 / np.maximum(profile.eval(ys), 1e-300)
@@ -274,11 +242,11 @@ def check_class_F(
     pass others to run the general-form check.
     """
     if y_max is None:
-        y_max = max(profile.top(), 1.0)
+        y_max = max(profile.top, 1.0)
     delta = 1.0 - profile.eval(0.0)
-    if profile.discontinuities():
+    if profile.discontinuities:
         return RegularityReport(delta, False, C, beta, -math.inf,
-                                profile.discontinuities()[0])
+                                profile.discontinuities[0])
     ys = _check_grid(profile, y_max)
     ys = ys[ys > 0.0]
     bound = C * ys ** (-beta)

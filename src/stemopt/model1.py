@@ -267,7 +267,7 @@ class StemShape1:
 
 
 def _pieces(profile: LightProfile, h: float):
-    cuts = [d for d in profile.discontinuities() if 0.0 < d < h]
+    cuts = [d for d in profile.discontinuities if 0.0 < d < h]
     bounds = [0.0] + sorted(cuts) + [h]
     return list(zip(bounds[:-1], bounds[1:]))
 
@@ -321,7 +321,7 @@ def solve_op1(profile: LightProfile, params: ModelParams,
 
     roots: list[float] = []
     lo_all = 1e-9 * ell
-    cuts = [d for d in profile.discontinuities() if lo_all < d < ell]
+    cuts = [d for d in profile.discontinuities if lo_all < d < ell]
     bounds = [lo_all] + sorted(cuts) + [ell]
     for (a, b) in zip(bounds[:-1], bounds[1:]):
         a_in = a + 1e-9 * ell

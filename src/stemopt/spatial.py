@@ -20,6 +20,9 @@ from .lightfield import LightProfile
 from .numerics import trapezoid_cumulative
 from .params import ModelParams
 
+_DENSITY_CAP = 1e4   # deposited density where the stem map focuses is capped here
+_SMOOTH_PASSES = 2   # binomial blur passes over the splatted density
+
 
 # ---------------------------------------------------------------------------
 # Field container
@@ -90,24 +93,15 @@ class LightField2D:
 # Extended capture kernel (full angle range)
 # ---------------------------------------------------------------------------
 
-def _capture_deriv(theta, params: ModelParams):
-    """Derivative of the transverse capture, valid on both sides of the
-    perpendicular (reflection symmetry across theta0 + pi/2)."""
+def _capture_slopes(theta, params: ModelParams):
+    """First and second derivatives (G', G'') of the transverse capture,
+    valid on both sides of the perpendicular (reflection symmetry across
+    theta0 + pi/2)."""
     th = np.asarray(theta, dtype=float)
     t0, k = params.theta0, params.kappa
-    c = np.cos(th - t0)
-    mirrored = np.where(c >= 0.0, th, 2.0 * t0 + math.pi - th)
-    _, gp, _ = model1._G_parts(mirrored, t0, k)
-    return np.where(c >= 0.0, gp, -gp)
-
-
-def _capture_second(theta, params: ModelParams):
-    th = np.asarray(theta, dtype=float)
-    t0, k = params.theta0, params.kappa
-    c = np.cos(th - t0)
-    mirrored = np.where(c >= 0.0, th, 2.0 * t0 + math.pi - th)
-    _, _, gpp = model1._G_parts(mirrored, t0, k)
-    return gpp
+    ahead = np.cos(th - t0) >= 0.0
+    _, gp, gpp = model1._G_parts(np.where(ahead, th, 2.0 * t0 + math.pi - th), t0, k)
+    return np.where(ahead, gp, -gp), gpp
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +140,7 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
 
     converged = False
     sweeps = 0
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
+    while True:
         x = root_x + trapezoid_cumulative(s, np.cos(theta))
         y = trapezoid_cumulative(s, np.sin(theta))
         I_s = fld.eval(x, y)
@@ -156,7 +149,10 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
         # p(s) = integral_s^ell grad(I) G ds, backward from p(ell) = 0
         p1 = _reverse_cumtrapz(s, gx * G_s)
         p2 = _reverse_cumtrapz(s, gy * G_s)
+        if converged or sweeps == max_sweeps:
+            break
 
+        sweeps += 1
         H = (p1[:, None] * np.cos(th_grid)[None, :]
              + p2[:, None] * np.sin(th_grid)[None, :]
              + I_s[:, None] * model1.capture_transverse(th_grid, params)[None, :])
@@ -165,18 +161,9 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
 
         delta = float(np.max(np.abs(th_new - theta)))
         theta = (1.0 - relax) * theta + relax * th_new
-        if delta <= tol:
-            converged = True
-            break
+        converged = delta <= tol
 
-    x = root_x + trapezoid_cumulative(s, np.cos(theta))
-    y = trapezoid_cumulative(s, np.sin(theta))
-    I_s = fld.eval(x, y)
-    gx, gy = fld.grad(x, y)
-    G_s = model1.capture_transverse(theta, params)
-    p1 = _reverse_cumtrapz(s, gx * G_s)
-    p2 = _reverse_cumtrapz(s, gy * G_s)
-    station = I_s * _capture_deriv(theta, params) \
+    station = I_s * _capture_slopes(theta, params)[0] \
         - p1 * np.sin(theta) + p2 * np.cos(theta)
     payoff = float(np.trapezoid(I_s * G_s, s))
     left = bool(np.any(theta < t0 - 1e-6) or np.any(theta > math.pi / 2 + 1e-6))
@@ -198,8 +185,9 @@ def _polish(th, p1, p2, I_s, params: ModelParams, iters: int = 4):
     for _ in range(iters):
         c = np.cos(th - params.theta0)
         ok = np.abs(c) > 0.05
-        f = I_s * _capture_deriv(th, params) - p1 * np.sin(th) + p2 * np.cos(th)
-        fp = I_s * _capture_second(th, params) - p1 * np.cos(th) - p2 * np.sin(th)
+        gp, gpp = _capture_slopes(th, params)
+        f = I_s * gp - p1 * np.sin(th) + p2 * np.cos(th)
+        fp = I_s * gpp - p1 * np.cos(th) - p2 * np.sin(th)
         step = np.where(ok & (np.abs(fp) > 1e-14), f / np.where(fp == 0, 1, fp), 0.0)
         th = np.clip(th - np.clip(step, -0.05, 0.05), 1e-3, math.pi)
     return th
@@ -216,32 +204,23 @@ class StemFamily:
     xi: np.ndarray              # (m,) root positions
     rho_bar: np.ndarray         # (m,) stems per unit root length
     s: np.ndarray               # (n_s+1,) common arc-length grid
-    x: np.ndarray               # (m, n_s+1)
-    y: np.ndarray               # (m, n_s+1)
     theta: np.ndarray           # (m, n_s+1)
     kappa: float
     ell: float
+    x: np.ndarray = field(init=False)   # (m, n_s+1), from the angle field
+    y: np.ndarray = field(init=False)   # (m, n_s+1)
+
+    def __post_init__(self):
+        self.recompute_curves()
 
     @staticmethod
     def uniform_angles(xi, rho_bar, params: ModelParams, n_s: int = 200,
                        theta=None) -> "StemFamily":
         xi = np.asarray(xi, dtype=float)
-        m = len(xi)
         s = np.linspace(0.0, params.ell, n_s + 1)
-        th = np.full((m, n_s + 1), params.theta0 if theta is None else theta)
-        x = xi[:, None] + np.cumsum(
-            np.concatenate([np.zeros((m, 1)), np.cos(th[:, :-1])], axis=1), axis=1) \
-            * (s[1] - s[0])
-        x[:, 0] = xi
-        y = np.cumsum(
-            np.concatenate([np.zeros((m, 1)), np.sin(th[:, :-1])], axis=1), axis=1) \
-            * (s[1] - s[0])
-        y[:, 0] = 0.0
-        fam = StemFamily(xi=xi, rho_bar=np.asarray(rho_bar, dtype=float),
-                         s=s, x=x, y=y, theta=th,
-                         kappa=params.kappa, ell=params.ell)
-        fam.recompute_curves()
-        return fam
+        th = np.full((len(xi), n_s + 1), params.theta0 if theta is None else theta)
+        return StemFamily(xi=xi, rho_bar=np.asarray(rho_bar, dtype=float), s=s,
+                          theta=th, kappa=params.kappa, ell=params.ell)
 
     def recompute_curves(self):
         """Rebuild the planar curves from the angle field (arc-length exact
@@ -277,21 +256,17 @@ class FieldBuildReport:
 
 
 def light_from_family(family: StemFamily, window, nx: int = 256, ny: int = 256,
-                      params: ModelParams | None = None,
-                      density_cap: float = 1e4,
-                      smooth_passes: int = 2) -> FieldBuildReport:
+                      *, params: ModelParams) -> FieldBuildReport:
     """Ray-marched light field cast by a family of stems.
 
     Leaf mass kappa * rho_bar(xi) dxi ds is splatted bilinearly onto the
     grid (conservative by construction); cells where the stem map focuses
-    (near-zero Jacobian) are capped at `density_cap` and counted.  A short
+    (near-zero Jacobian) are capped at `_DENSITY_CAP` and counted.  A short
     binomial blur mollifies the splat so the downstream gradients do not
     jitter with cell alignment.  The intensity then follows from marching
     each grid node toward the sun and exponentiating the accumulated
     vegetation.
     """
-    if params is None:
-        raise ValueError("params required for the sun direction")
     theta0 = params.theta0
     x0, x1, y0, y1 = window
     xs = np.linspace(x0, x1, nx)
@@ -324,9 +299,9 @@ def light_from_family(family: StemFamily, window, nx: int = 256, ny: int = 256,
     np.add.at(rho, (iy + 1, ix + 1), pm * tx * ty)
     deposited = float(rho.sum())
     rho /= cell
-    capped = int(np.sum(rho > density_cap))
-    rho = np.minimum(rho, density_cap)
-    for _ in range(smooth_passes):
+    capped = int(np.sum(rho > _DENSITY_CAP))
+    rho = np.minimum(rho, _DENSITY_CAP)
+    for _ in range(_SMOOTH_PASSES):
         rho = _binomial_blur(rho)
 
     # march from every node toward the sun (vegetation is up-sun of a point)

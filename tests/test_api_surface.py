@@ -1,9 +1,15 @@
-"""Every public function, class and method of the package is used somewhere.
+"""Every public function, class, method and constant of the package is used
+somewhere.
 
 A public name (no leading underscore) defined at module level in
 `src/stemopt`, or as a method of such a class, must be referenced by at
 least one `Name` or `Attribute` node in the package or the tests.  A name
 that only its own definition mentions is dead API and should be deleted.
+
+Public module-level constants are resolved per module, because two modules
+may bind the same name: a constant counts as used only where a load of it
+refers to that module's binding (a bare name inside the module, an import
+from the module, or an attribute of the module object).
 """
 
 import ast
@@ -53,3 +59,55 @@ def test_no_unreferenced_public_names():
                   for qualified, name in _definitions(tree)
                   if name not in used)
     assert dead == [], f"public names that nothing references: {dead}"
+
+
+def _constants(tree):
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and _public(target.id):
+                yield target.id
+
+
+def _module_references(path, tree, modules):
+    """(module, name) pairs that the loads in `tree` resolve to."""
+    own = path.stem if path.parent == SRC else None
+    module_alias, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rsplit(".", 1)[-1]
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if source in ("", "stemopt") and alias.name in modules:
+                    module_alias[local] = alias.name
+                elif source in modules:
+                    imported[local] = (source, alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                stem = alias.name.rsplit(".", 1)[-1]
+                if alias.asname and alias.name.startswith("stemopt.") and stem in modules:
+                    module_alias[alias.asname] = stem
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            if node.id in imported:
+                refs.add(imported[node.id])
+            elif own is not None:
+                refs.add((own, node.id))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in module_alias):
+            refs.add((module_alias[node.value.id], node.attr))
+    return refs
+
+
+def test_no_unreferenced_public_constants():
+    trees = _trees(SRC, TESTS)
+    modules = {path.stem for path in trees if path.parent == SRC}
+    refs = set().union(*(_module_references(path, tree, modules)
+                         for path, tree in trees.items()))
+    dead = sorted(f"{path.stem}.{name}"
+                  for path, tree in trees.items() if path.parent == SRC
+                  for name in _constants(tree)
+                  if (path.stem, name) not in refs)
+    assert dead == [], f"public constants that nothing references: {dead}"

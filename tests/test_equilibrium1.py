@@ -113,8 +113,7 @@ def test_perturbation_detector(eq_01):
     params = _params(0.1)
     fake = e1.Equilibrium1Result(
         h_star=res.h_star, y=res.y, theta_star=res.theta_star + 0.01,
-        x=res.x, I_star=res.I_star, t_hat=res.t_hat,
-        theta_hat=res.theta_hat, residual_refit=0.0, residual_map=0.0,
+        x=res.x, I_star=res.I_star, residual_refit=0.0, residual_map=0.0,
         rho_kappa=res.rho_kappa, uniqueness_ok=True, uniqueness_margin=0.0)
     rep = e1.verify_fixed_point(fake, params)
     assert rep.residual_refit >= 0.005

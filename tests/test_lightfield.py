@@ -138,3 +138,29 @@ def test_csv_rejects_decreasing(tmp_path):
     path.write_text("y,I\n0.0,0.9\n1.0,0.8\n")
     with pytest.raises(ValueError):
         load_tabulated_csv(path)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LightProfile.constant(-0.1),
+    lambda: LightProfile.constant(1.1),
+    lambda: LightProfile.step(0.0, 1.0),
+    lambda: LightProfile.step(1.5, 1.0),
+    lambda: LightProfile.step(0.5, 0.0),
+    lambda: LightProfile.mollified_step(0.0, 1.0, 0.1),
+    lambda: LightProfile.mollified_step(0.5, -1.0, 0.1),
+    lambda: LightProfile.mollified_step(0.5, 1.0, 0.0),
+    lambda: LightProfile.tabulated([0.0, 0.5, 0.5], [0.5, 0.8, 1.0]),
+    lambda: LightProfile.tabulated([0.0, 0.5, 1.0], [0.5, 0.9, 0.8]),
+    lambda: LightProfile.tabulated([0.0, 1.0], [-0.1, 1.0]),
+    lambda: LightProfile.tabulated([0.0, 1.0], [0.5, 1.2]),
+    lambda: LightProfile.exponential_canopy([0.0, 1.0, 0.8], [0.1, 0.1, 0.1], 1.0),
+    lambda: LightProfile.exponential_canopy([0.0, 1.0], [0.1, -0.1], 1.0),
+    lambda: LightProfile.exponential_canopy([0.0, 1.0], [0.1, 0.1], 0.0),
+], ids=["constant-below", "constant-above", "step-level-zero", "step-level-above",
+        "step-jump", "mollified-level", "mollified-jump", "mollified-width",
+        "tabulated-knots", "tabulated-decreasing", "tabulated-below",
+        "tabulated-above", "canopy-knots", "canopy-negative-rate",
+        "canopy-height"])
+def test_constructor_rejects_invalid_input(build):
+    with pytest.raises(ValueError):
+        build()
