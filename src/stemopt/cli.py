@@ -10,8 +10,10 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import sys
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,157 +33,14 @@ from .params import ModelParams
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 
-KINDS = ("op1", "eq1", "op2", "eq2", "op3", "halfline", "sweep")
-
-_KNOWN_KEYS = {
-    "scenario": {"schema_version", "kind"},
-    "params": {"theta0", "kappa", "ell", "rho", "alpha", "c", "rho0"},
-    "profile": {"kind", "level", "epsilon", "y_jump", "width", "csv",
-                "rate", "height"},
-    "sweep": {"parameter", "values"},
-    "halfline": {"rho_scale", "b", "n_stems", "iterations", "grid", "relax"},
-    "op3": {"root", "nx", "ny"},
-}
-
-# [solver] keys each kind reads; any other key is rejected
-_SOLVER_KEYS = {
-    "op1": {"grid", "example34"},
-    "op2": {"tol", "scan_samples", "h_lo", "h_hi"},
-    "eq2": {"method", "damping"},
-}
-
-_REQUIRED_PARAMS = {
-    "op1": ("theta0", "kappa", "ell"),
-    "eq1": ("theta0", "kappa", "ell", "rho"),
-    "op2": ("theta0", "alpha", "c"),
-    "eq2": ("theta0", "alpha", "c", "rho0"),
-    "op3": ("theta0", "kappa", "ell"),
-    "halfline": ("theta0", "kappa", "ell"),
-    "sweep": ("theta0", "alpha", "c"),
-}
-
 
 @dataclass
 class Scenario:
     kind: str
     params: ModelParams
     profile: LightProfile | None
-    solver: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
-    halfline: dict = field(default_factory=dict)
-    op3: dict = field(default_factory=dict)
+    options: dict          # typed value of every option key the kind reads
     source_path: str = ""
-
-
-def _get_float(section, key, name):
-    try:
-        return float(section[key])
-    except KeyError:
-        raise ValidationError(name, "missing required value")
-    except ValueError:
-        raise ValidationError(name, f"not a number: {section[key]!r}")
-
-
-def parse_scenario(path) -> Scenario:
-    """Read and validate a scenario file; unknown keys are rejected with
-    their location."""
-    path = Path(path)
-    if not path.exists():
-        raise ParseError(f"scenario file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    try:
-        cp.read(path)
-    except configparser.Error as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if "scenario" not in cp:
-        raise ValidationError("scenario", "missing [scenario] section")
-
-    for section in cp.sections():
-        if section == "solver":
-            continue  # its keys depend on the kind, checked below
-        if section not in _KNOWN_KEYS:
-            raise ValidationError(section, "unknown section")
-        for key in cp[section]:
-            if key not in _KNOWN_KEYS[section]:
-                raise ValidationError(f"{section}.{key}", "unknown key")
-
-    meta = cp["scenario"]
-    version = int(meta.get("schema_version", "-1"))
-    if version != SCHEMA_VERSION:
-        raise ValidationError("scenario.schema_version",
-                              f"unsupported version {version}")
-    kind = meta.get("kind", "")
-    if kind not in KINDS:
-        raise ValidationError("scenario.kind", f"must be one of {KINDS}")
-
-    psec = cp["params"] if "params" in cp else {}
-    for req in _REQUIRED_PARAMS[kind]:
-        if req not in psec:
-            raise ValidationError(req, f"required for kind={kind}")
-    kwargs = {}
-    for key in _KNOWN_KEYS["params"]:
-        if key in psec:
-            kwargs[key] = _get_float(psec, key, key)
-    try:
-        params = ModelParams(**kwargs)
-    except ValueError as exc:
-        msg = str(exc)
-        name = msg.split(" ", 1)[0]
-        raise ValidationError(name, msg) from exc
-
-    profile = None
-    if "profile" in cp:
-        profile = _build_profile(cp["profile"], path.parent)
-    elif kind in ("op1", "op2", "op3"):
-        raise ValidationError("profile", f"required for kind={kind}")
-
-    solver = dict(cp["solver"]) if "solver" in cp else {}
-    for key in solver:
-        _check_solver_key(kind, key, f"solver.{key}")
-    sweep = dict(cp["sweep"]) if "sweep" in cp else {}
-    halfline = dict(cp["halfline"]) if "halfline" in cp else {}
-    op3 = dict(cp["op3"]) if "op3" in cp else {}
-    if kind == "sweep":
-        if "parameter" not in sweep or "values" not in sweep:
-            raise ValidationError("sweep.values", "sweep needs parameter and values")
-        if sweep["parameter"] != "rho0":
-            raise ValidationError("sweep.parameter", "only rho0 sweeps supported")
-    return Scenario(kind=kind, params=params, profile=profile, solver=solver,
-                    sweep=sweep, halfline=halfline, op3=op3,
-                    source_path=str(path))
-
-
-def _check_solver_key(kind: str, key: str, name: str):
-    accepted = sorted(_SOLVER_KEYS.get(kind, ()))
-    if key not in accepted:
-        raise ValidationError(
-            name, f"not read by kind={kind} (accepted: {', '.join(accepted) or 'none'})")
-
-
-def _build_profile(sec, base_dir: Path) -> LightProfile:
-    kind = sec.get("kind", "constant")
-    try:
-        if kind == "constant":
-            return LightProfile.constant(float(sec.get("level", "1.0")))
-        if kind == "step":
-            return LightProfile.step(_get_float(sec, "epsilon", "profile.epsilon"),
-                                     float(sec.get("y_jump", "1.0")))
-        if kind == "mollified-step":
-            return LightProfile.mollified_step(
-                _get_float(sec, "epsilon", "profile.epsilon"),
-                float(sec.get("y_jump", "1.0")),
-                float(sec.get("width", "0.05")))
-        if kind == "tabulated":
-            if "csv" not in sec:
-                raise ValidationError("profile.csv", "tabulated profile needs a csv path")
-            return load_tabulated_csv(base_dir / sec["csv"])
-        if kind == "exponential-canopy":
-            return LightProfile.constant_rate_canopy(
-                _get_float(sec, "rate", "profile.rate"),
-                _get_float(sec, "height", "profile.height"))
-    except ValueError as exc:
-        raise ValidationError(f"profile.{kind}", str(exc)) from exc
-    raise ValidationError("profile.kind", f"unknown profile kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +87,7 @@ def _finish(out: Path, scenario: Scenario, outputs: list[Path], residuals: dict)
 # ---------------------------------------------------------------------------
 
 def _run_op1(scn: Scenario, out: Path) -> dict:
-    n_grid = int(scn.solver.get("grid", "2048"))
-    shapes = model1.solve_op1(scn.profile, scn.params, n_grid=n_grid)
+    shapes = model1.solve_op1(scn.profile, scn.params, n_grid=scn.options["grid"])
     best = shapes[0]
     _write_csv(out / "shape.csv", ["y", "theta", "x", "I"],
                [best.y, best.theta, best.x, scn.profile.eval(best.y)])
@@ -241,7 +99,7 @@ def _run_op1(scn: Scenario, out: Path) -> dict:
     }
     _write_json(out / "summary.json", summary)
     outputs = [out / "shape.csv", out / "summary.json"]
-    if scn.solver.get("example34", "false").lower() in ("1", "true", "yes"):
+    if scn.options["example34"]:
         nu = model1.find_nonuniqueness_epsilon(scn.params)
         _write_json(out / "nonuniqueness.json", {
             "eps_hat": nu.eps_hat, "eps_one": nu.eps_one,
@@ -266,19 +124,12 @@ def _run_eq1(scn: Scenario, out: Path) -> dict:
             "residuals": {"refit": res.residual_refit, "map": res.residual_map}}
 
 
-def _op2_config(scn: Scenario) -> Op2Config:
-    cfg = Op2Config()
-    if "tol" in scn.solver:
-        cfg.rtol = float(scn.solver["tol"])
-    if "scan_samples" in scn.solver:
-        cfg.scan_samples = int(scn.solver["scan_samples"])
-    if "h_lo" in scn.solver and "h_hi" in scn.solver:
-        cfg.h_bracket = (float(scn.solver["h_lo"]), float(scn.solver["h_hi"]))
-    return cfg
-
-
 def _run_op2(scn: Scenario, out: Path) -> dict:
-    st = model2.shoot_op2(scn.profile, scn.params, _op2_config(scn))
+    opt = scn.options
+    bracket = None if opt["h_lo"] is None else (opt["h_lo"], opt["h_hi"])
+    cfg = Op2Config(h_bracket=bracket, scan_samples=opt["scan_samples"],
+                    rtol=opt["tol"])
+    st = model2.shoot_op2(scn.profile, scn.params, cfg)
     _write_csv(out / "stem.csv", ["y", "theta", "u", "I", "p", "q", "z", "x"],
                [st.y, st.theta, st.u, st.I, st.p, st.q, st.z, st.x])
     _write_json(out / "summary.json", {
@@ -293,30 +144,24 @@ def _run_op2(scn: Scenario, out: Path) -> dict:
                           "hamiltonian": st.hamiltonian_max_abs}}
 
 
-def _eq2_summary(res) -> dict:
-    return {
-        "rho0": None, "h": res.h, "iterations": res.iterations,
-        "residual_map": res.residual_map, "residual_refit": res.residual_refit,
-        "method": res.method, "h_roots": res.h_roots,
-        "class_f_ok": res.class_f_ok, "multiroot_flag": res.multiroot_flag,
-    }
-
-
 def _run_eq2(scn: Scenario, out: Path) -> dict:
-    method = scn.solver.get("method", "direct")
-    damping = float(scn.solver.get("damping", "0.5"))
+    method = scn.options["method"]
     results = {}
     if method in ("direct", "both"):
         results["direct"] = equilibrium2.solve_equilibrium_direct(scn.params)
     if method in ("fixed_point", "both"):
         results["fixed_point"] = equilibrium2.solve_equilibrium_fixed_point(
-            scn.params, damping=damping)
+            scn.params, damping=scn.options["damping"])
     primary = results.get("direct") or results["fixed_point"]
     st = primary.stem
     _write_csv(out / "equilibrium.csv", ["y", "theta", "u", "I_star", "p", "q", "z"],
                [st.y, st.theta, st.u, primary.I_star.eval(st.y), st.p, st.q, st.z])
-    summary = _eq2_summary(primary)
-    summary["rho0"] = scn.params.rho0
+    summary = {
+        "rho0": scn.params.rho0, "h": primary.h, "iterations": primary.iterations,
+        "residual_map": primary.residual_map, "residual_refit": primary.residual_refit,
+        "method": primary.method, "h_roots": primary.h_roots,
+        "class_f_ok": primary.class_f_ok, "multiroot_flag": primary.multiroot_flag,
+    }
     if len(results) == 2:
         ys = np.linspace(0.0, max(r.h for r in results.values()) * 1.05, 2001)
         gap = float(np.max(np.abs(results["direct"].I_star.eval(ys)
@@ -331,7 +176,7 @@ def _run_eq2(scn: Scenario, out: Path) -> dict:
 
 
 def _run_sweep(scn: Scenario, out: Path) -> dict:
-    values = [float(v) for v in scn.sweep["values"].split()]
+    values = list(scn.options["values"])
     rows = []
     for v in values:
         res = equilibrium2.solve_equilibrium_direct(replace(scn.params, rho0=v))
@@ -347,12 +192,11 @@ def _run_sweep(scn: Scenario, out: Path) -> dict:
 
 
 def _run_op3(scn: Scenario, out: Path) -> dict:
-    root = float(scn.op3.get("root", "0.0"))
-    nx = int(scn.op3.get("nx", "64"))
-    ny = int(scn.op3.get("ny", "2048"))
+    root = scn.options["root"]
     ell = scn.params.ell
     window = (root - 0.5 * ell, root + 1.5 * ell, 0.0, 1.2 * ell)
-    fld = spatial.LightField2D.stratified(scn.profile, window, nx, ny)
+    fld = spatial.LightField2D.stratified(scn.profile, window, scn.options["nx"],
+                                          scn.options["ny"])
     res = spatial.solve_op3_single(fld, root, scn.params)
     _write_csv(out / "stem.csv", ["s", "x", "y", "theta"],
                [res.s, res.x, res.y, res.theta])
@@ -362,24 +206,14 @@ def _run_op3(scn: Scenario, out: Path) -> dict:
         "converged": res.converged, "sweeps": res.sweeps,
         "theta_left_range": res.theta_left_range,
     })
-    out_files = [out / "stem.csv", out / "summary.json"]
     if not res.converged:
         raise NotConvergedError("forward-backward sweep did not converge")
-    return {"outputs": out_files,
+    return {"outputs": [out / "stem.csv", out / "summary.json"],
             "residuals": {"stationarity": res.stationarity_residual}}
 
 
 def _run_halfline(scn: Scenario, out: Path) -> dict:
-    hf = scn.halfline
-    res = spatial.halfline_relaxation(
-        scn.params,
-        rho_scale=float(hf.get("rho_scale", "0.01")),
-        b=float(hf.get("b", "1.0")),
-        n_stems=int(hf.get("n_stems", "9")),
-        iterations=int(hf.get("iterations", "10")),
-        relax=float(hf.get("relax", "0.3")),
-        grid=int(hf.get("grid", "160")),
-    )
+    res = spatial.halfline_relaxation(scn.params, **scn.options)
     fam = res.family
     m, n = fam.x.shape
     xi_col = np.repeat(fam.xi, n)
@@ -402,8 +236,141 @@ def _run_halfline(scn: Scenario, out: Path) -> dict:
             "residuals": {"last_change": res.changes[-1] if res.changes else 0.0}}
 
 
-_RUNNERS = {"op1": _run_op1, "eq1": _run_eq1, "op2": _run_op2, "eq2": _run_eq2,
-            "sweep": _run_sweep, "op3": _run_op3, "halfline": _run_halfline}
+def _flag(text: str) -> bool:
+    if text.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError("expected true, false, yes, no, 1 or 0")
+    return text.lower() in ("true", "yes", "1")
+
+
+def _numbers(text: str) -> tuple[float, ...]:
+    if not text.split():
+        raise ValueError("expected one or more numbers")
+    return tuple(map(float, text.split()))
+
+
+# Per kind: its [params] keys, all required; whether it reads a [profile];
+# its option sections, {section: {key: spec}}; and its runner.  A key's spec
+# is its default, whose type is the key's type; a tuple of the accepted
+# words, the first being the default; a type or parser, for a key that must
+# be given; or None, for a number that may be left out.
+_Kind = namedtuple("_Kind", "params profile options runner")
+_KINDS = {
+    "op1": _Kind(("theta0", "kappa", "ell"), True,
+                 {"solver": {"grid": 2048, "example34": False}}, _run_op1),
+    "eq1": _Kind(("theta0", "kappa", "ell", "rho"), False, {}, _run_eq1),
+    "op2": _Kind(("theta0", "alpha", "c"), True,
+                 {"solver": {"tol": Op2Config.rtol, "scan_samples": Op2Config.scan_samples,
+                             "h_lo": None, "h_hi": None}}, _run_op2),
+    "eq2": _Kind(("theta0", "alpha", "c", "rho0"), False,
+                 {"solver": {"method": ("direct", "fixed_point", "both"), "damping": 0.5}},
+                 _run_eq2),
+    "op3": _Kind(("theta0", "kappa", "ell"), True,
+                 {"op3": {"root": 0.0, "nx": 64, "ny": 2048}}, _run_op3),
+    "halfline": _Kind(("theta0", "kappa", "ell"), False,
+                      {"halfline": {"rho_scale": 0.01, "b": 1.0, "n_stems": 9,
+                                    "iterations": 10, "relax": 0.3, "grid": 160}},
+                      _run_halfline),
+    "sweep": _Kind(("theta0", "alpha", "c"), False,
+                   {"sweep": {"parameter": ("rho0",), "values": _numbers}}, _run_sweep),
+}
+
+# profile kind -> (constructor taking the key values in order, keys)
+_PROFILES = {
+    "constant": (LightProfile.constant, {"level": 1.0}),
+    "step": (LightProfile.step, {"epsilon": float, "y_jump": 1.0}),
+    "mollified-step": (LightProfile.mollified_step,
+                       {"epsilon": float, "y_jump": 1.0, "width": 0.05}),
+    "tabulated": (load_tabulated_csv, {"csv": Path}),
+    "exponential-canopy": (LightProfile.constant_rate_canopy,
+                           {"rate": float, "height": float}),
+}
+
+
+def _typed(name: str, text: str | None, spec):
+    """The value of key `name` (None when absent), typed by its spec."""
+    if isinstance(spec, tuple):
+        if text is not None and text not in spec:
+            raise ValidationError(name, f"{text!r} is not one of {', '.join(spec)}")
+        return spec[0] if text is None else text
+    if text is None:
+        if callable(spec):
+            raise ValidationError(name, "missing required value")
+        return spec
+    parse = spec if callable(spec) else type(spec)
+    try:
+        value = {bool: _flag, type(None): float}.get(parse, parse)(text)
+    except ValueError as exc:
+        raise ValidationError(name, f"malformed value {text!r}: {exc}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(name, f"not a finite number: {text!r}")
+    return value
+
+
+def _read(cp: configparser.ConfigParser, section: str, keys: dict) -> dict:
+    """Typed values of a section's keys; a key not in `keys` is rejected."""
+    given = cp[section] if cp.has_section(section) else {}
+    for key in given:
+        if key not in keys:
+            raise ValidationError(f"{section}.{key}", "not read by this kind "
+                                  f"(accepted: {', '.join(keys) or 'none'})")
+    return {key: _typed(f"{section}.{key}", given.get(key), spec)
+            for key, spec in keys.items()}
+
+
+def parse_scenario(path) -> Scenario:
+    """Read a scenario file and type every value against its kind's schema;
+    a key the kind does not read, misses or cannot use raises ValidationError."""
+    path = Path(path)
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+    except (OSError, configparser.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+    head = _read(cp, "scenario", {"schema_version": int, "kind": str})
+    if head["schema_version"] != SCHEMA_VERSION:
+        raise ValidationError("scenario.schema_version",
+                              f"unsupported version {head['schema_version']}")
+    kind, spec = head["kind"], _KINDS.get(head["kind"])
+    if spec is None:
+        raise ValidationError("scenario.kind", f"must be one of {', '.join(_KINDS)}")
+
+    read, profile = ["scenario", "params", *spec.options], None
+    if spec.profile:
+        if "profile" not in cp:
+            raise ValidationError("profile", f"required for kind={kind}")
+        read.append("profile")
+        name = _typed("profile.kind", cp["profile"].get("kind"), tuple(_PROFILES))
+        build, keys = _PROFILES[name]
+        given = _read(cp, "profile", {"kind": name, **keys})
+        if name == "tabulated":
+            given["csv"] = path.parent / given["csv"]
+        try:
+            profile = build(*(given[key] for key in keys))
+        except (ValueError, OSError) as exc:
+            raise ValidationError(f"profile.{name}", str(exc)) from exc
+    for section in cp.sections():
+        if section not in read:
+            _read(cp, section, {})   # rejects the section's first key
+
+    values = _read(cp, "params", dict.fromkeys(spec.params, float))
+    options = {}
+    for section, keys in spec.options.items():
+        options.update(_read(cp, section, keys))
+    if kind == "op2" and (options["h_lo"] is None) != (options["h_hi"] is None):
+        raise ValidationError("solver.h_lo" if options["h_hi"] is None else "solver.h_hi",
+                              "the warm bracket needs both h_lo and h_hi")
+    try:
+        params = ModelParams(**values)
+        for rho0 in options.get("values", ()):   # each swept density
+            replace(params, rho0=rho0)
+    except ValueError as exc:
+        key = str(exc).split(" ", 1)[0]   # ModelParams names the field first
+        raise ValidationError(f"params.{key}" if key in values else "sweep.values",
+                              str(exc)) from exc
+    return Scenario(kind=kind, params=params, profile=profile, options=options,
+                    source_path=str(path))
 
 
 def run(scenario: Scenario, out_dir, quiet: bool = False) -> int:
@@ -411,7 +378,7 @@ def run(scenario: Scenario, out_dir, quiet: bool = False) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        result = _RUNNERS[scenario.kind](scenario, out)
+        result = _KINDS[scenario.kind].runner(scenario, out)
     except NotConvergedError as exc:
         if not quiet:
             print(f"solver did not converge: {exc}", file=sys.stderr)
@@ -485,10 +452,12 @@ def main(argv=None) -> int:
 
     try:
         scenario = parse_scenario(args.scenario)
+        solver = _KINDS[scenario.kind].options.get("solver", {})
         for key, value in (("grid", args.grid), ("tol", args.tol)):
             if value is not None:
-                _check_solver_key(scenario.kind, key, f"--{key}")
-                scenario.solver[key] = str(value)
+                if key not in solver:
+                    raise ValidationError(f"--{key}", f"not read by kind={scenario.kind}")
+                scenario.options[key] = _typed(f"--{key}", str(value), solver[key])
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,6 +27,8 @@ from .numerics import (
 )
 from .params import ModelParams
 
+_N_GRID = 2048   # cells of the returned equilibrium shape and profile
+
 
 @dataclass
 class Equilibrium1Result:
@@ -45,8 +47,7 @@ class Equilibrium1Result:
         return np.interp(np.asarray(yq, dtype=float), self.y, self.theta_star)
 
 
-def solve_bcp(params: ModelParams, t_min: float | None = None,
-              rtol: float = 1e-11, atol: float = 1e-13) -> Trajectory:
+def solve_bcp(params: ModelParams) -> Trajectory:
     """Backward Cauchy problem for the log-shade zeta(t), t <= 0.
 
     zeta' = -rho*kappa / sin(phi((e^-kappa - 1) e^zeta)), zeta(0) = 0.
@@ -55,16 +56,16 @@ def solve_bcp(params: ModelParams, t_min: float | None = None,
     """
     rk = params.rho * params.kappa
     z_top = math.exp(-params.kappa) - 1.0
-    span = params.ell if t_min is None else -t_min
 
     def rhs(t, state):
         th = model1.phi_inverse(z_top * math.exp(state[0]), params)
         return np.array([-rk / math.sin(th)])
 
     if rk == 0.0:
-        ts = np.linspace(0.0, -span, 65)
+        ts = np.linspace(0.0, -params.ell, 65)
         return Trajectory(ts, np.zeros((65, 1)), np.zeros((65, 1)))
-    return integrate(OdeProblem(1, rhs), (0.0, -span), [0.0], rtol=rtol, atol=atol)
+    return integrate(OdeProblem(1, rhs), (0.0, -params.ell), [0.0],
+                     rtol=1e-11, atol=1e-13)
 
 
 def theta_hat_at(traj: Trajectory, t, params: ModelParams):
@@ -74,7 +75,7 @@ def theta_hat_at(traj: Trajectory, t, params: ModelParams):
     return model1.phi_inverse(z_top * np.exp(zeta), params)
 
 
-def solve_equilibrium1(params: ModelParams, n_grid: int = 2048,
+def solve_equilibrium1(params: ModelParams,
                        run_refit: bool = True) -> Equilibrium1Result:
     """Equilibrium shape, height and light profile for the given density.
 
@@ -86,7 +87,7 @@ def solve_equilibrium1(params: ModelParams, n_grid: int = 2048,
     traj = solve_bcp(params)
 
     # cumulative stem length from the tip; strictly increasing in depth
-    n_cum = 8 * n_grid + 1
+    n_cum = 8 * _N_GRID + 1
     t_dense = np.linspace(0.0, -ell, n_cum)
     th_dense = theta_hat_at(traj, t_dense, params)
     depth = -t_dense
@@ -110,7 +111,7 @@ def solve_equilibrium1(params: ModelParams, n_grid: int = 2048,
         f_lo, f_hi = length_resid(lo), length_resid(hi)
     h_star = find_root(length_resid, Bracket(lo, hi, f_lo, f_hi), tol=1e-13)
 
-    y = np.linspace(0.0, h_star, n_grid + 1)
+    y = np.linspace(0.0, h_star, _N_GRID + 1)
     theta_star = theta_hat_at(traj, y - h_star, params)
     x = trapezoid_cumulative(y, np.cos(theta_star) / np.sin(theta_star))
     I_star = LightProfile.from_theta_samples(y, theta_star,

@@ -21,6 +21,7 @@ from .numerics import OdeProblem, integrate
 from .params import ModelParams
 
 _Q_CUT = 1e-6   # drop nodes where q/I is residual noise when building shade rates
+_FP_MAX_ITER = 40
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +89,8 @@ def _sup_gap_profiles(p1: LightProfile, p2: LightProfile, y_max: float,
     return float(np.max(np.abs(p1.eval(ys) - p2.eval(ys))))
 
 
-def verify_equilibrium(result: Equilibrium2Result, params: ModelParams,
-                       config: Op2Config | None = None) -> tuple[float, float]:
+def verify_equilibrium(result: Equilibrium2Result,
+                       params: ModelParams) -> tuple[float, float]:
     """Residuals of the two halves of the equilibrium definition.
 
     refit: fresh best response under the stored profile, compared to the
@@ -100,8 +101,7 @@ def verify_equilibrium(result: Equilibrium2Result, params: ModelParams,
     intensity column for direct shooting) against the stored profile at the
     stem's nodes.
     """
-    cfg = replace(config or Op2Config(),
-                  h_bracket=(max(1e-6, result.h * 0.9), result.h * 1.1))
+    cfg = Op2Config(h_bracket=(max(1e-6, result.h * 0.9), result.h * 1.1))
     fresh = model2.shoot_op2(result.I_star, params, cfg)
     ys = np.linspace(0.0, min(fresh.h, result.h) * 0.999, 800)
     d_theta = np.max(np.abs(fresh.interp("theta", ys)
@@ -123,19 +123,17 @@ def verify_equilibrium(result: Equilibrium2Result, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
-                                  max_iter: int = 40, tol: float = 1e-8,
-                                  config: Op2Config | None = None,
                                   verify: bool = True) -> Equilibrium2Result:
     """Damped iteration of best response followed by shading.
 
     I_{k+1} = (1 - damping) I_k + damping * shade(best_response(I_k)),
     mixed pointwise on a fixed grid, until the sup-norm change drops below
-    tol.  Profiles failing the regularity-family check are flagged but the
-    iteration continues.
+    1e-8 (at most 40 iterations).  Profiles failing the regularity-family
+    check are flagged but the iteration continues.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in ]0, 1]")
-    cfg = config or Op2Config()
+    cfg = Op2Config()
     h0 = model2.estimate_h0(params)
     # shading-rate grid, graded toward the ground where the rate is log-divergent
     y_grid = np.unique(np.concatenate([
@@ -152,7 +150,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     iterations = 0
     multiroot = False
     h_roots: list[float] = []
-    for k in range(max_iter):
+    for k in range(_FP_MAX_ITER):
         iterations = k + 1
         # inner iterates run at relaxed accuracy; the returned stem and the
         # residual verification are recomputed at full accuracy below
@@ -182,11 +180,12 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         class_f_delta = max(class_f_delta, report.delta)
         if not report.in_class:
             class_f_ok = False
-        if change <= tol:
+        if change <= 1e-8:
             break
     else:
         raise NotConvergedError(
-            f"fixed point not reached in {max_iter} iterations (last change {history[-1]:.2e})")
+            f"fixed point not reached in {_FP_MAX_ITER} iterations "
+            f"(last change {history[-1]:.2e})")
 
     # full-accuracy stem under the converged profile
     final_cfg = replace(cfg, h_bracket=(0.98 * h_prev, 1.02 * h_prev))
@@ -198,7 +197,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         multiroot_flag=multiroot, history=history,
     )
     if verify:
-        result.residual_refit, result.residual_map = verify_equilibrium(result, params, cfg)
+        result.residual_refit, result.residual_map = verify_equilibrium(result, params)
     return result
 
 
@@ -218,13 +217,13 @@ def _coupled_rhs(params: ModelParams):
     return rhs
 
 
-def _coupled_residual(h, params, cfg: Op2Config, rtol=None):
+def _coupled_residual(h, params, cfg: Op2Config, rtol):
     eps = cfg.epsilon_rel * h
     p0, q0 = model2.seed_terminal_layer(h, LightProfile.constant(1.0), params, eps)
     z0 = model2.z_first_integral(1.0, p0, q0, params)
     problem = OdeProblem(4, _coupled_rhs(params))
     traj = integrate(problem, (h - eps, 0.0), [p0, q0, z0, 1.0],
-                     rtol=cfg.scan_rtol if rtol is None else rtol, atol=cfg.atol)
+                     rtol=rtol, atol=cfg.atol)
     return float(traj.y[-1, 1]), traj
 
 
@@ -243,7 +242,6 @@ def _coupled_scan(hs, params: ModelParams, cfg: Op2Config) -> np.ndarray:
 
 
 def solve_equilibrium_direct(params: ModelParams,
-                             config: Op2Config | None = None,
                              verify: bool = True) -> Equilibrium2Result:
     """Shoot the coupled (p, q, z, I) system backward from the stem tip.
 
@@ -252,7 +250,7 @@ def solve_equilibrium_direct(params: ModelParams,
     shade cast by the solved stem; the verification compares it against the
     integrated intensity component.
     """
-    cfg = config or Op2Config()
+    cfg = Op2Config()
     h0 = model2.estimate_h0(params)
 
     def finalize(h):
@@ -276,5 +274,5 @@ def solve_equilibrium_direct(params: ModelParams,
         class_f_delta=report.delta, multiroot_flag=len(roots) > 1,
     )
     if verify:
-        result.residual_refit, result.residual_map = verify_equilibrium(result, params, cfg)
+        result.residual_refit, result.residual_map = verify_equilibrium(result, params)
     return result

@@ -19,6 +19,8 @@ from .errors import NotDifferentiableError
 from .numerics import trapezoid_cumulative
 from .params import ModelParams
 
+_HOLDER_C, _HOLDER_BETA = 1.0, 0.5   # class-F slope bound C * y^(-beta)
+
 
 @dataclass(frozen=True)
 class LightProfile:
@@ -91,6 +93,12 @@ class LightProfile:
     @staticmethod
     def tabulated(knots_y, knots_i) -> "LightProfile":
         ky, ki = np.asarray(knots_y, float), np.asarray(knots_i, float)
+        if ky.ndim != 1 or ky.shape != ki.shape:
+            raise ValueError(f"tabulated knots: {ky.size} heights, {ki.size} intensities")
+        if len(ky) < 2:
+            raise ValueError("tabulated profile needs at least two knots")
+        if not (np.all(np.isfinite(ky)) and np.all(np.isfinite(ki))):
+            raise ValueError("tabulated knots must be finite")
         if np.any(np.diff(ky) <= 0.0):
             raise ValueError("tabulated knots must have strictly increasing y")
         if np.any(np.diff(ki) < 0.0):
@@ -170,8 +178,6 @@ class RegularityReport:
 
     delta: float                 # 1 - I(0)
     holder_ok: bool              # I'(y) <= C * y^(-beta) a.e.
-    C: float
-    beta: float
     worst_margin: float          # min over grid of C*y^(-beta) - I'(y)
     worst_y: float
 
@@ -185,12 +191,14 @@ def load_tabulated_csv(path) -> LightProfile:
     ys, iv = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [h.strip() for h in header] != ["y", "I"]:
             raise ValueError(f"expected header 'y,I', got {header}")
         for row in reader:
             if not row:
                 continue
+            if len(row) != 2:
+                raise ValueError(f"line {reader.line_num}: expected two fields y,I, got {row}")
             ys.append(float(row[0]))
             iv.append(float(row[1]))
     return LightProfile.tabulated(ys, iv)
@@ -231,32 +239,26 @@ def check_uniqueness_condition(
 
 def check_class_F(
     profile: LightProfile,
-    C: float = 1.0,
-    beta: float = 0.5,
     y_max: float | None = None,
 ) -> RegularityReport:
     """Membership in the regular canopy family: I(0) >= 1 - delta and
-    I'(y) <= C * y^(-beta) a.e., checked on a dense grid plus all knots.
-
-    Defaults C=1, beta=1/2 are the constants the equilibrium theory fixes;
-    pass others to run the general-form check.
+    I'(y) <= C * y^(-beta) a.e., checked on a dense grid plus all knots,
+    with the constants C = 1, beta = 1/2 that the equilibrium theory fixes.
     """
     if y_max is None:
         y_max = max(profile.top, 1.0)
     delta = 1.0 - profile.eval(0.0)
     if profile.discontinuities:
-        return RegularityReport(delta, False, C, beta, -math.inf,
+        return RegularityReport(delta, False, -math.inf,
                                 profile.discontinuities[0])
     ys = _check_grid(profile, y_max)
     ys = ys[ys > 0.0]
-    bound = C * ys ** (-beta)
+    bound = _HOLDER_C * ys ** (-_HOLDER_BETA)
     margins = bound - profile.derivative(ys)
     i_worst = int(np.argmin(margins))
     return RegularityReport(
         delta=float(delta),
         holder_ok=bool(margins[i_worst] >= 0.0),
-        C=C,
-        beta=beta,
         worst_margin=float(margins[i_worst]),
         worst_y=float(ys[i_worst]),
     )

@@ -23,6 +23,8 @@ from .params import ModelParams
 _THETA_CAP = 1e-9  # feedback angle never reaches pi/2; cap the search there
 _TABLE_NODES = 1025  # nodes of the cached feedback table that seeds Newton
 _MAX_NEWTON = 100  # safeguarded iterations; a table seed needs two or three
+_FOLD_SWEEPS = 64  # passes of each fold before the final clip
+_OP1_STARTS = 2  # oracle descent starts: flat at theta0, then mid-range
 
 
 # ---------------------------------------------------------------------------
@@ -180,9 +182,9 @@ def payoff_piecewise_constant(theta_segments, profile: LightProfile,
     return float(out[0]) if np.asarray(theta_segments).ndim == 1 else out
 
 
-def profile_antiderivative(profile: LightProfile, y_max: float, n: int = 1 << 17):
+def profile_antiderivative(profile: LightProfile, y_max: float):
     """Dense cumulative integral of the profile, for segment-exact payoffs."""
-    yg = np.linspace(0.0, y_max, n + 1)
+    yg = np.linspace(0.0, y_max, (1 << 17) + 1)
     return yg, trapezoid_cumulative(yg, profile.eval(yg))
 
 
@@ -203,7 +205,7 @@ def payoff_heights(theta_y, h: float, profile: LightProfile, params: ModelParams
 # Range reduction and rearrangement
 # ---------------------------------------------------------------------------
 
-def fold_angles(theta_s, params: ModelParams, max_sweeps: int = 64):
+def fold_angles(theta_s, params: ModelParams):
     """Fold a control with values in ]-pi, pi] into [theta0, pi/2].
 
     One pass of the sign reflection, then the piecewise-affine fold iterated
@@ -215,7 +217,7 @@ def fold_angles(theta_s, params: ModelParams, max_sweeps: int = 64):
     if np.any(th <= -math.pi) or np.any(th > math.pi):
         raise ValueError("angles must lie in ]-pi, pi]")
 
-    for _ in range(max_sweeps):
+    for _ in range(_FOLD_SWEEPS):
         neg = th <= t0 - math.pi / 2
         th[neg] = -th[neg]
         high = th > t0 + math.pi / 2
@@ -225,7 +227,7 @@ def fold_angles(theta_s, params: ModelParams, max_sweeps: int = 64):
         if np.all((th > 0.0) & (th <= t0 + math.pi / 2)):
             break
 
-    for _ in range(max_sweeps):
+    for _ in range(_FOLD_SWEEPS):
         if np.all((th >= t0) & (th <= math.pi / 2)):
             return th
         mid = (th > math.pi / 2) & (th <= t0 + math.pi / 2)
@@ -302,8 +304,7 @@ def _length_and_payoff(h: float, profile: LightProfile, params: ModelParams,
 
 
 def solve_op1(profile: LightProfile, params: ModelParams,
-              n_grid: int = 2048, scan_samples: int = 1000,
-              tol: float = 1e-13) -> list[StemShape1]:
+              n_grid: int = 2048, scan_samples: int = 1000) -> list[StemShape1]:
     """All stationary shapes of the fixed-length problem, best payoff first.
 
     Scans the height equation L(h) = ell for sign changes on each continuity
@@ -332,7 +333,7 @@ def solve_op1(profile: LightProfile, params: ModelParams,
         hs = np.linspace(a_in, b_in, n_samp)
         fs = np.array([resid(float(h)) for h in hs])
         roots += [find_root(lambda h: resid(h, fine_density), brk,
-                            tol=tol * max(1.0, ell))
+                            tol=1e-13 * max(1.0, ell))
                   for brk in sign_change_brackets(hs, fs)]
     if not roots:
         raise NoCandidateError("length equation has no root bracket on ]0, ell]")
@@ -363,9 +364,7 @@ class OracleResult:
 
 
 def oracle_op1(profile: LightProfile, params: ModelParams,
-               n_segments: int, n_angles: int,
-               budget: int = 2_000_000, seed: int = 0,
-               n_starts: int = 2, sweeps: int = 60) -> OracleResult:
+               n_segments: int, n_angles: int, seed: int = 0) -> OracleResult:
     """Maximize the payoff over piecewise-constant angle controls.
 
     Exhaustive search over the full angle grid when the combination count
@@ -376,7 +375,7 @@ def oracle_op1(profile: LightProfile, params: ModelParams,
     j_grid = profile_antiderivative(profile, params.ell)
     combos = n_angles ** n_segments
 
-    if combos <= budget and n_segments <= 6:
+    if combos <= 2_000_000 and n_segments <= 6:
         mesh = np.meshgrid(*([grid] * n_segments), indexing="ij")
         V = np.stack([m.ravel() for m in mesh], axis=1)
         pays = payoff_piecewise_constant(V, profile, params, j_grid)
@@ -390,7 +389,7 @@ def oracle_op1(profile: LightProfile, params: ModelParams,
     evals = 0
     best_pay = -math.inf
     best_v = None
-    for start in range(n_starts):
+    for start in range(_OP1_STARTS):
         if start == 0:
             v = np.full(n_segments, params.theta0)
         elif start == 1:
@@ -399,7 +398,7 @@ def oracle_op1(profile: LightProfile, params: ModelParams,
             v = rng.uniform(params.theta0, math.pi / 2, n_segments)
         local = grid.copy()
         span = (math.pi / 2 - params.theta0) / (n_angles - 1)
-        for sweep in range(sweeps):
+        for sweep in range(60):
             improved = False
             for i in range(n_segments):
                 trial = np.repeat(v[None, :], len(local), axis=0)
@@ -439,16 +438,16 @@ class NonUniqueness:
     shape_high: StemShape1
 
 
-def find_nonuniqueness_epsilon(params: ModelParams, y_jump: float = 1.0,
-                               tol: float = 1e-13) -> NonUniqueness:
+def find_nonuniqueness_epsilon(params: ModelParams) -> NonUniqueness:
     """Step-profile level at which the two stationary shapes tie exactly.
 
     The short branch stays below the jump at angle theta0; the tall branch
     crosses it at the steep feedback angle.  Bisection on the payoff gap
-    locates the tie; requires ell*sin(theta0) < y_jump < ell so both branches
-    exist.
+    locates the tie; the jump sits at y_jump = 1, and ell*sin(theta0) < 1 < ell
+    is required so both branches exist.
     """
     t0, k, ell = params.theta0, params.kappa, params.ell
+    y_jump = 1.0
     if not ell * math.sin(t0) < y_jump < ell:
         raise NoCrossingError("need ell*sin(theta0) < y_jump < ell for two branches")
     zmax = math.exp(-k) - 1.0
@@ -480,7 +479,7 @@ def find_nonuniqueness_epsilon(params: ModelParams, y_jump: float = 1.0,
     g_lo, g_hi = gap(lo), gap(hi)
     if not g_lo > 0.0 > g_hi:
         raise NoCrossingError(f"payoff gap does not change sign: {g_lo}, {g_hi}")
-    eps_hat = find_root(gap, Bracket(lo, hi, g_lo, g_hi), tol=tol)
+    eps_hat = find_root(gap, Bracket(lo, hi, g_lo, g_hi), tol=1e-13)
 
     shapes = solve_op1(LightProfile.step(eps_hat, y_jump), params)
     if len(shapes) < 2:

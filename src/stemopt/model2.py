@@ -38,6 +38,8 @@ from .params import ModelParams
 
 _Q_FLOOR = -0.9         # reduced system extended to slightly negative mass costate
 _W_CAP = 1e12
+_SCAN_RTOL = 1e-7       # warm-bracket end points only locate a sign change
+_CLOSED_FORM_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +209,6 @@ class Op2Config:
     epsilon_rel: float = 1e-6          # layer offset as a fraction of h
     h_bracket: tuple[float, float] | None = None
     scan_samples: int = 200
-    scan_rtol: float = 1e-7
     rtol: float = 1e-11
     atol: float = 1e-13
     root_tol: float = 1e-12
@@ -241,7 +242,7 @@ class StemState2:
         return np.interp(np.asarray(yq, dtype=float), self.y, getattr(self, name))
 
 
-def _shoot_once(h, profile, params, cfg: Op2Config, rtol=None):
+def _shoot_once(h, profile, params, cfg: Op2Config, rtol):
     eps = cfg.epsilon_rel * h
     state0 = _seed_state(h, profile, params, eps)
 
@@ -252,13 +253,10 @@ def _shoot_once(h, profile, params, cfg: Op2Config, rtol=None):
         return np.array([-Ip * f1, f2, zs])
 
     problem = OdeProblem(3, rhs)
-    traj = integrate(problem, (h - eps, 0.0), state0,
-                     rtol=cfg.scan_rtol if rtol is None else rtol,
-                     atol=cfg.atol)
-    return traj
+    return integrate(problem, (h - eps, 0.0), state0, rtol=rtol, atol=cfg.atol)
 
 
-def shoot_residual(h, profile, params, cfg: Op2Config, rtol=None) -> float:
+def shoot_residual(h, profile, params, cfg: Op2Config, rtol) -> float:
     """Ground value of the mass costate for tip height h (signed)."""
     return float(_shoot_once(h, profile, params, cfg, rtol=rtol).y[-1, 1])
 
@@ -325,8 +323,8 @@ def _shoot_tip_height(residual, scan, finalize, h0: float, cfg: Op2Config):
     brackets: list[Bracket] = []
     if cfg.h_bracket is not None:
         lo, hi = cfg.h_bracket
-        f_lo = residual(lo, cfg.scan_rtol)
-        f_hi = residual(hi, cfg.scan_rtol)
+        f_lo = residual(lo, _SCAN_RTOL)
+        f_hi = residual(hi, _SCAN_RTOL)
         if f_lo * f_hi <= 0.0:
             brackets.append(Bracket(lo, hi, f_lo, f_hi))
     if not brackets:
@@ -426,31 +424,32 @@ def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
     return state
 
 
-def closed_form_q(y, h: float, params: ModelParams, tol: float = 1e-12):
+def closed_form_q(y, h: float, params: ModelParams):
     """Full-light mass costate by inverting its implicit relation; oracle use."""
     a, c, t0 = params.alpha, params.c, params.theta0
     scale = math.sin(t0) / (a * c ** (1.0 / a))
 
     def depth(qv):
         return scale * quad(lambda s: _one_minus_r_scalar(s) ** ((1.0 - a) / a),
-                            qv, 1.0, tol)
+                            qv, 1.0, _CLOSED_FORM_TOL)
 
     out = []
     for yy in np.atleast_1d(np.asarray(y, dtype=float)):
         target = h - yy
         f = lambda qv: depth(qv) - target
-        out.append(find_root(f, Bracket(0.0, 1.0, f(0.0), f(1.0)), tol=tol))
+        out.append(find_root(f, Bracket(0.0, 1.0, f(0.0), f(1.0)),
+                             tol=_CLOSED_FORM_TOL))
     return np.array(out) if np.asarray(y).ndim else float(out[0])
 
 
-def closed_form_payoff(params: ModelParams, tol: float = 1e-12) -> float:
+def closed_form_payoff(params: ModelParams) -> float:
     """Full-light optimal payoff, reduced to a single quadrature in q."""
     a, c = params.alpha, params.c
 
     def f(qv):
         return (-qv * math.log(qv)) * _one_minus_r_scalar(qv) ** ((1.0 - a) / a)
 
-    return quad(f, 0.0, 1.0, tol, singular_at=(0.0,)) / (a * c ** (1.0 / a))
+    return quad(f, 0.0, 1.0, _CLOSED_FORM_TOL, singular_at=(0.0,)) / (a * c ** (1.0 / a))
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +495,7 @@ def oracle_payoff(theta_vals, u_vals, T, profile: LightProfile,
 
 
 def oracle_op2(profile: LightProfile, params: ModelParams, n_segments: int,
-               budget: int = 300_000, seed: int = 0, n_starts: int = 2,
-               sweeps: int = 40) -> Oracle2Result:
+               seed: int = 0, n_starts: int = 2) -> Oracle2Result:
     """Direct transcription with coordinate descent over (T, theta_i, u_i).
 
     Golden-section line search per coordinate, multi-start, honest continuous
@@ -547,7 +545,7 @@ def oracle_op2(profile: LightProfile, params: ModelParams, n_segments: int,
             uu = rng.uniform(0.0, 4.0 * u_ref, n_segments)
             T = rng.uniform(0.5 * T_ref, 2.0 * T_ref)
         current = oracle_payoff(th, uu, T, profile, params, j_grid)
-        for _ in range(sweeps):
+        for _ in range(40):
             before = current
             for i in range(n_segments):
                 def f_u(v, i=i):
@@ -571,7 +569,7 @@ def oracle_op2(profile: LightProfile, params: ModelParams, n_segments: int,
             v, fv = golden_max(f_T, 0.2 * T_ref, 3.0 * T_ref)
             if fv > current:
                 T, current = v, fv
-            if evals > budget or current - before < 1e-12 * (1.0 + abs(current)):
+            if evals > 300_000 or current - before < 1e-12 * (1.0 + abs(current)):
                 break
         if best is None or current > best.payoff:
             best = Oracle2Result(float(current), th.copy(), uu.copy(), float(T), evals)

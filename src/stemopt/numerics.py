@@ -26,6 +26,7 @@ _EPS = np.finfo(float).eps
 DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-10
 _MAX_STEPS = 200_000
+_BRENT_MAX_ITER = 200
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +60,6 @@ def find_root(
     f: Callable[[float], float],
     brk: Bracket,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> float:
     """Brent's method on a validated bracket.
 
@@ -78,7 +78,7 @@ def find_root(
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_BRENT_MAX_ITER):
         if fb * fc > 0.0:
             c, fc = a, fa
             d = e = b - a
@@ -116,7 +116,7 @@ def find_root(
         else:
             b += math.copysign(tol1, xm)
         fb = f(b)
-    raise MaxIterationsError(f"Brent did not converge in {max_iter} iterations")
+    raise MaxIterationsError(f"Brent did not converge in {_BRENT_MAX_ITER} iterations")
 
 
 def sign_change_brackets(xs, fs) -> list[Bracket]:

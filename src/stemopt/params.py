@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,10 @@ class ModelParams:
     rho0: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if not 0.0 < self.theta0 < math.pi / 2:
             raise ValueError(f"theta0 must lie in ]0, pi/2[, got {self.theta0}")
         if self.kappa <= 0.0:

@@ -22,6 +22,7 @@ from .params import ModelParams
 
 _DENSITY_CAP = 1e4   # deposited density where the stem map focuses is capped here
 _SMOOTH_PASSES = 2   # binomial blur passes over the splatted density
+_OP3_RELAX = 0.3     # sweep update: theta <- (1 - relax) theta + relax theta_new
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +124,7 @@ class Op3Result:
 
 
 def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
-                     n_s: int = 400, relax: float = 0.3,
-                     max_sweeps: int = 500, tol: float = 1e-9,
+                     n_s: int = 400, max_sweeps: int = 500, tol: float = 1e-9,
                      theta_init: np.ndarray | None = None) -> Op3Result:
     """Optimal fixed-length stem rooted at (root_x, 0) under a planar field.
 
@@ -160,7 +160,7 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
         th_new = _polish(th_new, p1, p2, I_s, params)
 
         delta = float(np.max(np.abs(th_new - theta)))
-        theta = (1.0 - relax) * theta + relax * th_new
+        theta = (1.0 - _OP3_RELAX) * theta + _OP3_RELAX * th_new
         converged = delta <= tol
 
     station = I_s * _capture_slopes(theta, params)[0] \
@@ -361,11 +361,9 @@ class HalflineResult:
 
 
 def halfline_relaxation(params: ModelParams, rho_scale: float = 0.01,
-                        b: float = 1.0, xi_max: float | None = None,
-                        n_stems: int = 9, iterations: int = 10,
+                        b: float = 1.0, n_stems: int = 9, iterations: int = 10,
                         relax: float = 0.3, grid: int = 160,
-                        n_s: int = 200, tol: float = 1e-4,
-                        window=None) -> HalflineResult:
+                        n_s: int = 200) -> HalflineResult:
     """Alternate light rebuilds and per-root stem solves on the half line.
 
     This reproduces the conjectured boundary-layer picture: roots near the
@@ -374,12 +372,11 @@ def halfline_relaxation(params: ModelParams, rho_scale: float = 0.01,
     No convergence guarantee exists; the change log is the result.
     """
     ell = params.ell
-    xi_hi = 3.0 * b if xi_max is None else xi_max
+    xi_hi = 3.0 * b
     xi = np.linspace(0.0, xi_hi, n_stems)
     rho_bar = rho_bar_ramp(xi, b, rho_scale)
     family = StemFamily.uniform_angles(xi, rho_bar, params, n_s=n_s)
-    if window is None:
-        window = (-0.5 * ell, xi_hi + 1.2 * ell, 0.0, 1.2 * ell)
+    window = (-0.5 * ell, xi_hi + 1.2 * ell, 0.0, 1.2 * ell)
 
     changes: list[float] = []
     converged = False
@@ -396,7 +393,7 @@ def halfline_relaxation(params: ModelParams, rho_scale: float = 0.01,
         family.theta = (1.0 - relax) * family.theta + relax * new_theta
         family.recompute_curves()
         report = light_from_family(family, window, grid, grid, params=params)
-        if delta <= tol:
+        if delta <= 1e-4:
             converged = True
             break
     return HalflineResult(family=family, report=report, changes=changes,

@@ -111,3 +111,61 @@ def test_no_unreferenced_public_constants():
                   for name in _constants(tree)
                   if (path.stem, name) not in refs)
     assert dead == [], f"public constants that nothing references: {dead}"
+
+
+def _defaulted_parameters(tree):
+    """(qualified name, bare name, positional index, parameter) for every
+    defaulted parameter of a public function or method; the index counts
+    the arguments a call writes, so it skips a method's `self`/`cls`."""
+    def params(fn, qualified, skip):
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        for i, arg in enumerate(positional[len(positional) - len(a.defaults):],
+                                len(positional) - len(a.defaults)):
+            yield qualified, fn.name, i - skip, arg.arg
+        for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+            if default is not None:
+                yield qualified, fn.name, None, arg.arg
+
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, funcs) and _public(node.name):
+            yield from params(node, node.name, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, funcs) and _public(item.name):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield from params(item, f"{node.name}.{item.name}",
+                                      0 if static else 1)
+
+
+def _passed_arguments(trees):
+    """(callee name, keyword or positional index) for every call; a call
+    through `*` or `**` passes everything (marked '*')."""
+    passed = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            for i, arg in enumerate(node.args):
+                passed.add((name, "*" if isinstance(arg, ast.Starred) else i))
+            for kw in node.keywords:
+                passed.add((name, "*" if kw.arg is None else kw.arg))
+    return passed
+
+
+def test_no_unset_keyword_parameters():
+    trees = _trees(SRC, TESTS)
+    passed = _passed_arguments(trees)
+    unset = sorted(
+        f"{path.stem}.{qualified}({param})"
+        for path, tree in trees.items() if path.parent == SRC
+        for qualified, name, index, param in _defaulted_parameters(tree)
+        if not {(name, param), (name, index), (name, "*")} & passed)
+    assert unset == [], f"defaulted parameters that no call sets: {unset}"

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stemopt import cli
 from stemopt.errors import NoArtifactsError, ValidationError
+from stemopt.params import ModelParams
 
 
 OP1_SCENARIO = """\
@@ -98,6 +101,124 @@ rho = 0.05
     assert code == 1
     assert "--tol" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelParams)])
+def test_model_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ModelParams(**{"theta0": math.pi / 4, name: value})
+
+
+# a valid value for every [params] key, and for a key that has no default
+_VALID_PARAMS = {"theta0": "0.7853981633974483", "kappa": "1.0", "ell": "1.0",
+                 "rho": "0.05", "alpha": "0.5", "c": "1.0", "rho0": "0.001"}
+_VALID_REQUIRED = {Path: "tab.csv"}     # any other required key takes 0.5
+
+
+def _scenario(kind, sections):
+    """Scenario text of `kind` with valid [params], a constant [profile] if
+    the kind needs one, and `sections` ({section: {key: value}}) on top."""
+    spec = cli._KINDS[kind]
+    body = {"scenario": {"schema_version": "1", "kind": kind},
+            "params": {k: _VALID_PARAMS[k] for k in spec.params}}
+    if spec.profile:
+        body["profile"] = {"kind": "constant"}
+    for section, keys in sections.items():
+        body[section] = {**body.get(section, {}), **keys}
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for name, keys in body.items())
+
+
+def _required(keys):
+    return {k: _VALID_REQUIRED.get(spec, "0.5") for k, spec in keys.items()
+            if callable(spec)}
+
+
+def _malformed(spec):
+    """Spellings that a key of this spec must reject; paths take any text."""
+    if spec in (Path, str):
+        return []
+    numeric = spec is float or spec is None or type(spec) is float
+    return ["abc", "nan"] if numeric else ["abc"]
+
+
+def _rejected_cases():
+    """Scenario texts, each with the `section.key` its error must name, built
+    from the schema so that every key and section it lists is covered."""
+    cases = []
+    # every key that some kind or profile kind reads, per section
+    known = {"profile": {k for _, keys in cli._PROFILES.values() for k in keys}}
+    for spec in cli._KINDS.values():
+        for section, keys in spec.options.items():
+            known.setdefault(section, set()).update(keys)
+    for kind, spec in cli._KINDS.items():
+        schema = {**spec.options, "params": dict.fromkeys(spec.params, float)}
+        if spec.profile:
+            schema.update({"profile": {"kind": tuple(cli._PROFILES)}})
+        for section, keys in schema.items():
+            for key, key_spec in keys.items():
+                for bad in _malformed(key_spec):
+                    text = _scenario(kind, {section: {**_required(keys), key: bad}})
+                    cases.append((kind, text, f"{section}.{key}", bad))
+        for field in dataclasses.fields(ModelParams):
+            if field.name not in spec.params:
+                text = _scenario(kind, {"params": {field.name: "0.5"}})
+                cases.append((kind, text, f"params.{field.name}", "unread"))
+        for section, keys in known.items():
+            if section == "profile" and spec.profile:
+                continue   # profile keys depend on the profile kind: below
+            for key in sorted(keys - set(schema.get(section, {}))):
+                cases.append((kind, _scenario(kind, {section: {key: "1"}}),
+                              f"{section}.{key}", "unread"))
+        if spec.profile:
+            for name, (_, keys) in cli._PROFILES.items():
+                for key in sorted(known["profile"] - set(keys)):
+                    values = {"kind": name, **_required(keys), key: "0.5"}
+                    cases.append((kind, _scenario(kind, {"profile": values}),
+                                  f"profile.{key}", f"{name}-unread"))
+                for key, key_spec in keys.items():
+                    for bad in _malformed(key_spec):
+                        values = {"kind": name, **_required(keys), key: bad}
+                        cases.append((kind, _scenario(kind, {"profile": values}),
+                                      f"profile.{key}", f"{name}-{bad}"))
+    eq2 = _scenario("eq2", {})
+    cases += [
+        ("eq2", _scenario("eq2", {"solver": {"method": "bogus"}}), "solver.method", "bogus"),
+        ("sweep", _scenario("sweep", {"sweep": {"values": "-1"}}), "sweep.values", "-1"),
+        ("sweep", _scenario("sweep", {"sweep": {"values": "0.001 inf"}}), "sweep.values",
+         "inf"),
+        ("op2", _scenario("op2", {"solver": {"h_lo": "0.3"}}), "solver.h_lo", "alone"),
+        ("op2", _scenario("op2", {"solver": {"h_hi": "0.4"}}), "solver.h_hi", "alone"),
+        ("eq2", eq2.replace("schema_version = 1", "schema_version = one"),
+         "scenario.schema_version", "one"),
+    ]
+    return [pytest.param(text, name, id=f"{kind}-{name}-{label}")
+            for kind, text, name, label in cases]
+
+
+@pytest.mark.parametrize("text,name", _rejected_cases())
+def test_rejects_what_the_kind_does_not_read_or_cannot_type(tmp_path, capsys, text, name):
+    (tmp_path / "tab.csv").write_text("y,I\n0.0,0.5\n1.0,1.0\n")
+    out = tmp_path / "out"
+    code = cli.main(["--scenario", str(_write(tmp_path, text)), "--out", str(out),
+                     "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: {name}:" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_one_row_csv_profile_rejected(tmp_path, capsys):
+    (tmp_path / "one.csv").write_text("y,I\n0.5,0.9\n")
+    text = _scenario("op2", {"profile": {"kind": "tabulated", "csv": "one.csv"}})
+    out = tmp_path / "out"
+    code = cli.main(["--scenario", str(_write(tmp_path, text)), "--out", str(out),
+                     "--quiet"])
+    assert code == 1
+    assert "profile" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_rejects_wrong_schema(tmp_path):

@@ -140,6 +140,16 @@ def test_csv_rejects_decreasing(tmp_path):
         load_tabulated_csv(path)
 
 
+@pytest.mark.parametrize("text", ["", "y,I\n0.0,0.5\n0.5\n1.0,1.0\n",
+                                  "y,I\n0.0,0.5,0.7\n1.0,1.0\n"],
+                         ids=["empty", "one-field", "three-fields"])
+def test_csv_rejects_malformed_rows(tmp_path, text):
+    path = tmp_path / "bad3.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        load_tabulated_csv(path)
+
+
 @pytest.mark.parametrize("build", [
     lambda: LightProfile.constant(-0.1),
     lambda: LightProfile.constant(1.1),
@@ -153,14 +163,19 @@ def test_csv_rejects_decreasing(tmp_path):
     lambda: LightProfile.tabulated([0.0, 0.5, 1.0], [0.5, 0.9, 0.8]),
     lambda: LightProfile.tabulated([0.0, 1.0], [-0.1, 1.0]),
     lambda: LightProfile.tabulated([0.0, 1.0], [0.5, 1.2]),
+    lambda: LightProfile.tabulated([0.5], [0.9]),
+    lambda: LightProfile.tabulated([0.0, 0.5, 1.0], [0.5, 1.0]),
+    lambda: LightProfile.tabulated([0.0, math.nan], [0.5, 1.0]),
+    lambda: LightProfile.tabulated([0.0, 1.0], [0.5, math.inf]),
     lambda: LightProfile.exponential_canopy([0.0, 1.0, 0.8], [0.1, 0.1, 0.1], 1.0),
     lambda: LightProfile.exponential_canopy([0.0, 1.0], [0.1, -0.1], 1.0),
     lambda: LightProfile.exponential_canopy([0.0, 1.0], [0.1, 0.1], 0.0),
 ], ids=["constant-below", "constant-above", "step-level-zero", "step-level-above",
         "step-jump", "mollified-level", "mollified-jump", "mollified-width",
         "tabulated-knots", "tabulated-decreasing", "tabulated-below",
-        "tabulated-above", "canopy-knots", "canopy-negative-rate",
-        "canopy-height"])
+        "tabulated-above", "tabulated-one-knot", "tabulated-lengths",
+        "tabulated-nan-height", "tabulated-inf-intensity", "canopy-knots",
+        "canopy-negative-rate", "canopy-height"])
 def test_constructor_rejects_invalid_input(build):
     with pytest.raises(ValueError):
         build()
