@@ -248,27 +248,46 @@ def _numbers(text: str) -> tuple[float, ...]:
     return tuple(map(float, text.split()))
 
 
+class _Range(namedtuple("_Range", "default interval")):
+    """A number key's spec (its default, as below) and the interval its
+    solver needs, written like "]0, 1]" or "[2, inf["."""
+
+    def holds(self, value) -> bool:
+        lo, hi = (float(end) for end in self.interval[1:-1].split(","))
+        return ((lo < value if self.interval[0] == "]" else lo <= value)
+                and (value < hi if self.interval[-1] == "[" else value <= hi))
+
+
 # Per kind: its [params] keys, all required; whether it reads a [profile];
 # its option sections, {section: {key: spec}}; and its runner.  A key's spec
 # is its default, whose type is the key's type; a tuple of the accepted
 # words, the first being the default; a type or parser, for a key that must
-# be given; or None, for a number that may be left out.
+# be given; None, for a number that may be left out; or a _Range of one of
+# these.
 _Kind = namedtuple("_Kind", "params profile options runner")
 _KINDS = {
     "op1": _Kind(("theta0", "kappa", "ell"), True,
-                 {"solver": {"grid": 2048, "example34": False}}, _run_op1),
+                 {"solver": {"grid": _Range(2048, "[1, inf["), "example34": False}},
+                 _run_op1),
     "eq1": _Kind(("theta0", "kappa", "ell", "rho"), False, {}, _run_eq1),
     "op2": _Kind(("theta0", "alpha", "c"), True,
-                 {"solver": {"tol": Op2Config.rtol, "scan_samples": Op2Config.scan_samples,
-                             "h_lo": None, "h_hi": None}}, _run_op2),
+                 {"solver": {"tol": _Range(Op2Config.rtol, "[0, inf["),
+                             "scan_samples": _Range(Op2Config.scan_samples, "[2, inf["),
+                             "h_lo": _Range(None, "]0, inf["),
+                             "h_hi": _Range(None, "]0, inf[")}}, _run_op2),
     "eq2": _Kind(("theta0", "alpha", "c", "rho0"), False,
-                 {"solver": {"method": ("direct", "fixed_point", "both"), "damping": 0.5}},
-                 _run_eq2),
+                 {"solver": {"method": ("direct", "fixed_point", "both"),
+                             "damping": _Range(0.5, "]0, 1]")}}, _run_eq2),
     "op3": _Kind(("theta0", "kappa", "ell"), True,
-                 {"op3": {"root": 0.0, "nx": 64, "ny": 2048}}, _run_op3),
+                 {"op3": {"root": 0.0, "nx": _Range(64, "[2, inf["),
+                          "ny": _Range(2048, "[2, inf[")}}, _run_op3),
     "halfline": _Kind(("theta0", "kappa", "ell"), False,
-                      {"halfline": {"rho_scale": 0.01, "b": 1.0, "n_stems": 9,
-                                    "iterations": 10, "relax": 0.3, "grid": 160}},
+                      {"halfline": {"rho_scale": _Range(0.01, "[0, inf["),
+                                    "b": _Range(1.0, "]0, inf["),
+                                    "n_stems": _Range(9, "[2, inf["),
+                                    "iterations": _Range(10, "[0, inf["),
+                                    "relax": _Range(0.3, "]0, 1]"),
+                                    "grid": _Range(160, "[2, inf[")}},
                       _run_halfline),
     "sweep": _Kind(("theta0", "alpha", "c"), False,
                    {"sweep": {"parameter": ("rho0",), "values": _numbers}}, _run_sweep),
@@ -288,6 +307,11 @@ _PROFILES = {
 
 def _typed(name: str, text: str | None, spec):
     """The value of key `name` (None when absent), typed by its spec."""
+    if isinstance(spec, _Range):
+        value = _typed(name, text, spec.default)
+        if value is not None and not spec.holds(value):
+            raise ValidationError(name, f"{value!r} is outside {spec.interval}")
+        return value
     if isinstance(spec, tuple):
         if text is not None and text not in spec:
             raise ValidationError(name, f"{text!r} is not one of {', '.join(spec)}")

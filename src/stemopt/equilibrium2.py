@@ -183,9 +183,12 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         if change <= 1e-8:
             break
     else:
-        raise NotConvergedError(
-            f"fixed point not reached in {_FP_MAX_ITER} iterations "
+        exc = NotConvergedError(
+            f"fixed point not reached in {_FP_MAX_ITER} iterations at "
+            f"rho0={params.rho0!r}, damping={damping!r} "
             f"(last change {history[-1]:.2e})")
+        exc.history = tuple(history)
+        raise exc
 
     # full-accuracy stem under the converged profile
     final_cfg = replace(cfg, h_bracket=(0.98 * h_prev, 1.02 * h_prev))

@@ -57,7 +57,13 @@ class BudgetExceededError(StemOptError):
 
 
 class NotConvergedError(StemOptError):
-    """Fixed-point or sweep iteration failed to reach tolerance."""
+    """Fixed-point or sweep iteration failed to reach tolerance.
+
+    `history` holds the change of every iteration, where the iteration
+    records one.
+    """
+
+    history: tuple[float, ...] = ()
 
 
 class ParseError(StemOptError):

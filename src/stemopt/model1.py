@@ -24,7 +24,6 @@ _THETA_CAP = 1e-9  # feedback angle never reaches pi/2; cap the search there
 _TABLE_NODES = 1025  # nodes of the cached feedback table that seeds Newton
 _MAX_NEWTON = 100  # safeguarded iterations; a table seed needs two or three
 _FOLD_SWEEPS = 64  # passes of each fold before the final clip
-_OP1_STARTS = 2  # oracle descent starts: flat at theta0, then mid-range
 
 
 # ---------------------------------------------------------------------------
@@ -364,12 +363,12 @@ class OracleResult:
 
 
 def oracle_op1(profile: LightProfile, params: ModelParams,
-               n_segments: int, n_angles: int, seed: int = 0) -> OracleResult:
+               n_segments: int, n_angles: int) -> OracleResult:
     """Maximize the payoff over piecewise-constant angle controls.
 
     Exhaustive search over the full angle grid when the combination count
-    fits the budget (small segment counts); otherwise multi-start coordinate
-    descent with local grid refinement.
+    fits the budget (small segment counts); otherwise coordinate descent
+    with local grid refinement from two flat starts, theta0 and mid-range.
     """
     grid = np.linspace(params.theta0, math.pi / 2, n_angles)
     j_grid = profile_antiderivative(profile, params.ell)
@@ -385,17 +384,11 @@ def oracle_op1(profile: LightProfile, params: ModelParams,
     if n_segments > 64:
         raise BudgetExceededError(f"{n_segments} segments exceed the oracle limit")
 
-    rng = np.random.default_rng(seed)
     evals = 0
     best_pay = -math.inf
     best_v = None
-    for start in range(_OP1_STARTS):
-        if start == 0:
-            v = np.full(n_segments, params.theta0)
-        elif start == 1:
-            v = np.full(n_segments, 0.5 * (params.theta0 + math.pi / 2))
-        else:
-            v = rng.uniform(params.theta0, math.pi / 2, n_segments)
+    for start in (params.theta0, 0.5 * (params.theta0 + math.pi / 2)):
+        v = np.full(n_segments, start)
         local = grid.copy()
         span = (math.pi / 2 - params.theta0) / (n_angles - 1)
         for sweep in range(60):

@@ -23,6 +23,7 @@ from .params import ModelParams
 _DENSITY_CAP = 1e4   # deposited density where the stem map focuses is capped here
 _SMOOTH_PASSES = 2   # binomial blur passes over the splatted density
 _OP3_RELAX = 0.3     # sweep update: theta <- (1 - relax) theta + relax theta_new
+_H_ROWS = 64         # arc-length nodes per block of the angle-grid Hamiltonian
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +138,12 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
     s = np.linspace(0.0, ell, n_s + 1)
     theta = np.full(n_s + 1, t0) if theta_init is None else theta_init.copy()
     th_grid = np.linspace(1e-3, math.pi, 721)
+    cos_g, sin_g = np.cos(th_grid), np.sin(th_grid)
+    G_g = model1.capture_transverse(th_grid, params)
+    # the Hamiltonian on (node, angle) is formed and maximized in row blocks
+    H = np.empty((min(_H_ROWS, n_s + 1), len(th_grid)))
+    term = np.empty_like(H)
+    best = np.empty(n_s + 1, dtype=np.intp)
 
     converged = False
     sweeps = 0
@@ -153,10 +160,14 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
             break
 
         sweeps += 1
-        H = (p1[:, None] * np.cos(th_grid)[None, :]
-             + p2[:, None] * np.sin(th_grid)[None, :]
-             + I_s[:, None] * model1.capture_transverse(th_grid, params)[None, :])
-        th_new = th_grid[np.argmax(H, axis=1)]
+        for a in range(0, n_s + 1, _H_ROWS):
+            b = min(a + _H_ROWS, n_s + 1)
+            h, w = H[:b - a], term[:b - a]
+            np.multiply(p1[a:b, None], cos_g, out=h)
+            h += np.multiply(p2[a:b, None], sin_g, out=w)
+            h += np.multiply(I_s[a:b, None], G_g, out=w)
+            best[a:b] = np.argmax(h, axis=1)
+        th_new = th_grid[best]
         th_new = _polish(th_new, p1, p2, I_s, params)
 
         delta = float(np.max(np.abs(th_new - theta)))
@@ -309,18 +320,19 @@ def light_from_family(family: StemFamily, window, nx: int = 256, ny: int = 256,
     step = 0.5 * min(dx, dy)
     span = math.hypot(x1 - x0, y1 - y0)
     n_steps = int(math.ceil(span / step)) + 2
-    X, Y = np.meshgrid(xs, ys)
-    expo = np.zeros_like(X)
+    # a march point's x depends on the column only and its y on the row
+    # only, so the in-window nodes form one block: a column range c by a
+    # row range r
+    expo = np.zeros((ny, nx))
     for k in range(n_steps):
         t = (k + 0.5) * step
-        qx = X + t * to_sun[0]
-        qy = Y + t * to_sun[1]
-        inside = (qx >= x0) & (qx <= x1) & (qy >= y0) & (qy <= y1)
-        if not inside.any():
+        qx = xs + t * to_sun[0]
+        qy = ys + t * to_sun[1]
+        c = _in_range(qx, x0, x1)
+        r = _in_range(qy, y0, y1)
+        if c is None or r is None:
             break
-        vals = np.zeros_like(qx)
-        vals[inside] = _bilinear_raw(rho, xs, ys, qx[inside], qy[inside])
-        expo += vals * step
+        expo[r, c] += _bilinear_raw(rho, xs, ys, qx[None, c], qy[r, None]) * step
     I = np.clip(np.exp(-expo), 0.0, 1.0)
     return FieldBuildReport(field=LightField2D(xs, ys, I), vegetation=rho,
                             deposited_mass=deposited, capped_cells=capped)
@@ -332,6 +344,12 @@ def _binomial_blur(grid: np.ndarray) -> np.ndarray:
     horiz = 0.25 * (pad[1:-1, :-2] + 2.0 * pad[1:-1, 1:-1] + pad[1:-1, 2:])
     pad = np.pad(horiz, 1, mode="edge")
     return 0.25 * (pad[:-2, 1:-1] + 2.0 * pad[1:-1, 1:-1] + pad[2:, 1:-1])
+
+
+def _in_range(q, lo, hi):
+    """The slice of the monotone samples `q` that lie in [lo, hi], or None."""
+    idx = np.flatnonzero((q >= lo) & (q <= hi))
+    return slice(idx[0], idx[-1] + 1) if len(idx) else None
 
 
 def _bilinear_raw(grid, xs, ys, xq, yq):

@@ -70,7 +70,7 @@ def test_criterion_03_hamiltonian_first_integral(stem_flat, stem_canopy, eq2_cas
 def test_criterion_04_oracle_equivalence_op1(params45, canopy_profile):
     solver = m1.solve_op1(canopy_profile, params45)[0]
     exhaustive = m1.oracle_op1(canopy_profile, params45, 5, 9)
-    descent = m1.oracle_op1(canopy_profile, params45, 64, 33, seed=0)
+    descent = m1.oracle_op1(canopy_profile, params45, 64, 33)
     gap = (solver.payoff - descent.payoff) / solver.payoff
     _report(4, "fixed-length solver dominates brute-force oracles",
             exhaustive.payoff <= solver.payoff + 1e-9 and 0.0 <= gap + 1e-9

@@ -137,10 +137,21 @@ def _required(keys):
 
 def _malformed(spec):
     """Spellings that a key of this spec must reject; paths take any text."""
+    if isinstance(spec, cli._Range):
+        return _malformed(spec.default) + _out_of_range(spec.interval)
     if spec in (Path, str):
         return []
     numeric = spec is float or spec is None or type(spec) is float
     return ["abc", "nan"] if numeric else ["abc"]
+
+
+def _out_of_range(interval):
+    """The values just outside each finite end of an interval "]lo, hi]"."""
+    lo, hi = interval[1:-1].split(", ")
+    bad = [lo if interval[0] == "]" else f"{float(lo) - 1:g}"]
+    if hi != "inf":
+        bad.append(hi if interval[-1] == "[" else f"{float(hi) + 1:g}")
+    return bad
 
 
 def _rejected_cases():
@@ -190,6 +201,10 @@ def _rejected_cases():
          "inf"),
         ("op2", _scenario("op2", {"solver": {"h_lo": "0.3"}}), "solver.h_lo", "alone"),
         ("op2", _scenario("op2", {"solver": {"h_hi": "0.4"}}), "solver.h_hi", "alone"),
+        ("eq2", _scenario("eq2", {"solver": {"method": "fixed_point", "damping": "2"}}),
+         "solver.damping", "fixed_point-2"),
+        ("halfline", _scenario("halfline", {"halfline": {"n_stems": "0"}}),
+         "halfline.n_stems", "0"),
         ("eq2", eq2.replace("schema_version = 1", "schema_version = one"),
          "scenario.schema_version", "one"),
     ]

@@ -6,7 +6,7 @@ import pytest
 from stemopt import LightProfile, ModelParams
 from stemopt import equilibrium2 as e2
 from stemopt import model2 as m2
-from stemopt.errors import NoBracketError
+from stemopt.errors import NoBracketError, NotConvergedError
 from stemopt.lightfield import check_class_F
 
 
@@ -183,3 +183,16 @@ def test_height_approaches_flat_limit(direct_sweep, pair_001):
     gaps = [abs(h - H0_EXACT) for h in hs]
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 5e-4
+
+
+def test_fixed_point_failure_carries_its_context(monkeypatch):
+    monkeypatch.setattr(e2, "_FP_MAX_ITER", 2)
+    with pytest.raises(NotConvergedError) as err:
+        e2.solve_equilibrium_fixed_point(_params(1e-3))
+    message = str(err.value)
+    assert "rho0=0.001" in message
+    assert "damping=0.5" in message
+    history = err.value.history
+    assert len(history) == 2
+    assert all(change > 1e-8 for change in history)
+    assert f"{history[-1]:.2e}" in message

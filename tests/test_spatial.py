@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from stemopt import ModelParams
 from stemopt import model1 as m1
 from stemopt import spatial as sp
 
@@ -52,9 +54,91 @@ def test_sideways_gradient_bends_right(params45):
     assert res.theta_left_range
 
 
+@pytest.mark.parametrize("n_s", [63, 64, 800])
+def test_blocked_hamiltonian_matches_one_block(params45, monkeypatch, n_s):
+    fld = sp.LightField2D.from_function(
+        lambda X, Y: np.clip(0.5 + 0.2 * X, 0.0, 1.0),
+        (-1.0, 3.0, 0.0, 1.5), 128, 64)
+    results = [sp.solve_op3_single(fld, 0.0, params45, n_s=n_s)]
+    for rows in (7, n_s + 1):
+        monkeypatch.setattr(sp, "_H_ROWS", rows)
+        results.append(sp.solve_op3_single(fld, 0.0, params45, n_s=n_s))
+    one_block = results.pop()
+    assert one_block.converged
+    for res in results:
+        assert np.array_equal(res.theta, one_block.theta)
+        assert np.array_equal(res.p, one_block.p)
+        assert res.payoff == one_block.payoff
+        assert res.sweeps == one_block.sweeps
+
+
 # ---------------------------------------------------------------------------
 # light from a family
 # ---------------------------------------------------------------------------
+
+def _full_grid_march(rho, xs, ys, theta0):
+    """The light of a vegetation grid, marched from every node at once."""
+    x0, x1, y0, y1 = xs[0], xs[-1], ys[0], ys[-1]
+    dx = xs[1] - xs[0]
+    dy = ys[1] - ys[0]
+    to_sun = (-math.sin(theta0), math.cos(theta0))
+    step = 0.5 * min(dx, dy)
+    span = math.hypot(x1 - x0, y1 - y0)
+    n_steps = int(math.ceil(span / step)) + 2
+    X, Y = np.meshgrid(xs, ys)
+    expo = np.zeros_like(X)
+    for k in range(n_steps):
+        t = (k + 0.5) * step
+        qx = X + t * to_sun[0]
+        qy = Y + t * to_sun[1]
+        inside = (qx >= x0) & (qx <= x1) & (qy >= y0) & (qy <= y1)
+        if not inside.any():
+            break
+        vals = np.zeros_like(qx)
+        vals[inside] = sp._bilinear_raw(rho, xs, ys, qx[inside], qy[inside])
+        expo += vals * step
+    return np.clip(np.exp(-expo), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("theta0", [math.pi / 4, 1.2])
+@pytest.mark.parametrize("window", [(-1.0, 4.0, 0.0, 1.3),    # rays leave at the top
+                                    (-0.3, 1.0, 0.0, 3.0)])   # and at the side
+def test_ray_march_matches_full_grid_reference(theta0, window):
+    params = ModelParams(theta0=theta0, kappa=1.0, ell=1.0)
+    xi = np.linspace(0.0, 3.0, 25)
+    fam = sp.StemFamily.uniform_angles(xi, sp.rho_bar_ramp(xi, 1.0, 0.5),
+                                       params, n_s=60)
+    rep = sp.light_from_family(fam, window, 97, 53, params=params)
+    ref = _full_grid_march(rep.vegetation, rep.field.x, rep.field.y, theta0)
+    assert np.array_equal(rep.field.I, ref)
+    assert np.min(ref) < 1.0
+
+
+def _traced_peak(fn):
+    """Bytes a call allocates at its peak, above what was live before it."""
+    fn()   # fills any per-parameter cache first
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_spatial_kernels_bounded_memory(params45, canopy_profile):
+    limit = 1.5 * 2 ** 20
+    xi = np.linspace(0.0, 3.0, 9)
+    fam = sp.StemFamily.uniform_angles(xi, sp.rho_bar_ramp(xi, 1.0, 0.01),
+                                       params45, n_s=200)
+    window = (-0.5, 4.2, 0.0, 1.2)
+    assert _traced_peak(lambda: sp.light_from_family(
+        fam, window, 160, 160, params=params45)) <= limit
+    fld = sp.LightField2D.stratified(canopy_profile, (-1.0, 2.0, 0.0, 1.5),
+                                     32, 4096)
+    assert _traced_peak(lambda: sp.solve_op3_single(
+        fld, 0.0, params45, n_s=800, max_sweeps=5)) <= limit
+
 
 def test_empty_family_full_light(params45):
     xi = np.linspace(0.0, 2.0, 5)
