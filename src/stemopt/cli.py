@@ -11,6 +11,7 @@ import configparser
 import hashlib
 import json
 import math
+import shutil
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -400,10 +401,16 @@ def parse_scenario(path) -> Scenario:
 def run(scenario: Scenario, out_dir, quiet: bool = False) -> int:
     """Execute a scenario; returns the process exit code."""
     out = Path(out_dir)
+    # the outermost directory this run creates, removed again if it fails
+    made = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
     out.mkdir(parents=True, exist_ok=True)
     try:
         result = _KINDS[scenario.kind].runner(scenario, out)
-    except NotConvergedError as exc:
+    except StemOptError as exc:
+        if made is not None:
+            shutil.rmtree(made)
+        if not isinstance(exc, NotConvergedError):
+            raise
         if not quiet:
             print(f"solver did not converge: {exc}", file=sys.stderr)
         return 2

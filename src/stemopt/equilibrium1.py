@@ -23,6 +23,7 @@ from .numerics import (
     find_root,
     integrate,
     invert_sampled_monotone,
+    map_blocks,
     trapezoid_cumulative,
 )
 from .params import ModelParams
@@ -86,10 +87,12 @@ def solve_equilibrium1(params: ModelParams,
     ell = params.ell
     traj = solve_bcp(params)
 
-    # cumulative stem length from the tip; strictly increasing in depth
+    # cumulative stem length from the tip; strictly increasing in depth.
+    # The dense angles are evaluated in blocks: their sampling and Newton
+    # temporaries would otherwise dominate the solve's memory.
     n_cum = 8 * _N_GRID + 1
     t_dense = np.linspace(0.0, -ell, n_cum)
-    th_dense = theta_hat_at(traj, t_dense, params)
+    th_dense = map_blocks(lambda t: theta_hat_at(traj, t, params), t_dense)
     depth = -t_dense
     cum_len = trapezoid_cumulative(depth, 1.0 / np.sin(th_dense))
     h_guess = invert_sampled_monotone(depth, cum_len, ell)

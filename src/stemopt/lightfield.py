@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotDifferentiableError
-from .numerics import trapezoid_cumulative
+from .numerics import map_blocks, trapezoid_cumulative
 from .params import ModelParams
 
 _HOLDER_C, _HOLDER_BETA = 1.0, 0.5   # class-F slope bound C * y^(-beta)
@@ -230,10 +230,12 @@ def check_uniqueness_condition(
     if any(0.0 < d <= h_max for d in profile.discontinuities):
         return False, -math.inf
     ys = _check_grid(profile, h_max)
-    inv_i = 1.0 / np.maximum(profile.eval(ys), 1e-300)
+    inv_i = map_blocks(lambda y: 1.0 / np.maximum(profile.eval(y), 1e-300), ys)
     cum = trapezoid_cumulative(ys, inv_i)
-    lhs = profile.derivative(ys) * cum
-    margin = float(np.min(rhs - lhs))
+    del inv_i
+    lhs = map_blocks(profile.derivative, ys)
+    lhs *= cum
+    margin = float(np.min(np.subtract(rhs, lhs, out=lhs)))
     return margin > 0.0, margin
 
 

@@ -27,6 +27,7 @@ DEFAULT_ABS_TOL = 1e-10
 DEFAULT_REL_TOL = 1e-10
 _MAX_STEPS = 200_000
 _BRENT_MAX_ITER = 200
+_BLOCK = 2048        # elements per block of `map_blocks`
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +406,22 @@ def trapezoid_cumulative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(x)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    # 0.5 * (y[1:] + y[:-1]) * diff(x), in two arrays instead of four
+    area = y[1:] + y[:-1]
+    area *= 0.5
+    area *= np.subtract(x[1:], x[:-1], out=out[1:])
+    np.cumsum(area, out=out[1:])
+    return out
+
+
+def map_blocks(fn, x) -> np.ndarray:
+    """fn(x) for an elementwise fn of a 1-D array, evaluated in blocks of
+    `_BLOCK` elements into one array, so that fn's temporaries do not grow
+    with len(x).  Gives the same bits as fn(x)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    for i in range(0, len(x), _BLOCK):
+        out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -47,3 +48,18 @@ def op2_cfg_warm():
     def make(h, width=0.15):
         return Op2Config(h_bracket=((1 - width) * h, (1 + width) * h))
     return make
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    def peak(fn):
+        """Bytes a call allocates at its peak, above what was live before it."""
+        fn()   # fills any per-parameter cache first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+    return peak

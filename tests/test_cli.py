@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stemopt import cli
-from stemopt.errors import NoArtifactsError, ValidationError
+from stemopt.errors import NoArtifactsError, NotConvergedError, ValidationError
 from stemopt.params import ModelParams
 
 
@@ -307,6 +307,39 @@ rho = 0.05
     assert summary["residual_map"] <= 1e-6
     header = (out / "equilibrium.csv").read_text().splitlines()[0]
     assert header == "y,theta_star,I_star,x"
+
+
+def _fail_not_converged(scenario, out):
+    raise NotConvergedError("fixed point stalled")
+
+
+_OP2_H_HI_TOO_LARGE = OP1_SCENARIO.replace("kind = op1", "kind = op2").replace(
+    "kappa = 1.0\nell = 1.0", "alpha = 0.5\nc = 1.0").replace(
+    "level = 1.0", "level = 1.0\n\n[solver]\nh_lo = 0.3\nh_hi = 1e9")
+
+
+@pytest.mark.parametrize("existed", [False, True])
+@pytest.mark.parametrize("failure, code", [("solver-error", 1), ("not-converged", 2)])
+def test_failed_run_removes_only_the_directory_it_made(
+        tmp_path, monkeypatch, capsys, failure, code, existed):
+    text = OP1_SCENARIO
+    if failure == "solver-error":
+        text = _OP2_H_HI_TOO_LARGE
+    else:
+        monkeypatch.setitem(cli._KINDS, "op1", cli._KINDS["op1"]._replace(
+            runner=_fail_not_converged))
+    out = tmp_path / "runs" / "out"
+    if existed:
+        out.mkdir(parents=True)
+        (out / "keep.txt").write_text("earlier run\n")
+    assert cli.main(["--scenario", str(_write(tmp_path, text)),
+                     "--out", str(out), "--quiet"]) == code
+    if failure == "solver-error":
+        assert "error: layer offset" in capsys.readouterr().err
+    if existed:
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+    else:
+        assert not (tmp_path / "runs").exists()
 
 
 def test_run_op2_artifacts(tmp_path):

@@ -1,12 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
 from stemopt import ModelParams
 from stemopt import equilibrium1 as e1
+from stemopt import lightfield
 from stemopt import model1 as m1
-from stemopt.numerics import trapezoid_cumulative
+from stemopt import numerics
+from stemopt.numerics import map_blocks, trapezoid_cumulative
 
 
 def _params(rho_kappa):
@@ -124,3 +127,80 @@ def test_ground_angle_monotone_in_density():
     values = [e1.solve_equilibrium1(_params(rk), run_refit=False).theta_star[0]
               for rk in (0.02, 0.04, 0.06, 0.08, 0.1)]
     assert np.all(np.diff(values) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluation: the same bits as the one-shot construction
+# ---------------------------------------------------------------------------
+
+_BLOCKED_SIZES = [numerics._BLOCK - 1, numerics._BLOCK, numerics._BLOCK + 1,
+                  8 * e1._N_GRID + 1]   # the last is the dense length grid
+_DRAW = ModelParams(theta0=1.0, kappa=2.5, ell=1.7, rho=0.08)
+
+
+def _one_shot_trapezoid(x, y):
+    """The cumulative trapezoid as one expression, kept as the reference."""
+    out = np.zeros_like(x)
+    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * np.diff(x))
+    return out
+
+
+def _eq1_box_draws(n):
+    rng = np.random.default_rng(2024)
+    return [ModelParams(theta0=rng.uniform(0.2, 1.35), kappa=rng.uniform(0.3, 3.0),
+                        ell=rng.uniform(0.5, 2.0),
+                        rho=math.exp(rng.uniform(math.log(0.01), math.log(0.1))))
+            for _ in range(n)]
+
+
+@pytest.fixture(scope="module")
+def eq_draw():
+    return e1.solve_equilibrium1(_DRAW, run_refit=False)
+
+
+@pytest.mark.parametrize("n", _BLOCKED_SIZES)
+def test_blocked_dense_length_matches_one_shot(n):
+    traj = e1.solve_bcp(_DRAW)
+    t = np.linspace(0.0, -_DRAW.ell, n)
+    th = map_blocks(lambda tb: e1.theta_hat_at(traj, tb, _DRAW), t)
+    ref = e1.theta_hat_at(traj, t, _DRAW)
+    assert np.array_equal(th, ref)
+    assert np.array_equal(trapezoid_cumulative(-t, 1.0 / np.sin(th)),
+                          _one_shot_trapezoid(-t, 1.0 / np.sin(ref)))
+
+
+def _one_shot_uniqueness_margin(profile, params, ys):
+    t0, k = params.theta0, params.kappa
+    rhs = math.tan(t0) ** 2 * math.cos(math.pi / 2 - t0) \
+        * (1.0 - (k + 1.0) * math.exp(-k)) / (1.0 - math.exp(-k))
+    cum = _one_shot_trapezoid(ys, 1.0 / np.maximum(profile.eval(ys), 1e-300))
+    return float(np.min(rhs - profile.derivative(ys) * cum))
+
+
+@pytest.mark.parametrize("n", [None] + _BLOCKED_SIZES)
+def test_blocked_uniqueness_margin_matches_one_shot(n, eq_draw, monkeypatch):
+    prof, h = eq_draw.I_star, eq_draw.h_star
+    if n is not None:   # a check grid of exactly n points
+        monkeypatch.setattr(lightfield, "_check_grid",
+                            lambda profile, y_max: np.linspace(0.0, y_max, n))
+    assert lightfield.check_uniqueness_condition(prof, _DRAW, h)[1] \
+        == _one_shot_uniqueness_margin(prof, _DRAW, lightfield._check_grid(prof, h))
+
+
+@pytest.mark.parametrize("params", _eq1_box_draws(3))
+def test_blocked_solve_matches_one_shot(params, monkeypatch):
+    res = e1.solve_equilibrium1(params)
+    with monkeypatch.context() as mp:   # one block, one-expression trapezoid
+        mp.setattr(numerics, "_BLOCK", sys.maxsize)
+        for module in (e1, m1, lightfield):
+            mp.setattr(module, "trapezoid_cumulative", _one_shot_trapezoid)
+        ref = e1.solve_equilibrium1(params)
+    for name in ("h_star", "theta_star", "x", "residual_refit", "residual_map",
+                 "uniqueness_ok", "uniqueness_margin"):
+        assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+
+
+def test_eq1_bounded_memory(eq_draw, traced_peak):
+    assert traced_peak(lambda: e1.solve_equilibrium1(_DRAW)) <= 1.5 * 2 ** 20
+    assert traced_peak(lambda: lightfield.check_uniqueness_condition(
+        eq_draw.I_star, _DRAW, eq_draw.h_star)) <= 0.6 * 2 ** 20

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,29 +113,17 @@ def test_ray_march_matches_full_grid_reference(theta0, window):
     assert np.min(ref) < 1.0
 
 
-def _traced_peak(fn):
-    """Bytes a call allocates at its peak, above what was live before it."""
-    fn()   # fills any per-parameter cache first
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def test_spatial_kernels_bounded_memory(params45, canopy_profile):
+def test_spatial_kernels_bounded_memory(params45, canopy_profile, traced_peak):
     limit = 1.5 * 2 ** 20
     xi = np.linspace(0.0, 3.0, 9)
     fam = sp.StemFamily.uniform_angles(xi, sp.rho_bar_ramp(xi, 1.0, 0.01),
                                        params45, n_s=200)
     window = (-0.5, 4.2, 0.0, 1.2)
-    assert _traced_peak(lambda: sp.light_from_family(
+    assert traced_peak(lambda: sp.light_from_family(
         fam, window, 160, 160, params=params45)) <= limit
     fld = sp.LightField2D.stratified(canopy_profile, (-1.0, 2.0, 0.0, 1.5),
                                      32, 4096)
-    assert _traced_peak(lambda: sp.solve_op3_single(
+    assert traced_peak(lambda: sp.solve_op3_single(
         fld, 0.0, params45, n_s=800, max_sweeps=5)) <= limit
 
 
