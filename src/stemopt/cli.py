@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import equilibrium1, equilibrium2, model1, model2, spatial
+from . import __version__, equilibrium1, equilibrium2, model1, model2, spatial
 from .errors import (
     NoArtifactsError,
     NotConvergedError,
@@ -28,11 +28,9 @@ from .errors import (
     ValidationError,
 )
 from .lightfield import LightProfile, load_tabulated_csv
-from .model2 import Op2Config
-from .params import ModelParams
+from .params import ModelParams, Op2Config
 
 SCHEMA_VERSION = 1
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass
@@ -41,7 +39,7 @@ class Scenario:
     params: ModelParams
     profile: LightProfile | None
     options: dict          # typed value of every option key the kind reads
-    source_path: str = ""
+    source_path: str
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +69,7 @@ def _finish(out: Path, scenario: Scenario, outputs: list[Path], residuals: dict)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "tool": "stemopt",
-        "tool_version": TOOL_VERSION,
+        "tool_version": __version__,
         "scenario": {
             "path": scenario.source_path,
             "sha256": _sha256(Path(scenario.source_path)),
@@ -260,28 +258,28 @@ class _Range(namedtuple("_Range", "default interval")):
 
 
 # Per kind: its [params] keys, all required; whether it reads a [profile];
-# its option sections, {section: {key: spec}}; and its runner.  A key's spec
-# is its default, whose type is the key's type; a tuple of the accepted
-# words, the first being the default; a type or parser, for a key that must
-# be given; None, for a number that may be left out; or a _Range of one of
-# these.
-_Kind = namedtuple("_Kind", "params profile options runner")
+# its option sections, {section: {key: spec}}; its solver module, which the
+# parse executes; and its runner.  A key's spec is its default, whose type is
+# the key's type; a tuple of the accepted words, the first being the default;
+# a type or parser, for a key that must be given; None, for a number that may
+# be left out; or a _Range of one of these.
+_Kind = namedtuple("_Kind", "params profile options module runner")
 _KINDS = {
     "op1": _Kind(("theta0", "kappa", "ell"), True,
                  {"solver": {"grid": _Range(2048, "[1, inf["), "example34": False}},
-                 _run_op1),
-    "eq1": _Kind(("theta0", "kappa", "ell", "rho"), False, {}, _run_eq1),
+                 model1, _run_op1),
+    "eq1": _Kind(("theta0", "kappa", "ell", "rho"), False, {}, equilibrium1, _run_eq1),
     "op2": _Kind(("theta0", "alpha", "c"), True,
                  {"solver": {"tol": _Range(Op2Config.rtol, "[0, inf["),
                              "scan_samples": _Range(Op2Config.scan_samples, "[2, inf["),
                              "h_lo": _Range(None, "]0, inf["),
-                             "h_hi": _Range(None, "]0, inf[")}}, _run_op2),
+                             "h_hi": _Range(None, "]0, inf[")}}, model2, _run_op2),
     "eq2": _Kind(("theta0", "alpha", "c", "rho0"), False,
                  {"solver": {"method": ("direct", "fixed_point", "both"),
-                             "damping": _Range(0.5, "]0, 1]")}}, _run_eq2),
+                             "damping": _Range(0.5, "]0, 1]")}}, equilibrium2, _run_eq2),
     "op3": _Kind(("theta0", "kappa", "ell"), True,
                  {"op3": {"root": 0.0, "nx": _Range(64, "[2, inf["),
-                          "ny": _Range(2048, "[2, inf[")}}, _run_op3),
+                          "ny": _Range(2048, "[2, inf[")}}, spatial, _run_op3),
     "halfline": _Kind(("theta0", "kappa", "ell"), False,
                       {"halfline": {"rho_scale": _Range(0.01, "[0, inf["),
                                     "b": _Range(1.0, "]0, inf["),
@@ -289,9 +287,10 @@ _KINDS = {
                                     "iterations": _Range(10, "[0, inf["),
                                     "relax": _Range(0.3, "]0, 1]"),
                                     "grid": _Range(160, "[2, inf[")}},
-                      _run_halfline),
+                      spatial, _run_halfline),
     "sweep": _Kind(("theta0", "alpha", "c"), False,
-                   {"sweep": {"parameter": ("rho0",), "values": _numbers}}, _run_sweep),
+                   {"sweep": {"parameter": ("rho0",), "values": _numbers}},
+                   equilibrium2, _run_sweep),
 }
 
 # profile kind -> (constructor taking the key values in order, keys)
@@ -394,6 +393,7 @@ def parse_scenario(path) -> Scenario:
         key = str(exc).split(" ", 1)[0]   # ModelParams names the field first
         raise ValidationError(f"params.{key}" if key in values else "sweep.values",
                               str(exc)) from exc
+    vars(spec.module)   # runs the kind's lazily registered solver modules now
     return Scenario(kind=kind, params=params, profile=profile, options=options,
                     source_path=str(path))
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model1
 from .lightfield import LightProfile, check_uniqueness_condition
+from .model1 import phi_inverse, solve_op1
 from .numerics import (
     Bracket,
     OdeProblem,
@@ -59,7 +59,7 @@ def solve_bcp(params: ModelParams) -> Trajectory:
     z_top = math.exp(-params.kappa) - 1.0
 
     def rhs(t, state):
-        th = model1.phi_inverse(z_top * math.exp(state[0]), params)
+        th = phi_inverse(z_top * math.exp(state[0]), params)
         return np.array([-rk / math.sin(th)])
 
     if rk == 0.0:
@@ -73,7 +73,7 @@ def theta_hat_at(traj: Trajectory, t, params: ModelParams):
     """Angle profile along the backward solution (vectorized)."""
     z_top = math.exp(-params.kappa) - 1.0
     zeta = traj.sample(np.asarray(t, dtype=float))[:, 0]
-    return model1.phi_inverse(z_top * np.exp(zeta), params)
+    return phi_inverse(z_top * np.exp(zeta), params)
 
 
 def solve_equilibrium1(params: ModelParams,
@@ -127,7 +127,7 @@ def solve_equilibrium1(params: ModelParams,
 
     residual_refit = math.nan
     if run_refit:
-        refit = model1.solve_op1(I_star, params)[0]
+        refit = solve_op1(I_star, params)[0]
         residual_refit = float(np.max(np.abs(refit.theta_at(y) - theta_star)))
 
     return Equilibrium1Result(
@@ -158,7 +158,7 @@ def verify_fixed_point(result: Equilibrium1Result, params: ModelParams) -> Fixed
     angle profiles in sup norm.  map: re-solve the backward Cauchy problem
     and compare its shade exp(-zeta) against the stored profile in sup norm.
     """
-    refit = model1.solve_op1(result.I_star, params)[0]
+    refit = solve_op1(result.I_star, params)[0]
     residual_refit = float(np.max(np.abs(refit.theta_at(result.y) - result.theta_star)))
     residual_map = _map_residual(solve_bcp(params), result.y, result.h_star,
                                  result.I_star)

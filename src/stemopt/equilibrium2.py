@@ -16,9 +16,9 @@ import numpy as np
 from . import model2
 from .errors import NotConvergedError
 from .lightfield import LightProfile, check_class_F
-from .model2 import Op2Config, StemState2
+from .model2 import StemState2
 from .numerics import OdeProblem, integrate
-from .params import ModelParams
+from .params import ModelParams, Op2Config
 
 _Q_CUT = 1e-6   # drop nodes where q/I is residual noise when building shade rates
 _FP_MAX_ITER = 40

@@ -34,7 +34,7 @@ from .numerics import (
     sign_change_brackets,
     trapezoid_cumulative,
 )
-from .params import ModelParams
+from .params import ModelParams, Op2Config
 
 _Q_FLOOR = -0.9         # reduced system extended to slightly negative mass costate
 _W_CAP = 1e12
@@ -203,18 +203,6 @@ def _seed_state(h, profile, params, epsilon):
 # ---------------------------------------------------------------------------
 # Shooting
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Op2Config:
-    epsilon_rel: float = 1e-6          # layer offset as a fraction of h
-    h_bracket: tuple[float, float] | None = None
-    scan_samples: int = 200
-    rtol: float = 1e-11
-    atol: float = 1e-13
-    root_tol: float = 1e-12
-    n_out: int = 4096                  # uniform output resolution
-    richardson: bool = False           # repeat the final run at epsilon/2
-
 
 @dataclass
 class StemState2:

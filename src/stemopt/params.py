@@ -1,4 +1,5 @@
-"""Physical and economic constants shared by all solver modules."""
+"""Physical and economic constants shared by all solver modules, and the
+free-length shooting options."""
 
 from __future__ import annotations
 
@@ -47,3 +48,15 @@ class ModelParams:
             raise ValueError(f"c must be positive, got {self.c}")
         if self.rho0 < 0.0:
             raise ValueError(f"rho0 must be non-negative, got {self.rho0}")
+
+
+@dataclass
+class Op2Config:
+    epsilon_rel: float = 1e-6          # layer offset as a fraction of h
+    h_bracket: tuple[float, float] | None = None
+    scan_samples: int = 200
+    rtol: float = 1e-11
+    atol: float = 1e-13
+    root_tol: float = 1e-12
+    n_out: int = 4096                  # uniform output resolution
+    richardson: bool = False           # repeat the final run at epsilon/2

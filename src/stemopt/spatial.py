@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import model1
 from .lightfield import LightProfile
+from .model1 import _G_parts, capture_transverse
 from .numerics import trapezoid_cumulative
 from .params import ModelParams
 
@@ -102,7 +102,7 @@ def _capture_slopes(theta, params: ModelParams):
     th = np.asarray(theta, dtype=float)
     t0, k = params.theta0, params.kappa
     ahead = np.cos(th - t0) >= 0.0
-    _, gp, gpp = model1._G_parts(np.where(ahead, th, 2.0 * t0 + math.pi - th), t0, k)
+    _, gp, gpp = _G_parts(np.where(ahead, th, 2.0 * t0 + math.pi - th), t0, k)
     return np.where(ahead, gp, -gp), gpp
 
 
@@ -139,7 +139,7 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
     theta = np.full(n_s + 1, t0) if theta_init is None else theta_init.copy()
     th_grid = np.linspace(1e-3, math.pi, 721)
     cos_g, sin_g = np.cos(th_grid), np.sin(th_grid)
-    G_g = model1.capture_transverse(th_grid, params)
+    G_g = capture_transverse(th_grid, params)
     # the Hamiltonian on (node, angle) is formed and maximized in row blocks
     H = np.empty((min(_H_ROWS, n_s + 1), len(th_grid)))
     term = np.empty_like(H)
@@ -152,7 +152,7 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
         y = trapezoid_cumulative(s, np.sin(theta))
         I_s = fld.eval(x, y)
         gx, gy = fld.grad(x, y)
-        G_s = model1.capture_transverse(theta, params)
+        G_s = capture_transverse(theta, params)
         # p(s) = integral_s^ell grad(I) G ds, backward from p(ell) = 0
         p1 = _reverse_cumtrapz(s, gx * G_s)
         p2 = _reverse_cumtrapz(s, gy * G_s)

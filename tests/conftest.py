@@ -3,9 +3,8 @@ import tracemalloc
 
 import pytest
 
-from stemopt import LightProfile, ModelParams
+from stemopt import LightProfile, ModelParams, Op2Config
 from stemopt import model2
-from stemopt.model2 import Op2Config
 
 
 @pytest.fixture(scope="session")

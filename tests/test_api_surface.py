@@ -10,10 +10,18 @@ Public module-level constants are resolved per module, because two modules
 may bind the same name: a constant counts as used only where a load of it
 refers to that module's binding (a bare name inside the module, an import
 from the module, or an attribute of the module object).
+
+The names the package itself lists in `__all__` resolve, on access, to the
+objects their defining modules hold.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
+
+import stemopt
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "stemopt"
@@ -169,3 +177,16 @@ def test_no_unset_keyword_parameters():
         for qualified, name, index, param in _defaulted_parameters(tree)
         if not {(name, param), (name, index), (name, "*")} & passed)
     assert unset == [], f"defaulted parameters that no call sets: {unset}"
+
+
+def test_package_names_resolve_to_their_defining_modules():
+    for name in stemopt.__all__:
+        value = getattr(stemopt, name)
+        if name != "__version__":
+            assert value.__module__.startswith("stemopt."), name
+            assert value is getattr(importlib.import_module(value.__module__), name)
+    star = {}
+    exec("from stemopt import *", star)
+    assert set(stemopt.__all__) <= set(star)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(stemopt, "no_such_name")

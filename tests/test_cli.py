@@ -1,11 +1,15 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stemopt
 from stemopt import cli
 from stemopt.errors import NoArtifactsError, NotConvergedError, ValidationError
 from stemopt.params import ModelParams
@@ -242,6 +246,41 @@ def test_parse_rejects_wrong_schema(tmp_path):
         cli.parse_scenario(_write(tmp_path, bad))
 
 
+# the modules a parse executes: the CLI's own, then the kind's solver stack
+_CLI_MODULES = {"cli", "errors", "lightfield", "numerics", "params"}
+_SOLVER_STACKS = {"op1": {"model1"}, "eq1": {"model1", "equilibrium1"},
+                  "op2": {"model2"}, "eq2": {"model2", "equilibrium2"},
+                  "sweep": {"model2", "equilibrium2"}, "op3": {"model1", "spatial"},
+                  "halfline": {"model1", "spatial"}}
+_PROBE = """\
+import json, sys, types
+import stemopt
+registered = sorted(n for n in sys.modules if n.startswith("stemopt."))
+from stemopt import cli
+cli.parse_scenario(sys.argv[1])
+executed = sorted(n for n, m in sys.modules.items()
+                  if n.startswith("stemopt.") and type(m) is types.ModuleType)
+print(json.dumps([registered, executed]))
+"""
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_parse_executes_only_the_kinds_modules(tmp_path, kind):
+    """In a fresh interpreter, `import stemopt` registers every submodule (the
+    benchmark tracer looks each one up) and a parse executes exactly the
+    modules its kind runs."""
+    options = {s: _required(keys) for s, keys in cli._KINDS[kind].options.items()}
+    path = _write(tmp_path, _scenario(kind, options))
+    package = Path(stemopt.__file__).parent
+    done = subprocess.run([sys.executable, "-c", _PROBE, str(path)], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(package.parent)})
+    registered, executed = json.loads(done.stdout)
+    submodules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
+    assert registered == sorted(f"stemopt.{m}" for m in submodules)
+    assert executed == sorted(f"stemopt.{m}" for m in _CLI_MODULES | _SOLVER_STACKS[kind])
+
+
 # ---------------------------------------------------------------------------
 # runs
 # ---------------------------------------------------------------------------
@@ -380,6 +419,24 @@ def test_manifest_hashes_complete(tmp_path):
     for name, digest in manifest["outputs"].items():
         actual = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert actual == digest
+
+
+def test_manifest_version_is_the_package_version(tmp_path):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(stemopt.__file__).parents[2] / "pyproject.toml"
+    out = tmp_path / "out"
+    assert cli.main(["--scenario", str(_write(tmp_path, OP1_SCENARIO)),
+                     "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tool_version"] == stemopt.__version__ \
+        == tomllib.loads(pyproject.read_text())["project"]["version"]
+
+
+def test_scenario_needs_its_source_path():
+    # without it a run would write its outputs, then fail hashing the source
+    with pytest.raises(TypeError, match="source_path"):
+        cli.Scenario(kind="eq1", params=ModelParams(theta0=0.5, rho=0.05),
+                     profile=None, options={})
 
 
 def test_run_eq2_direct(tmp_path):
