@@ -11,7 +11,6 @@ import configparser
 import hashlib
 import json
 import math
-import shutil
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -50,10 +49,10 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]):
+def _write_csv(path: Path, columns: dict):
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
+        fh.write(",".join(columns) + "\n")
+        for row in zip(*columns.values()):
             fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
 
 
@@ -65,85 +64,61 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _finish(out: Path, scenario: Scenario, outputs: list[Path], residuals: dict):
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "tool": "stemopt",
-        "tool_version": __version__,
-        "scenario": {
-            "path": scenario.source_path,
-            "sha256": _sha256(Path(scenario.source_path)),
-            "kind": scenario.kind,
-        },
-        "outputs": {p.name: _sha256(p) for p in outputs},
-        "residuals": residuals,
-    }
-    _write_json(out / "manifest.json", manifest)
-
-
 # ---------------------------------------------------------------------------
-# Runners
+# Runners: each solves its scenario and returns (files, residuals), where
+# files maps an output name to its CSV columns ({header: values}, for a
+# .csv name) or its JSON object; none of them touches the filesystem
 # ---------------------------------------------------------------------------
 
-def _run_op1(scn: Scenario, out: Path) -> dict:
+def _run_op1(scn: Scenario):
     shapes = model1.solve_op1(scn.profile, scn.params, n_grid=scn.options["grid"])
     best = shapes[0]
-    _write_csv(out / "shape.csv", ["y", "theta", "x", "I"],
-               [best.y, best.theta, best.x, scn.profile.eval(best.y)])
-    summary = {
-        "h": best.h, "lambda": best.lam, "payoff": best.payoff,
-        "length_error": best.length_error,
-        "candidates": [{"h": s.h, "payoff": s.payoff, "lambda": s.lam}
-                       for s in shapes],
-    }
-    _write_json(out / "summary.json", summary)
-    outputs = [out / "shape.csv", out / "summary.json"]
+    files = {"shape.csv": {"y": best.y, "theta": best.theta, "x": best.x,
+                           "I": scn.profile.eval(best.y)},
+             "summary.json": {"h": best.h, "lambda": best.lam, "payoff": best.payoff,
+                              "length_error": best.length_error,
+                              "candidates": [{"h": s.h, "payoff": s.payoff,
+                                              "lambda": s.lam} for s in shapes]}}
     if scn.options["example34"]:
         nu = model1.find_nonuniqueness_epsilon(scn.params)
-        _write_json(out / "nonuniqueness.json", {
+        files["nonuniqueness.json"] = {
             "eps_hat": nu.eps_hat, "eps_one": nu.eps_one,
             "payoff_low": nu.payoff_low, "payoff_high": nu.payoff_high,
             "h_low": nu.shape_low.h, "h_high": nu.shape_high.h,
-        })
-        outputs.append(out / "nonuniqueness.json")
-    return {"outputs": outputs, "residuals": {"length_error": best.length_error}}
+        }
+    return files, {"length_error": best.length_error}
 
 
-def _run_eq1(scn: Scenario, out: Path) -> dict:
+def _run_eq1(scn: Scenario):
     res = equilibrium1.solve_equilibrium1(scn.params)
-    _write_csv(out / "equilibrium.csv", ["y", "theta_star", "I_star", "x"],
-               [res.y, res.theta_star, res.I_star.eval(res.y), res.x])
-    _write_json(out / "summary.json", {
-        "h_star": res.h_star, "rho_kappa": res.rho_kappa,
-        "residual_refit": res.residual_refit, "residual_map": res.residual_map,
-        "uniqueness_ok": res.uniqueness_ok,
-        "uniqueness_margin": res.uniqueness_margin,
-    })
-    return {"outputs": [out / "equilibrium.csv", out / "summary.json"],
-            "residuals": {"refit": res.residual_refit, "map": res.residual_map}}
+    return {"equilibrium.csv": {"y": res.y, "theta_star": res.theta_star,
+                                "I_star": res.I_star.eval(res.y), "x": res.x},
+            "summary.json": {
+                "h_star": res.h_star, "rho_kappa": res.rho_kappa,
+                "residual_refit": res.residual_refit, "residual_map": res.residual_map,
+                "uniqueness_ok": res.uniqueness_ok,
+                "uniqueness_margin": res.uniqueness_margin,
+            }}, {"refit": res.residual_refit, "map": res.residual_map}
 
 
-def _run_op2(scn: Scenario, out: Path) -> dict:
+def _run_op2(scn: Scenario):
     opt = scn.options
     bracket = None if opt["h_lo"] is None else (opt["h_lo"], opt["h_hi"])
     cfg = Op2Config(h_bracket=bracket, scan_samples=opt["scan_samples"],
                     rtol=opt["tol"])
     st = model2.shoot_op2(scn.profile, scn.params, cfg)
-    _write_csv(out / "stem.csv", ["y", "theta", "u", "I", "p", "q", "z", "x"],
-               [st.y, st.theta, st.u, st.I, st.p, st.q, st.z, st.x])
-    _write_json(out / "summary.json", {
-        "h": st.h, "T": st.T, "payoff": st.payoff,
-        "transport_cost": st.transport_cost,
-        "hamiltonian_max_abs": st.hamiltonian_max_abs,
-        "residual_q0": st.residual_q0,
-        "h_candidates": st.h_candidates,
-    })
-    return {"outputs": [out / "stem.csv", out / "summary.json"],
-            "residuals": {"q0": st.residual_q0,
-                          "hamiltonian": st.hamiltonian_max_abs}}
+    return {"stem.csv": {"y": st.y, "theta": st.theta, "u": st.u, "I": st.I,
+                         "p": st.p, "q": st.q, "z": st.z, "x": st.x},
+            "summary.json": {
+                "h": st.h, "T": st.T, "payoff": st.payoff,
+                "transport_cost": st.transport_cost,
+                "hamiltonian_max_abs": st.hamiltonian_max_abs,
+                "residual_q0": st.residual_q0,
+                "h_candidates": st.h_candidates,
+            }}, {"q0": st.residual_q0, "hamiltonian": st.hamiltonian_max_abs}
 
 
-def _run_eq2(scn: Scenario, out: Path) -> dict:
+def _run_eq2(scn: Scenario):
     method = scn.options["method"]
     results = {}
     if method in ("direct", "both"):
@@ -153,8 +128,6 @@ def _run_eq2(scn: Scenario, out: Path) -> dict:
             scn.params, damping=scn.options["damping"])
     primary = results.get("direct") or results["fixed_point"]
     st = primary.stem
-    _write_csv(out / "equilibrium.csv", ["y", "theta", "u", "I_star", "p", "q", "z"],
-               [st.y, st.theta, st.u, primary.I_star.eval(st.y), st.p, st.q, st.z])
     summary = {
         "rho0": scn.params.rho0, "h": primary.h, "iterations": primary.iterations,
         "residual_map": primary.residual_map, "residual_refit": primary.residual_refit,
@@ -168,71 +141,61 @@ def _run_eq2(scn: Scenario, out: Path) -> dict:
         summary["method_gap_I"] = gap
         summary["method_gap_h"] = abs(results["direct"].h
                                       - results["fixed_point"].h)
-    _write_json(out / "summary.json", summary)
-    return {"outputs": [out / "equilibrium.csv", out / "summary.json"],
-            "residuals": {"map": primary.residual_map,
-                          "refit": primary.residual_refit}}
+    return {"equilibrium.csv": {"y": st.y, "theta": st.theta, "u": st.u,
+                                "I_star": primary.I_star.eval(st.y),
+                                "p": st.p, "q": st.q, "z": st.z},
+            "summary.json": summary}, {"map": primary.residual_map,
+                                       "refit": primary.residual_refit}
 
 
-def _run_sweep(scn: Scenario, out: Path) -> dict:
+def _run_sweep(scn: Scenario):
     values = list(scn.options["values"])
-    rows = []
+    h, residual_map = [], []
     for v in values:
         res = equilibrium2.solve_equilibrium_direct(replace(scn.params, rho0=v))
-        rows.append((v, res.h, res.residual_map))
-    _write_csv(out / "sweep.csv", ["rho0", "h", "residual_map"],
-               [np.array([r[i] for r in rows]) for i in range(3)])
-    _write_json(out / "summary.json",
-                {"parameter": "rho0", "values": values,
-                 "h": [r[1] for r in rows],
-                 "residual_map": [r[2] for r in rows]})
-    return {"outputs": [out / "sweep.csv", out / "summary.json"],
-            "residuals": {"max_map": max(r[2] for r in rows)}}
+        h.append(res.h)
+        residual_map.append(res.residual_map)
+    return {"sweep.csv": {"rho0": values, "h": h, "residual_map": residual_map},
+            "summary.json": {"parameter": "rho0", "values": values, "h": h,
+                             "residual_map": residual_map}}, \
+        {"max_map": max(residual_map)}
 
 
-def _run_op3(scn: Scenario, out: Path) -> dict:
+def _run_op3(scn: Scenario):
     root = scn.options["root"]
     ell = scn.params.ell
     window = (root - 0.5 * ell, root + 1.5 * ell, 0.0, 1.2 * ell)
     fld = spatial.LightField2D.stratified(scn.profile, window, scn.options["nx"],
                                           scn.options["ny"])
     res = spatial.solve_op3_single(fld, root, scn.params)
-    _write_csv(out / "stem.csv", ["s", "x", "y", "theta"],
-               [res.s, res.x, res.y, res.theta])
-    _write_json(out / "summary.json", {
-        "payoff": res.payoff,
-        "stationarity_residual": res.stationarity_residual,
-        "converged": res.converged, "sweeps": res.sweeps,
-        "theta_left_range": res.theta_left_range,
-    })
     if not res.converged:
         raise NotConvergedError("forward-backward sweep did not converge")
-    return {"outputs": [out / "stem.csv", out / "summary.json"],
-            "residuals": {"stationarity": res.stationarity_residual}}
+    return {"stem.csv": {"s": res.s, "x": res.x, "y": res.y, "theta": res.theta},
+            "summary.json": {
+                "payoff": res.payoff,
+                "stationarity_residual": res.stationarity_residual,
+                "converged": res.converged, "sweeps": res.sweeps,
+                "theta_left_range": res.theta_left_range,
+            }}, {"stationarity": res.stationarity_residual}
 
 
-def _run_halfline(scn: Scenario, out: Path) -> dict:
+def _run_halfline(scn: Scenario):
     res = spatial.halfline_relaxation(scn.params, **scn.options)
-    fam = res.family
+    fam, fld = res.family, res.report.field
     m, n = fam.x.shape
-    xi_col = np.repeat(fam.xi, n)
-    s_col = np.tile(fam.s, m)
-    _write_csv(out / "family.csv", ["xi", "s", "x", "y", "theta"],
-               [xi_col, s_col, fam.x.ravel(), fam.y.ravel(), fam.theta.ravel()])
-    fld = res.report.field
     X, Y = np.meshgrid(fld.x, fld.y)
-    _write_csv(out / "field.csv", ["x", "y", "I"],
-               [X.ravel(), Y.ravel(), fld.I.ravel()])
-    _write_json(out / "summary.json", {
-        "converged": res.converged, "iterations": res.iterations,
-        "changes": res.changes,
-        "deposited_mass": res.report.deposited_mass,
-        "capped_cells": res.report.capped_cells,
-        "theta_root": [float(v) for v in fam.theta[:, 0]],
-    })
     # non-convergence of the half-line conjecture is a reported outcome
-    return {"outputs": [out / "family.csv", out / "field.csv", out / "summary.json"],
-            "residuals": {"last_change": res.changes[-1] if res.changes else 0.0}}
+    return {"family.csv": {"xi": np.repeat(fam.xi, n), "s": np.tile(fam.s, m),
+                           "x": fam.x.ravel(), "y": fam.y.ravel(),
+                           "theta": fam.theta.ravel()},
+            "field.csv": {"x": X.ravel(), "y": Y.ravel(), "I": fld.I.ravel()},
+            "summary.json": {
+                "converged": res.converged, "iterations": res.iterations,
+                "changes": res.changes,
+                "deposited_mass": res.report.deposited_mass,
+                "capped_cells": res.report.capped_cells,
+                "theta_root": [float(v) for v in fam.theta[:, 0]],
+            }}, {"last_change": res.changes[-1] if res.changes else 0.0}
 
 
 def _flag(text: str) -> bool:
@@ -399,26 +362,30 @@ def parse_scenario(path) -> Scenario:
 
 
 def run(scenario: Scenario, out_dir, quiet: bool = False) -> int:
-    """Execute a scenario; returns the process exit code."""
-    out = Path(out_dir)
-    # the outermost directory this run creates, removed again if it fails
-    made = next((d for d in reversed((out, *out.parents)) if not d.exists()), None)
-    out.mkdir(parents=True, exist_ok=True)
+    """Execute a scenario; returns the process exit code.  The output
+    directory is made and written only once the runner has returned, so a
+    run that fails leaves the filesystem as it was."""
     try:
-        result = _KINDS[scenario.kind].runner(scenario, out)
-    except StemOptError as exc:
-        if made is not None:
-            shutil.rmtree(made)
-        if not isinstance(exc, NotConvergedError):
-            raise
+        files, residuals = _KINDS[scenario.kind].runner(scenario)
+    except NotConvergedError as exc:
         if not quiet:
             print(f"solver did not converge: {exc}", file=sys.stderr)
         return 2
-    _finish(out, scenario, result["outputs"], result["residuals"])
+    source = {"path": scenario.source_path,
+              "sha256": _sha256(Path(scenario.source_path)), "kind": scenario.kind}
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        (_write_csv if name.endswith(".csv") else _write_json)(out / name, content)
+    _write_json(out / "manifest.json", {
+        "schema_version": SCHEMA_VERSION, "tool": "stemopt",
+        "tool_version": __version__, "scenario": source,
+        "outputs": {name: _sha256(out / name) for name in files},
+        "residuals": residuals,
+    })
     if not quiet:
-        for p in result["outputs"]:
-            print(f"wrote {p}")
-        print(f"wrote {out / 'manifest.json'}")
+        for name in (*files, "manifest.json"):
+            print(f"wrote {out / name}")
     return 0
 
 
@@ -427,16 +394,20 @@ def run(scenario: Scenario, out_dir, quiet: bool = False) -> int:
 # ---------------------------------------------------------------------------
 
 def emit_plotdata(out_dir) -> Path:
-    """Collect run artifacts into a tidy long-format CSV (series, x, y)."""
+    """Collect the curve artifacts that the directory's manifest lists (an
+    op1, op2, eq1, eq2 or op3 run's) into a tidy long-format CSV (series, x, y)."""
     out = Path(out_dir)
+    try:
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    except (OSError, ValueError):
+        listed = {}
+    curves = [name for name in ("shape.csv", "stem.csv", "equilibrium.csv")
+              if name in listed]
+    if not curves:
+        raise NoArtifactsError(f"no curve artifacts listed in {out / 'manifest.json'}")
     rows: list[tuple[str, float, float]] = []
-    candidates = [out / "shape.csv", out / "stem.csv", out / "equilibrium.csv"]
-    found = False
-    for path in candidates:
-        if not path.exists():
-            continue
-        found = True
-        with open(path) as fh:
+    for curve in curves:
+        with open(out / curve) as fh:
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
         cols = {name: data[:, i] for i, name in enumerate(header)}
@@ -452,8 +423,6 @@ def emit_plotdata(out_dir) -> Path:
         if "x" in cols and "y" in cols:
             rows += [("stem", float(a), float(b))
                      for a, b in zip(cols["x"], cols["y"])]
-    if not found:
-        raise NoArtifactsError(f"no curve artifacts found in {out}")
     path = out / "plotdata.csv"
     with open(path, "w", newline="") as fh:
         fh.write("series,x,y\n")
@@ -494,11 +463,11 @@ def main(argv=None) -> int:
         return 1
     try:
         code = run(scenario, args.out, quiet=args.quiet)
+        if code == 0 and args.plotdata:
+            emit_plotdata(args.out)
     except StemOptError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if code == 0 and args.plotdata:
-        emit_plotdata(args.out)
     return code
 
 

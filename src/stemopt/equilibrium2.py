@@ -134,6 +134,10 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in ]0, 1]")
     cfg = Op2Config()
+    # inner iterates run at relaxed accuracy; the returned stem and the
+    # residual verification are recomputed at full accuracy below
+    inner = replace(cfg, rtol=max(cfg.rtol, 1e-9), atol=max(cfg.atol, 1e-12),
+                    root_tol=max(cfg.root_tol, 1e-10), n_out=1024)
     h0 = model2.estimate_h0(params)
     # shading-rate grid, graded toward the ground where the rate is log-divergent
     y_grid = np.unique(np.concatenate([
@@ -152,14 +156,10 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     h_roots: list[float] = []
     for k in range(_FP_MAX_ITER):
         iterations = k + 1
-        # inner iterates run at relaxed accuracy; the returned stem and the
-        # residual verification are recomputed at full accuracy below
-        inner = replace(cfg, rtol=max(cfg.rtol, 1e-9), atol=max(cfg.atol, 1e-12),
-                        root_tol=max(cfg.root_tol, 1e-10), n_out=1024)
-        if h_prev is not None:
-            width = 0.1 if k < 2 else 0.02
-            inner.h_bracket = ((1.0 - width) * h_prev, (1.0 + width) * h_prev)
-        stem = model2.shoot_op2(profile, params, inner)
+        width = 0.1 if k < 2 else 0.02
+        warm = None if h_prev is None else ((1.0 - width) * h_prev,
+                                            (1.0 + width) * h_prev)
+        stem = model2.shoot_op2(profile, params, replace(inner, h_bracket=warm))
         h_prev = stem.h
         h_roots = stem.h_candidates
         if len(h_roots) > 1:

@@ -50,7 +50,7 @@ class ModelParams:
             raise ValueError(f"rho0 must be non-negative, got {self.rho0}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Op2Config:
     epsilon_rel: float = 1e-6          # layer offset as a fraction of h
     h_bracket: tuple[float, float] | None = None

@@ -348,7 +348,7 @@ rho = 0.05
     assert header == "y,theta_star,I_star,x"
 
 
-def _fail_not_converged(scenario, out):
+def _fail_not_converged(scenario):
     raise NotConvergedError("fixed point stalled")
 
 
@@ -379,6 +379,53 @@ def test_failed_run_removes_only_the_directory_it_made(
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
     else:
         assert not (tmp_path / "runs").exists()
+
+
+OP3_SCENARIO = _scenario("op3", {"profile": {"kind": "exponential-canopy", "rate": "0.1",
+                                             "height": "1.0"}})
+
+
+def _snapshot(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("failure, code", [("solver-error", 1), ("not-converged", 2)])
+def test_failed_run_leaves_an_earlier_run_as_it_was(tmp_path, monkeypatch, failure, code):
+    """A run that fails after its solver has produced some outputs (op1's
+    example34 search finds no crossing at ell = 1; op3 reports a sweep
+    that did not converge) writes none of them."""
+    import hashlib
+    if failure == "solver-error":
+        earlier = OP1_SCENARIO.replace("level = 1.0", "level = 0.5")
+        failing = OP1_SCENARIO + "\n[solver]\nexample34 = true\n"
+    else:
+        earlier = failing = OP3_SCENARIO
+    out = tmp_path / "out"
+    assert cli.main(["--scenario", str(_write(tmp_path, earlier, "earlier.ini")),
+                     "--out", str(out), "--quiet"]) == 0
+    before = _snapshot(out)
+    if failure == "not-converged":
+        solve = cli.spatial.solve_op3_single
+        monkeypatch.setattr(cli.spatial, "solve_op3_single", lambda *args:
+                            dataclasses.replace(solve(*args), converged=False))
+    assert cli.main(["--scenario", str(_write(tmp_path, failing, "failing.ini")),
+                     "--out", str(out), "--quiet"]) == code
+    assert _snapshot(out) == before
+    manifest = json.loads(before["manifest.json"])
+    assert manifest["scenario"]["path"].endswith("earlier.ini")
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256(before[name]).hexdigest() == digest
+
+
+def test_interrupted_run_leaves_no_directory(tmp_path, monkeypatch):
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._KINDS, "op1", cli._KINDS["op1"]._replace(runner=interrupt))
+    scenario = cli.parse_scenario(_write(tmp_path, OP1_SCENARIO))
+    with pytest.raises(KeyboardInterrupt):
+        cli.run(scenario, tmp_path / "runs" / "out", quiet=True)
+    assert not (tmp_path / "runs").exists()
 
 
 def test_run_op2_artifacts(tmp_path):
@@ -433,7 +480,7 @@ def test_manifest_version_is_the_package_version(tmp_path):
 
 
 def test_scenario_needs_its_source_path():
-    # without it a run would write its outputs, then fail hashing the source
+    # without it a run would solve, then fail hashing the source
     with pytest.raises(TypeError, match="source_path"):
         cli.Scenario(kind="eq1", params=ModelParams(theta0=0.5, rho=0.05),
                      profile=None, options={})
@@ -590,3 +637,30 @@ rho = 0.05
 def test_plotdata_empty_dir_raises(tmp_path):
     with pytest.raises(NoArtifactsError):
         cli.emit_plotdata(tmp_path)
+
+
+def test_plotdata_on_a_run_without_curves_is_an_error(tmp_path, capsys):
+    text = _scenario("halfline", {"halfline": {"rho_scale": "0.005", "n_stems": "5",
+                                               "iterations": "2", "grid": "64"}})
+    out = tmp_path / "out"
+    code = cli.main(["--scenario", str(_write(tmp_path, text)), "--out", str(out),
+                     "--quiet", "--plotdata"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: no curve artifacts" in err
+    assert "Traceback" not in err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"family.csv", "field.csv", "summary.json"}
+    assert not (out / "plotdata.csv").exists()
+
+
+def test_plotdata_reads_only_the_outputs_the_manifest_lists(tmp_path):
+    eq1 = _scenario("eq1", {})
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    assert cli.main(["--scenario", str(_write(tmp_path, OP3_SCENARIO, "op3.ini")),
+                     "--out", str(reused), "--quiet"]) == 0
+    for out in (fresh, reused):
+        assert cli.main(["--scenario", str(_write(tmp_path, eq1, "eq1.ini")),
+                         "--out", str(out), "--quiet", "--plotdata"]) == 0
+    assert (reused / "stem.csv").exists()   # the op3 run's, not in the manifest
+    assert (reused / "plotdata.csv").read_bytes() == (fresh / "plotdata.csv").read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -119,7 +120,7 @@ def test_tail_mass_matches_flat_light_closed_form(params2):
 # ---------------------------------------------------------------------------
 
 def test_rhs_flat_light(params2, const_profile):
-    dp, dq = m2.rhs_reduced(0.2, 0.0, 0.4, const_profile, params2)
+    dp, dq, _ = m2._costate_rhs(0.2, (0.0, 0.4), const_profile, params2)
     assert dp == 0.0
     expect = 0.5 / math.sin(math.pi / 4) / (1.0 + 0.4 * math.log(0.4) - 0.4)
     assert abs(dq - expect) < 1e-12
@@ -128,7 +129,7 @@ def test_rhs_flat_light(params2, const_profile):
 def test_rhs_zero_height_costate_factor(params2, canopy_profile):
     y, q = 0.3, 0.5
     I = canopy_profile.eval(y)
-    dp, _ = m2.rhs_reduced(y, 0.0, q * I, canopy_profile, params2)
+    dp, _, _ = m2._costate_rhs(y, (0.0, q * I), canopy_profile, params2)
     f1 = (1.0 - q) / math.sin(params2.theta0)
     assert abs(dp + canopy_profile.derivative(y) * f1) < 1e-12
 
@@ -140,7 +141,7 @@ def test_rhs_mass_slope_positive(params2, canopy_profile):
         I = canopy_profile.eval(y)
         q = rng.uniform(0.05, 0.95) * I
         p = rng.uniform(0.0, 0.2)
-        _, dq = m2.rhs_reduced(y, p, q, canopy_profile, params2)
+        _, dq, _ = m2._costate_rhs(y, (p, q), canopy_profile, params2)
         assert dq > 0.0
 
 
@@ -243,8 +244,7 @@ def test_residual_decreasing_near_root(params2, const_profile):
 
 
 def test_richardson_layer_check(params2, const_profile, op2_cfg_warm):
-    cfg = op2_cfg_warm(H0_EXACT)
-    cfg.richardson = True
+    cfg = dataclasses.replace(op2_cfg_warm(H0_EXACT), richardson=True)
     st = m2.shoot_op2(const_profile, params2, cfg)
     assert st.richardson_dq < 1e-7
 
