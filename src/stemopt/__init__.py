@@ -7,8 +7,9 @@ solver independently.
 
 Importing the package registers every submodule in ``sys.modules`` without
 executing it; a submodule runs on the first access to one of its attributes,
-so a run executes only the solver stack it uses.  The public names below
-resolve to their defining module's object.
+so a run executes only the modules whose code it calls (a half-line run:
+``cli``, ``errors``, ``params``, ``kernels`` and ``spatial``).  The public
+names below resolve to their defining module's object.
 """
 
 import importlib.util
@@ -19,6 +20,7 @@ __version__ = "0.1.0"
 # submodule -> the public names the package re-exports from it
 _PUBLIC = {
     "errors": (),
+    "kernels": (),
     "numerics": (),
     "params": ("ModelParams", "Op2Config"),
     "lightfield": ("LightProfile", "RegularityReport", "check_class_F",

@@ -14,11 +14,12 @@ import math
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, equilibrium1, equilibrium2, model1, model2, spatial
+from . import __version__, equilibrium1, equilibrium2, lightfield, model1, model2, spatial
 from .errors import (
     NoArtifactsError,
     NotConvergedError,
@@ -26,7 +27,6 @@ from .errors import (
     StemOptError,
     ValidationError,
 )
-from .lightfield import LightProfile, load_tabulated_csv
 from .params import ModelParams, Op2Config
 
 SCHEMA_VERSION = 1
@@ -36,7 +36,7 @@ SCHEMA_VERSION = 1
 class Scenario:
     kind: str
     params: ModelParams
-    profile: LightProfile | None
+    profile: lightfield.LightProfile | None
     options: dict          # typed value of every option key the kind reads
     source_path: str
 
@@ -62,6 +62,15 @@ def _write_json(path: Path, obj):
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _listed(out: Path) -> dict:
+    """The outputs that the directory's manifest lists ({} without one)."""
+    try:
+        listed = json.loads((out / "manifest.json").read_text())["outputs"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+    return listed if isinstance(listed, dict) else {}
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +265,15 @@ _KINDS = {
                    equilibrium2, _run_sweep),
 }
 
-# profile kind -> (constructor taking the key values in order, keys)
+# profile kind -> (the name in `lightfield` of its constructor, which takes the
+# key values in order; keys).  Only a parse that reads a [profile] runs lightfield.
 _PROFILES = {
-    "constant": (LightProfile.constant, {"level": 1.0}),
-    "step": (LightProfile.step, {"epsilon": float, "y_jump": 1.0}),
-    "mollified-step": (LightProfile.mollified_step,
+    "constant": ("LightProfile.constant", {"level": 1.0}),
+    "step": ("LightProfile.step", {"epsilon": float, "y_jump": 1.0}),
+    "mollified-step": ("LightProfile.mollified_step",
                        {"epsilon": float, "y_jump": 1.0, "width": 0.05}),
-    "tabulated": (load_tabulated_csv, {"csv": Path}),
-    "exponential-canopy": (LightProfile.constant_rate_canopy,
+    "tabulated": ("load_tabulated_csv", {"csv": Path}),
+    "exponential-canopy": ("LightProfile.constant_rate_canopy",
                            {"rate": float, "height": float}),
 }
 
@@ -334,7 +344,7 @@ def parse_scenario(path) -> Scenario:
         if name == "tabulated":
             given["csv"] = path.parent / given["csv"]
         try:
-            profile = build(*(given[key] for key in keys))
+            profile = attrgetter(build)(lightfield)(*(given[key] for key in keys))
         except (ValueError, OSError) as exc:
             raise ValidationError(f"profile.{name}", str(exc)) from exc
     for section in cp.sections():
@@ -364,7 +374,9 @@ def parse_scenario(path) -> Scenario:
 def run(scenario: Scenario, out_dir, quiet: bool = False) -> int:
     """Execute a scenario; returns the process exit code.  The output
     directory is made and written only once the runner has returned, so a
-    run that fails leaves the filesystem as it was."""
+    run that fails leaves the filesystem as it was.  A run that succeeds
+    then removes what an earlier run left there and did not rewrite: the
+    outputs its manifest listed, and plot data."""
     try:
         files, residuals = _KINDS[scenario.kind].runner(scenario)
     except NotConvergedError as exc:
@@ -375,6 +387,9 @@ def run(scenario: Scenario, out_dir, quiet: bool = False) -> int:
               "sha256": _sha256(Path(scenario.source_path)), "kind": scenario.kind}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # plain file names only: a manifest cannot point the clean-up elsewhere
+    stale = sorted({*_listed(out), "plotdata.csv"} - {*files, "manifest.json"})
+    stale = [out / name for name in stale if Path(name).name == name]
     for name, content in files.items():
         (_write_csv if name.endswith(".csv") else _write_json)(out / name, content)
     _write_json(out / "manifest.json", {
@@ -386,6 +401,11 @@ def run(scenario: Scenario, out_dir, quiet: bool = False) -> int:
     if not quiet:
         for name in (*files, "manifest.json"):
             print(f"wrote {out / name}")
+    for path in stale:
+        if path.is_file():
+            path.unlink()
+            if not quiet:
+                print(f"removed {path}")
     return 0
 
 
@@ -397,12 +417,8 @@ def emit_plotdata(out_dir) -> Path:
     """Collect the curve artifacts that the directory's manifest lists (an
     op1, op2, eq1, eq2 or op3 run's) into a tidy long-format CSV (series, x, y)."""
     out = Path(out_dir)
-    try:
-        listed = json.loads((out / "manifest.json").read_text())["outputs"]
-    except (OSError, ValueError):
-        listed = {}
     curves = [name for name in ("shape.csv", "stem.csv", "equilibrium.csv")
-              if name in listed]
+              if name in _listed(out)]
     if not curves:
         raise NoArtifactsError(f"no curve artifacts listed in {out / 'manifest.json'}")
     rows: list[tuple[str, float, float]] = []

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import trapezoid_cumulative
 from .lightfield import LightProfile, check_uniqueness_condition
 from .model1 import phi_inverse, solve_op1
 from .numerics import (
@@ -24,7 +25,6 @@ from .numerics import (
     integrate,
     invert_sampled_monotone,
     map_blocks,
-    trapezoid_cumulative,
 )
 from .params import ModelParams
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import model2
 from .errors import NotConvergedError
+from .kernels import sorted_unique
 from .lightfield import LightProfile, check_class_F
 from .model2 import StemState2
 from .numerics import OdeProblem, integrate
@@ -38,7 +39,7 @@ def _thin_nodes(y: np.ndarray, budget: int = 1600) -> np.ndarray:
     ends = np.flatnonzero((y < lo) | (y > hi))
     mid = np.flatnonzero((y >= lo) & (y <= hi))
     k = max(1, len(mid) // budget)
-    return np.unique(np.concatenate([ends, mid[::k], [0, n - 1]]))
+    return sorted_unique(np.concatenate([ends, mid[::k], [0, n - 1]]))
 
 
 def shade_map(stem: StemState2, params: ModelParams) -> LightProfile:
@@ -140,7 +141,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
                     root_tol=max(cfg.root_tol, 1e-10), n_out=1024)
     h0 = model2.estimate_h0(params)
     # shading-rate grid, graded toward the ground where the rate is log-divergent
-    y_grid = np.unique(np.concatenate([
+    y_grid = sorted_unique(np.concatenate([
         [0.0], np.geomspace(1e-7 * h0, 0.05 * h0, 160),
         np.linspace(0.05 * h0, 2.0 * h0, 1600)]))
     rate_vals = np.zeros_like(y_grid)

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import numerics
 from .errors import NotDifferentiableError
-from .numerics import map_blocks, trapezoid_cumulative
+from .kernels import sorted_unique, trapezoid_cumulative
 from .params import ModelParams
 
 _HOLDER_C, _HOLDER_BETA = 1.0, 0.5   # class-F slope bound C * y^(-beta)
@@ -207,7 +208,7 @@ def load_tabulated_csv(path) -> LightProfile:
 def _check_grid(profile: LightProfile, y_max: float, n: int = 10_000) -> np.ndarray:
     grid = np.linspace(0.0, y_max, n)
     extra = np.asarray(profile.breakpoints, float)
-    return np.unique(np.clip(np.concatenate([grid, extra]), 0.0, y_max))
+    return sorted_unique(np.clip(np.concatenate([grid, extra]), 0.0, y_max))
 
 
 def check_uniqueness_condition(
@@ -230,10 +231,10 @@ def check_uniqueness_condition(
     if any(0.0 < d <= h_max for d in profile.discontinuities):
         return False, -math.inf
     ys = _check_grid(profile, h_max)
-    inv_i = map_blocks(lambda y: 1.0 / np.maximum(profile.eval(y), 1e-300), ys)
+    inv_i = numerics.map_blocks(lambda y: 1.0 / np.maximum(profile.eval(y), 1e-300), ys)
     cum = trapezoid_cumulative(ys, inv_i)
     del inv_i
-    lhs = map_blocks(profile.derivative, ys)
+    lhs = numerics.map_blocks(profile.derivative, ys)
     lhs *= cum
     margin = float(np.min(np.subtract(rhs, lhs, out=lhs)))
     return margin > 0.0, margin

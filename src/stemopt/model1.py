@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError, NoCandidateError, NoCrossingError
+from .kernels import _G_parts, capture_transverse, sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
-from .numerics import Bracket, find_root, sign_change_brackets, trapezoid_cumulative
+from .numerics import Bracket, find_root, sign_change_brackets
 from .params import ModelParams
 
 _THETA_CAP = 1e-9  # feedback angle never reaches pi/2; cap the search there
@@ -27,39 +28,14 @@ _FOLD_SWEEPS = 64  # passes of each fold before the final clip
 
 
 # ---------------------------------------------------------------------------
-# Capture kernel and its angle feedback
+# Capture per unit height and the angle feedback
 # ---------------------------------------------------------------------------
-
-def capture_transverse(theta, params: ModelParams):
-    """Saturated capture per unit transverse width, G(theta).
-
-    Equals (1 - exp(-kappa/cos(theta-theta0))) * cos(theta-theta0); the
-    absolute value of the cosine is used so the expression stays physical
-    (bounded by the projection width) for angles outside the reduced range.
-    """
-    th = np.asarray(theta, dtype=float)
-    c = np.abs(np.cos(th - params.theta0))
-    with np.errstate(divide="ignore", over="ignore"):
-        val = np.where(c > 0.0, -np.expm1(-params.kappa / np.maximum(c, 1e-300)) * c, 0.0)
-    return float(val) if np.isscalar(theta) or val.ndim == 0 else val
-
 
 def g_profile(theta, params: ModelParams):
     """Capture per unit height, g(theta) = G(theta) / sin(theta)."""
     th = np.asarray(theta, dtype=float)
     val = capture_transverse(th, params) / np.sin(th)
     return float(val) if np.isscalar(theta) or val.ndim == 0 else val
-
-
-def _G_parts(th, t0, k):
-    c = np.cos(th - t0)
-    s = np.sin(th - t0)
-    e = np.exp(-k / c)
-    G = -np.expm1(-k / c) * c
-    Gp = s * (k * e / c - (1.0 - e))
-    W = k * e / c - 1.0 + e
-    Gpp = c * W - k * k * s * s * e / c ** 3
-    return G, Gp, Gpp
 
 
 def F_of(theta, params: ModelParams):
@@ -410,7 +386,7 @@ def oracle_op1(profile: LightProfile, params: ModelParams,
                 local = np.clip(np.concatenate(
                     [v + d for d in np.linspace(-span, span, 9)]),
                     params.theta0, math.pi / 2)
-                local = np.unique(local)
+                local = sorted_unique(local)
         pay = payoff_piecewise_constant(v, profile, params, j_grid)
         if pay > best_pay:
             best_pay, best_v = pay, v.copy()

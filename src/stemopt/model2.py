@@ -23,6 +23,7 @@ from .errors import (
     NoBracketError,
     SingularityError,
 )
+from .kernels import sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
 from .numerics import (
     Bracket,
@@ -32,7 +33,6 @@ from .numerics import (
     quad,
     rk4_mesh,
     sign_change_brackets,
-    trapezoid_cumulative,
 )
 from .params import ModelParams, Op2Config
 
@@ -352,7 +352,7 @@ def output_mesh(nodes: np.ndarray, h: float, eps: float, n_out: int) -> np.ndarr
     digits there)."""
     uniform = np.linspace(0.0, h - eps, n_out + 1)
     tau = np.geomspace(2.0 * eps, 0.5 * h, 320)
-    return np.unique(np.concatenate([nodes, uniform, h - tau]))
+    return sorted_unique(np.concatenate([nodes, uniform, h - tau]))
 
 
 def assemble_state(h, y_all, p, q, z, I, params: ModelParams,

@@ -20,6 +20,7 @@ from .errors import (
     NoSignChangeError,
     StepUnderflowError,
 )
+from .kernels import trapezoid_cumulative  # noqa: F401  (still importable from here)
 
 _EPS = np.finfo(float).eps
 
@@ -399,19 +400,6 @@ def quad(
     if sing_b:
         total += _graded_wing(f, b, hi, tol, max_levels)
     return total
-
-
-def trapezoid_cumulative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of samples y(x); result[0] = 0."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros_like(x)
-    # 0.5 * (y[1:] + y[:-1]) * diff(x), in two arrays instead of four
-    area = y[1:] + y[:-1]
-    area *= 0.5
-    area *= np.subtract(x[1:], x[:-1], out=out[1:])
-    np.cumsum(area, out=out[1:])
-    return out
 
 
 def map_blocks(fn, x) -> np.ndarray:

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lightfield import LightProfile
-from .model1 import _G_parts, capture_transverse
-from .numerics import trapezoid_cumulative
+from .kernels import _G_parts, capture_transverse, trapezoid_cumulative
 from .params import ModelParams
+
+if TYPE_CHECKING:
+    from .lightfield import LightProfile
 
 _DENSITY_CAP = 1e4   # deposited density where the stem map focuses is capped here
 _SMOOTH_PASSES = 2   # binomial blur passes over the splatted density

@@ -246,39 +246,80 @@ def test_parse_rejects_wrong_schema(tmp_path):
         cli.parse_scenario(_write(tmp_path, bad))
 
 
-# the modules a parse executes: the CLI's own, then the kind's solver stack
-_CLI_MODULES = {"cli", "errors", "lightfield", "numerics", "params"}
-_SOLVER_STACKS = {"op1": {"model1"}, "eq1": {"model1", "equilibrium1"},
-                  "op2": {"model2"}, "eq2": {"model2", "equilibrium2"},
-                  "sweep": {"model2", "equilibrium2"}, "op3": {"model1", "spatial"},
-                  "halfline": {"model1", "spatial"}}
+# the modules that loading the CLI executes, and those a parse adds: the
+# kind's solver stack
+_CLI_MODULES = {"cli", "errors", "params"}
+_FIXED_LENGTH = {"kernels", "lightfield", "numerics", "model1"}
+_FREE_LENGTH = {"kernels", "lightfield", "numerics", "model2"}
+_SOLVER_STACKS = {"op1": _FIXED_LENGTH, "eq1": _FIXED_LENGTH | {"equilibrium1"},
+                  "op2": _FREE_LENGTH, "eq2": _FREE_LENGTH | {"equilibrium2"},
+                  "sweep": _FREE_LENGTH | {"equilibrium2"},
+                  "op3": {"kernels", "spatial", "lightfield"},
+                  "halfline": {"kernels", "spatial"}}
 _PROBE = """\
 import json, sys, types
 import stemopt
 registered = sorted(n for n in sys.modules if n.startswith("stemopt."))
-from stemopt import cli
-cli.parse_scenario(sys.argv[1])
-executed = sorted(n for n, m in sys.modules.items()
+
+
+def executed():
+    return sorted(n for n, m in sys.modules.items()
                   if n.startswith("stemopt.") and type(m) is types.ModuleType)
-print(json.dumps([registered, executed]))
+
+
+from stemopt import cli
+parse = cli.parse_scenario   # the first attribute access executes cli
+imported = executed()
+scenario = parse(sys.argv[1])
+parsed = executed()
+code = cli.run(scenario, sys.argv[2], quiet=True) if len(sys.argv) > 2 else None
+print(json.dumps({"registered": registered, "import": imported, "parse": parsed,
+                  "run": executed(), "code": code,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
+
+
+def _probe(tmp_path, kind, options, *out):
+    """What a fresh interpreter executes when it imports the CLI, parses a
+    `kind` scenario and, given an output directory, runs it."""
+    package = Path(stemopt.__file__).parent
+    path = _write(tmp_path, _scenario(kind, options))
+    done = subprocess.run([sys.executable, "-c", _PROBE, str(path), *map(str, out)],
+                          check=True, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(package.parent)})
+    return json.loads(done.stdout)
+
+
+def _modules(names):
+    return sorted(f"stemopt.{m}" for m in names)
 
 
 @pytest.mark.parametrize("kind", sorted(cli._KINDS))
 def test_parse_executes_only_the_kinds_modules(tmp_path, kind):
     """In a fresh interpreter, `import stemopt` registers every submodule (the
-    benchmark tracer looks each one up) and a parse executes exactly the
-    modules its kind runs."""
+    benchmark tracer looks each one up), loading the CLI executes only the
+    CLI's own modules and a parse adds exactly the modules its kind runs."""
     options = {s: _required(keys) for s, keys in cli._KINDS[kind].options.items()}
-    path = _write(tmp_path, _scenario(kind, options))
+    probe = _probe(tmp_path, kind, options)
     package = Path(stemopt.__file__).parent
-    done = subprocess.run([sys.executable, "-c", _PROBE, str(path)], check=True,
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(package.parent)})
-    registered, executed = json.loads(done.stdout)
     submodules = {p.stem for p in package.glob("*.py")} - {"__init__", "__main__"}
-    assert registered == sorted(f"stemopt.{m}" for m in submodules)
-    assert executed == sorted(f"stemopt.{m}" for m in _CLI_MODULES | _SOLVER_STACKS[kind])
+    assert probe["registered"] == _modules(submodules)
+    assert probe["import"] == _modules(_CLI_MODULES)
+    assert probe["parse"] == _modules(_CLI_MODULES | _SOLVER_STACKS[kind])
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("eq1", {}),
+    ("op3", {"op3": {"nx": "8", "ny": "64"}}),
+    ("halfline", {"halfline": {"n_stems": "3", "iterations": "1", "grid": "16"}}),
+])
+def test_run_executes_no_module_the_parse_did_not(tmp_path, kind, options):
+    """A run executes no stemopt module beyond those its parse executed, so
+    the parse pays for every import, and it never imports numpy.ma."""
+    probe = _probe(tmp_path, kind, options, tmp_path / "out")
+    assert probe["code"] == 0
+    assert probe["run"] == probe["parse"] == _modules(_CLI_MODULES | _SOLVER_STACKS[kind])
+    assert not probe["numpy.ma"]
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +467,29 @@ def test_interrupted_run_leaves_no_directory(tmp_path, monkeypatch):
     with pytest.raises(KeyboardInterrupt):
         cli.run(scenario, tmp_path / "runs" / "out", quiet=True)
     assert not (tmp_path / "runs").exists()
+
+
+def test_run_removes_only_what_an_earlier_run_left(tmp_path, capsys):
+    """A successful run removes the outputs the previous manifest listed and
+    it did not rewrite, and earlier plot data; a file the user put in the
+    directory survives."""
+    out = tmp_path / "out"
+    op3 = _write(tmp_path, _scenario("op3", {"op3": {"nx": "8", "ny": "64"}}), "op3.ini")
+    assert cli.main(["--scenario", str(op3), "--out", str(out), "--quiet",
+                     "--plotdata"]) == 0
+    (out / "notes.txt").write_text("mine\n")
+    assert {p.name for p in out.iterdir()} == {"stem.csv", "summary.json", "manifest.json",
+                                               "plotdata.csv", "notes.txt"}
+    eq1 = _write(tmp_path, _scenario("eq1", {}), "eq1.ini")
+    assert cli.main(["--scenario", str(eq1), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"equilibrium.csv", "summary.json"}
+    assert {p.name for p in out.iterdir()} == {*manifest["outputs"], "manifest.json",
+                                               "notes.txt"}
+    assert (out / "notes.txt").read_text() == "mine\n"
+    removed = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("removed")]
+    assert removed == [f"removed {out / 'plotdata.csv'}", f"removed {out / 'stem.csv'}"]
 
 
 def test_run_op2_artifacts(tmp_path):
@@ -662,5 +726,5 @@ def test_plotdata_reads_only_the_outputs_the_manifest_lists(tmp_path):
     for out in (fresh, reused):
         assert cli.main(["--scenario", str(_write(tmp_path, eq1, "eq1.ini")),
                          "--out", str(out), "--quiet", "--plotdata"]) == 0
-    assert (reused / "stem.csv").exists()   # the op3 run's, not in the manifest
+    assert not (reused / "stem.csv").exists()   # the op3 run's, removed by eq1's
     assert (reused / "plotdata.csv").read_bytes() == (fresh / "plotdata.csv").read_bytes()
