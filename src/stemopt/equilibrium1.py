@@ -18,10 +18,10 @@ from .kernels import trapezoid_cumulative
 from .lightfield import LightProfile, check_uniqueness_condition
 from .model1 import phi_inverse, solve_op1
 from .numerics import (
-    Bracket,
     OdeProblem,
     Trajectory,
-    find_root,
+    _simpson_weights,
+    find_roots,
     integrate,
     invert_sampled_monotone,
     map_blocks,
@@ -101,18 +101,11 @@ def solve_equilibrium1(params: ModelParams,
         n = 2048
         ts = np.linspace(-h, 0.0, n + 1)
         th = theta_hat_at(traj, ts, params)
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(np.sum(w / np.sin(th)) * h / (3.0 * n)) - ell
+        return float(np.sum(_simpson_weights(n) / np.sin(th)) * h / (3.0 * n)) - ell
 
-    lo = max(1e-12, 0.98 * h_guess)
-    hi = min(ell, 1.02 * h_guess)
-    f_lo, f_hi = length_resid(lo), length_resid(hi)
-    if f_lo * f_hi > 0:
-        lo, hi = 1e-12, ell
-        f_lo, f_hi = length_resid(lo), length_resid(hi)
-    h_star = find_root(length_resid, Bracket(lo, hi, f_lo, f_hi), tol=1e-13)
+    ranges = ((max(1e-12, 0.98 * h_guess), min(ell, 1.02 * h_guess)), (1e-12, ell))
+    h_star = find_roots(length_resid, 1e-13, (
+        [([lo, hi], [length_resid(lo), length_resid(hi)])] for lo, hi in ranges))[0]
 
     y = np.linspace(0.0, h_star, _N_GRID + 1)
     theta_star = theta_hat_at(traj, y - h_star, params)

@@ -40,16 +40,12 @@ class SingularityError(StemOptError):
     """Reduced costate system evaluated at its blow-up locus q = I."""
 
 
-class NoCandidateError(StemOptError):
-    """Length equation produced no root bracket."""
-
-
 class NoCrossingError(StemOptError):
     """Payoff-equality bisection found no sign change."""
 
 
 class NoBracketError(StemOptError):
-    """Shooting residual has no sign change over the scanned height range."""
+    """A scanned residual has no sign change over its sampled range."""
 
 
 class BudgetExceededError(StemOptError):

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, NoCandidateError, NoCrossingError
+from .errors import BudgetExceededError, DomainError, NoCrossingError
 from .kernels import _G_parts, capture_transverse, sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
-from .numerics import Bracket, find_root, sign_change_brackets
+from .numerics import Bracket, _simpson_weights, bracket, find_root, find_roots
 from .params import ModelParams
 
 _THETA_CAP = 1e-9  # feedback angle never reaches pi/2; cap the search there
@@ -258,10 +258,7 @@ def _simpson_piece(a: float, b: float, n_min: int, density: float):
     n = max(n_min, int(math.ceil((b - a) * density)))
     n += n % 2
     ys = np.linspace(a, b, n + 1)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return ys, w * (b - a) / (3.0 * n)
+    return ys, _simpson_weights(n) * (b - a) / (3.0 * n)
 
 
 def _length_and_payoff(h: float, profile: LightProfile, params: ModelParams,
@@ -286,7 +283,7 @@ def solve_op1(profile: LightProfile, params: ModelParams,
     piece of the profile (steep or discontinuous profiles admit several
     roots), refines each by Brent, and evaluates payoffs to order the
     candidates.  Ties are returned in ascending height order for the caller
-    to break.
+    to break.  Raises NoBracketError when no piece changes sign.
     """
     ell = params.ell
     scan_density = max(256.0 / ell, scan_samples / ell * 0.25)
@@ -295,10 +292,10 @@ def solve_op1(profile: LightProfile, params: ModelParams,
     def resid(h, density=scan_density):
         return _length_and_payoff(h, profile, params, density)[0] - ell
 
-    roots: list[float] = []
     lo_all = 1e-9 * ell
     cuts = [d for d in profile.discontinuities if lo_all < d < ell]
     bounds = [lo_all] + sorted(cuts) + [ell]
+    pieces = []
     for (a, b) in zip(bounds[:-1], bounds[1:]):
         a_in = a + 1e-9 * ell
         b_in = b - 1e-9 * ell if b < ell else b
@@ -306,12 +303,8 @@ def solve_op1(profile: LightProfile, params: ModelParams,
             continue
         n_samp = max(64, int(scan_samples * (b_in - a_in) / ell))
         hs = np.linspace(a_in, b_in, n_samp)
-        fs = np.array([resid(float(h)) for h in hs])
-        roots += [find_root(lambda h: resid(h, fine_density), brk,
-                            tol=1e-13 * max(1.0, ell))
-                  for brk in sign_change_brackets(hs, fs)]
-    if not roots:
-        raise NoCandidateError("length equation has no root bracket on ]0, ell]")
+        pieces.append((hs, np.array([resid(float(h)) for h in hs])))
+    roots = find_roots(lambda h: resid(h, fine_density), 1e-13 * max(1.0, ell), [pieces])
 
     shapes: list[StemShape1] = []
     for h in roots:
@@ -437,9 +430,7 @@ def find_nonuniqueness_epsilon(params: ModelParams) -> NonUniqueness:
     def tall_margin(eps):
         return math.sin(alpha_of(eps)) - y_jump / ell
 
-    eps_one = find_root(tall_margin, Bracket(1e-9, 1.0 - 1e-12,
-                                             tall_margin(1e-9),
-                                             tall_margin(1.0 - 1e-12)), tol=1e-14)
+    eps_one = find_root(tall_margin, bracket(tall_margin, 1e-9, 1.0 - 1e-12), tol=1e-14)
 
     def gap(eps):
         return s_high(eps) - s_low(eps)

@@ -20,19 +20,18 @@ import numpy as np
 from .errors import (
     DegenerateDenominatorError,
     DomainError,
-    NoBracketError,
     SingularityError,
 )
 from .kernels import sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
 from .numerics import (
-    Bracket,
     OdeProblem,
+    bracket,
     find_root,
+    find_roots,
     integrate,
     quad,
     rk4_mesh,
-    sign_change_brackets,
 )
 from .params import ModelParams, Op2Config
 
@@ -297,33 +296,22 @@ def estimate_h0(params: ModelParams) -> float:
 def _shoot_tip_height(residual, scan, finalize, h0: float, cfg: Op2Config):
     """Shared tip-height shooting driver; returns (best state, all roots).
 
-    Tries the warm bracket `cfg.h_bracket` with `residual(h, rtol)` at the
-    scan tolerance, else samples the batched `scan(hs)` on [1e-3, 3]*h0 and
-    brackets every sign change.  Brent refines each bracket at `cfg.rtol`,
+    The stages of `numerics.find_roots` are the warm bracket `cfg.h_bracket`,
+    evaluated by `residual(h, rtol)` at the scan tolerance, then the batched
+    `scan(hs)` on [1e-3, 3]*h0.  Brent refines each bracket at `cfg.rtol`,
     `finalize(h)` builds a state per root, and the best payoff wins (first
     one on ties).
     """
-    brackets: list[Bracket] = []
-    if cfg.h_bracket is not None:
-        lo, hi = cfg.h_bracket
-        f_lo = residual(lo, _SCAN_RTOL)
-        f_hi = residual(hi, _SCAN_RTOL)
-        if f_lo * f_hi <= 0.0:
-            brackets.append(Bracket(lo, hi, f_lo, f_hi))
-    if not brackets:
+    def stages():
+        if cfg.h_bracket is not None:
+            lo, hi = cfg.h_bracket
+            yield [([lo, hi], [residual(lo, _SCAN_RTOL), residual(hi, _SCAN_RTOL)])]
         hs = np.linspace(max(1e-3 * h0, 1e-9), 3.0 * h0, cfg.scan_samples)
-        fs = scan(hs)
-        brackets = sign_change_brackets(hs, fs)
-        if not brackets:
-            raise NoBracketError(
-                f"ground residual has no sign change for h in [{hs[0]:.6g}, "
-                f"{hs[-1]:.6g}] ({len(hs)} samples): f(lo)={fs[0]:.3e}, "
-                f"f(hi)={fs[-1]:.3e}, min {np.min(fs):.3e}, max {np.max(fs):.3e}")
+        yield [(hs, scan(hs))]
 
-    roots = [find_root(lambda h: residual(h, cfg.rtol), brk, tol=cfg.root_tol)
-             for brk in brackets]
+    roots = find_roots(lambda h: residual(h, cfg.rtol), cfg.root_tol, stages())
     states = [finalize(h) for h in roots]
-    return max(states, key=lambda s: s.payoff), [float(h) for h in roots]
+    return max(states, key=lambda s: s.payoff), roots
 
 
 def shoot_op2(profile: LightProfile, params: ModelParams,
@@ -420,8 +408,7 @@ def closed_form_q(y, h: float, params: ModelParams):
     for yy in np.atleast_1d(np.asarray(y, dtype=float)):
         target = h - yy
         f = lambda qv: depth(qv) - target
-        out.append(find_root(f, Bracket(0.0, 1.0, f(0.0), f(1.0)),
-                             tol=_CLOSED_FORM_TOL))
+        out.append(find_root(f, bracket(f, 0.0, 1.0), tol=_CLOSED_FORM_TOL))
     return np.array(out) if np.asarray(y).ndim else float(out[0])
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     MaxIterationsError,
+    NoBracketError,
     NonFiniteError,
     NoSignChangeError,
     StepUnderflowError,
@@ -125,12 +126,33 @@ def sign_change_brackets(xs, fs) -> list[Bracket]:
     """Every sign-change bracket [xs[i], xs[i+1]] of a sampled function.
 
     A sample that is exactly zero opens a bracket of its own, which Brent
-    returns at once.  Used when the residual may have several roots and a
-    single Brent call is not enough.
+    returns at once; a zero at the last sample opens the interval before it.
     """
+    last = len(xs) - 2
     return [Bracket(float(xs[i]), float(xs[i + 1]), float(fs[i]), float(fs[i + 1]))
             for i in range(len(xs) - 1)
-            if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0]
+            if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0
+            or (i == last and fs[i + 1] == 0.0)]
+
+
+def find_roots(refine: Callable[[float], float], tol: float, stages) -> list[float]:
+    """Every root bracketed by the first stage of a scan that changes sign.
+
+    `stages` is a lazy iterable of stages, each a list of sampled pieces
+    (xs, fs), bracketed piece by piece so that no bracket spans a jump; later
+    stages are not evaluated.  Brent refines each bracket on `refine` at
+    `tol`.  Returns the roots in ascending order, or raises NoBracketError
+    with the last stage's range, sample count and sampled values.
+    """
+    for stage in stages:
+        brackets = [brk for xs, fs in stage for brk in sign_change_brackets(xs, fs)]
+        if brackets:
+            return sorted(find_root(refine, brk, tol=tol) for brk in brackets)
+        xs, fs = (np.concatenate(part) for part in zip(*stage))
+    raise NoBracketError(
+        f"residual has no sign change on [{xs[0]:.6g}, {xs[-1]:.6g}] "
+        f"({len(xs)} samples): f(lo)={fs[0]:.3e}, f(hi)={fs[-1]:.3e}, "
+        f"min {np.min(fs):.3e}, max {np.max(fs):.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +321,14 @@ def rk4_mesh(slope, mesh: np.ndarray, y0: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Quadrature
 # ---------------------------------------------------------------------------
+
+def _simpson_weights(n: int) -> np.ndarray:
+    """Unscaled composite Simpson weights 1, 4, 2, ..., 2, 4, 1 on n cells."""
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
 
 def _simpson_adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
     m = 0.5 * (a + b)

@@ -190,3 +190,16 @@ def test_package_names_resolve_to_their_defining_modules():
     assert set(stemopt.__all__) <= set(star)
     with pytest.raises(AttributeError, match="no_such_name"):
         getattr(stemopt, "no_such_name")
+
+
+def test_only_numerics_brackets_a_scan():
+    # the height scans of op1, op2, eq1 and eq2 all go through
+    # numerics.find_roots; a solver that brackets its own samples again
+    # would be a fourth scan loop
+    callers = sorted(
+        path.stem for path, tree in _trees(SRC).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == "sign_change_brackets"
+             or getattr(node.func, "attr", None) == "sign_change_brackets"))
+    assert set(callers) == {"numerics"}, callers

@@ -111,6 +111,16 @@ def test_former_runaway_draw():
     assert rep.residual_map <= 1e-6
 
 
+def test_height_falls_back_to_whole_range(eq_01, monkeypatch):
+    # a guess 30 % low leaves the root outside the +-2 % stage, so the
+    # height comes from the second stage, Brent on ]0, ell]
+    invert = e1.invert_sampled_monotone
+    monkeypatch.setattr(e1, "invert_sampled_monotone",
+                        lambda *args: 0.7 * invert(*args))
+    res = e1.solve_equilibrium1(_params(0.1), run_refit=False)
+    assert abs(res.h_star - eq_01.h_star) <= 1e-12
+
+
 def test_perturbation_detector(eq_01):
     res = eq_01
     params = _params(0.1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stemopt import numerics as nx
-from stemopt.errors import NoSignChangeError, NonFiniteError
+from stemopt.errors import NoBracketError, NoSignChangeError, NonFiniteError
 from stemopt.model1 import F_of
 from stemopt.params import ModelParams
 
@@ -55,6 +55,95 @@ def test_root_no_sign_change():
     f = lambda x: x * x + 1.0
     with pytest.raises(NoSignChangeError):
         nx.bracket(f, -1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# sign_change_brackets and find_roots
+# ---------------------------------------------------------------------------
+
+def _spans(brackets):
+    return [(b.lo, b.hi) for b in brackets]
+
+
+def test_brackets_interior_zero():
+    assert _spans(nx.sign_change_brackets([0, 1, 2], [1.0, 0.0, 1.0])) == [(1.0, 2.0)]
+
+
+def test_brackets_zero_at_first_sample():
+    assert _spans(nx.sign_change_brackets([0, 1, 2], [0.0, 1.0, 2.0])) == [(0.0, 1.0)]
+
+
+def test_brackets_zero_at_last_sample():
+    assert _spans(nx.sign_change_brackets([0, 1], [1.0, 0.0])) == [(0.0, 1.0)]
+    assert _spans(nx.sign_change_brackets([0, 1, 2], [2.0, 1.0, 0.0])) == [(1.0, 2.0)]
+    roots = [nx.find_root(lambda x: 1.0 - x, brk)
+             for brk in nx.sign_change_brackets([0, 1], [1.0, 0.0])]
+    assert roots == [1.0]
+
+
+def test_brackets_no_double_count_at_interior_zero():
+    # a zero between a sign change opens one bracket, not two
+    assert _spans(nx.sign_change_brackets([0, 1, 2], [-1.0, 0.0, 1.0])) == [(1.0, 2.0)]
+    assert _spans(nx.sign_change_brackets([0, 1, 2, 3], [1.0, 0.0, 0.0, 1.0])) == \
+        [(1.0, 2.0), (2.0, 3.0)]
+
+
+class _Counting:
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def _stage(f, *ranges, n=11):
+    return [(xs, np.array([f(x) for x in xs]))
+            for xs in (np.linspace(a, b, n) for a, b in ranges)]
+
+
+def test_find_roots_later_stage_not_evaluated():
+    f = lambda x: x - 0.3
+    later = _Counting(lambda x: x - 2.5)
+
+    def stages():
+        yield _stage(f, (0.0, 1.0))
+        yield _stage(later, (2.0, 3.0))
+
+    assert nx.find_roots(f, 1e-14, stages()) == pytest.approx([0.3], abs=1e-14)
+    assert later.calls == 0
+
+
+def test_find_roots_falls_through_to_later_stage():
+    f = lambda x: x - 2.5
+    roots = nx.find_roots(f, 1e-14, iter([_stage(f, (0.0, 1.0)), _stage(f, (2.0, 3.0))]))
+    assert roots == pytest.approx([2.5], abs=1e-14)
+
+
+def test_find_roots_no_bracket_spans_two_pieces():
+    # a jump at x = 1 changes sign between the pieces but not inside either
+    f = lambda x: 1.0 if x < 1.0 else -1.0
+    with pytest.raises(NoBracketError):
+        nx.find_roots(f, 1e-12, [_stage(f, (0.0, 0.999), (1.0, 2.0))])
+
+
+def test_find_roots_ascending_across_pieces():
+    f = lambda x: math.sin(math.pi * x)
+    # pieces listed out of order: the root 3 is bracketed before the root 1
+    stage = _stage(f, (2.2, 3.8), (0.2, 1.8))
+    assert nx.find_roots(f, 1e-14, [stage]) == pytest.approx([1.0, 3.0], abs=1e-12)
+
+
+def test_find_roots_reports_last_stage():
+    f = lambda x: x * x + 1.0
+    with pytest.raises(NoBracketError) as err:
+        nx.find_roots(f, 1e-12, iter([_stage(f, (5.0, 6.0)),
+                                      _stage(f, (-1.0, 1.0), (1.0, 2.0), n=5)]))
+    msg = str(err.value)
+    assert "[-1, 2]" in msg
+    assert "(10 samples)" in msg
+    assert f"f(lo)={2.0:.3e}" in msg and f"f(hi)={5.0:.3e}" in msg
+    assert f"min {1.0:.3e}" in msg and f"max {5.0:.3e}" in msg
 
 
 # ---------------------------------------------------------------------------
