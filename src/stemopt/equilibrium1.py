@@ -23,8 +23,6 @@ from .numerics import (
     _simpson_weights,
     find_roots,
     integrate,
-    invert_sampled_monotone,
-    map_blocks,
 )
 from .params import ModelParams
 
@@ -87,25 +85,18 @@ def solve_equilibrium1(params: ModelParams,
     ell = params.ell
     traj = solve_bcp(params)
 
-    # cumulative stem length from the tip; strictly increasing in depth.
-    # The dense angles are evaluated in blocks: their sampling and Newton
-    # temporaries would otherwise dominate the solve's memory.
-    n_cum = 8 * _N_GRID + 1
-    t_dense = np.linspace(0.0, -ell, n_cum)
-    th_dense = map_blocks(lambda t: theta_hat_at(traj, t, params), t_dense)
-    depth = -t_dense
-    cum_len = trapezoid_cumulative(depth, 1.0 / np.sin(th_dense))
-    h_guess = invert_sampled_monotone(depth, cum_len, ell)
-
+    # stem length L(h) from the tip down to depth h is strictly increasing,
+    # its integrand 1/sin(theta) being positive, so ]0, ell] brackets the
+    # one root of L(h) = ell
     def length_resid(h):
         n = 2048
         ts = np.linspace(-h, 0.0, n + 1)
         th = theta_hat_at(traj, ts, params)
         return float(np.sum(_simpson_weights(n) / np.sin(th)) * h / (3.0 * n)) - ell
 
-    ranges = ((max(1e-12, 0.98 * h_guess), min(ell, 1.02 * h_guess)), (1e-12, ell))
-    h_star = find_roots(length_resid, 1e-13, (
-        [([lo, hi], [length_resid(lo), length_resid(hi)])] for lo, hi in ranges))[0]
+    lo, hi = 1e-12, ell
+    h_star = find_roots(length_resid, 1e-13,
+                        [[([lo, hi], [length_resid(lo), length_resid(hi)])]])[0]
 
     y = np.linspace(0.0, h_star, _N_GRID + 1)
     theta_star = theta_hat_at(traj, y - h_star, params)

@@ -18,7 +18,6 @@ from .errors import NotConvergedError
 from .kernels import sorted_unique
 from .lightfield import LightProfile, check_class_F
 from .model2 import StemState2
-from .numerics import OdeProblem, integrate
 from .params import ModelParams, Op2Config
 
 _Q_CUT = 1e-6   # drop nodes where q/I is residual noise when building shade rates
@@ -209,68 +208,20 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
 # Direct shooting of the coupled system
 # ---------------------------------------------------------------------------
 
-def _coupled_rhs(params: ModelParams):
-    d0 = params.rho0 / math.cos(params.theta0)
-
-    def rhs(y, s):
-        p, q, z, I = s[0], s[1], s[2], max(s[3], 1e-9)
-        f1, f2, z_slope = model2._rhs_terms(I, p, q, params)
-        f3 = -d0 * I * z_slope
-        return np.array([-f3 * f1, f2, z_slope, f3])
-
-    return rhs
-
-
-def _coupled_residual(h, params, cfg: Op2Config, rtol):
-    eps = cfg.epsilon_rel * h
-    p0, q0 = model2.seed_terminal_layer(h, LightProfile.constant(1.0), params, eps)
-    z0 = model2.z_first_integral(1.0, p0, q0, params)
-    problem = OdeProblem(4, _coupled_rhs(params))
-    traj = integrate(problem, (h - eps, 0.0), [p0, q0, z0, 1.0],
-                     rtol=rtol, atol=cfg.atol)
-    return float(traj.y[-1, 1]), traj
-
-
-def _coupled_scan(hs, params: ModelParams, cfg: Op2Config) -> np.ndarray:
-    """Vectorized ground residuals of the coupled system over many heights."""
-    d0 = params.rho0 / math.cos(params.theta0)
-
-    def slope(Y):
-        I = np.maximum(Y[:, 3], 1e-12)
-        f1, f2, zs = model2._rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
-        f3 = -d0 * I * zs
-        return np.stack([-f3 * f1, f2, zs, f3], axis=1)
-
-    return model2.residual_batch(hs, LightProfile.constant(1.0), params,
-                                 eps_rel=cfg.epsilon_rel, coupled_slope=slope)
-
-
 def solve_equilibrium_direct(params: ModelParams,
                              verify: bool = True) -> Equilibrium2Result:
     """Shoot the coupled (p, q, z, I) system backward from the stem tip.
 
     Terminal values p=0, q=I=1 hold at the unknown height h; the ground
-    residual is again the mass costate.  The equilibrium profile is the
-    shade cast by the solved stem; the verification compares it against the
-    integrated intensity component.
+    residual is again the mass costate.  The stem is `model2.shoot_op2`
+    under the stems' own shade (`profile=None`).  The equilibrium profile is
+    the shade cast by the solved stem; the verification compares it against
+    the integrated intensity component.
     """
-    cfg = Op2Config()
-    h0 = model2.estimate_h0(params)
-
-    def finalize(h):
-        resid, traj = _coupled_residual(h, params, cfg, rtol=cfg.rtol)
-        eps = cfg.epsilon_rel * h
-        y_all = model2.output_mesh(traj.t[::-1], h, eps, cfg.n_out)
-        samp = traj.sample(y_all)
-        I_arr = np.clip(samp[:, 3], 1e-12, 1.0)
-        return model2.assemble_state(h, y_all, samp[:, 0], samp[:, 1],
-                                     samp[:, 2], I_arr, params, eps, resid)
-
-    stem, roots = model2._shoot_tip_height(
-        lambda h, rtol: _coupled_residual(h, params, cfg, rtol=rtol)[0],
-        lambda hs: _coupled_scan(hs, params, cfg), finalize, h0, cfg)
+    stem = model2.shoot_op2(None, params)
+    roots = stem.h_candidates
     profile = shade_map(stem, params)
-    report = check_class_F(profile, y_max=2.0 * h0)
+    report = check_class_F(profile, y_max=2.0 * model2.estimate_h0(params))
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="direct_shooting", iterations=1,
         residual_map=math.nan, residual_refit=math.nan, h=stem.h,

@@ -178,13 +178,9 @@ class RegularityReport:
     """Outcome of the canopy-regularity membership check."""
 
     delta: float                 # 1 - I(0)
-    holder_ok: bool              # I'(y) <= C * y^(-beta) a.e.
+    in_class: bool               # I'(y) <= C * y^(-beta) a.e.
     worst_margin: float          # min over grid of C*y^(-beta) - I'(y)
     worst_y: float
-
-    @property
-    def in_class(self) -> bool:
-        return self.holder_ok
 
 
 def load_tabulated_csv(path) -> LightProfile:
@@ -261,7 +257,7 @@ def check_class_F(
     i_worst = int(np.argmin(margins))
     return RegularityReport(
         delta=float(delta),
-        holder_ok=bool(margins[i_worst] >= 0.0),
+        in_class=bool(margins[i_worst] >= 0.0),
         worst_margin=float(margins[i_worst]),
         worst_y=float(ys[i_worst]),
     )

@@ -7,7 +7,9 @@ for the costate pair: terminal values are known at the unknown tip height h,
 and the mass costate must vanish at the ground.  The right side blows up
 with an integrable power at the tip, so integration starts from a small
 offset with an asymptotic seed and the tip height is found by root-finding
-on the ground residual.
+on the ground residual.  The same shot solves the coupled equilibrium
+system, where the light is the stems' own shade, integrated as a fourth
+state from full light at the tip (`profile=None`).
 """
 
 from __future__ import annotations
@@ -157,9 +159,23 @@ def _rhs_terms_vec(I, p, q, params: ModelParams):
     return f1, f2, z_slope
 
 
-def _costate_rhs(y, s, profile: LightProfile, params: ModelParams):
-    """Height-parameterized slopes (p', q', z') of the state s = (p, q, z)."""
-    f1, f2, zs = _rhs_terms(profile.eval(y), s[0], s[1], params)
+def _self_shade_slope(I, z_slope, params: ModelParams):
+    """dI/dy of the light the stems cast on themselves at density rho0."""
+    return -params.rho0 / math.cos(params.theta0) * I * z_slope
+
+
+def _costate_rhs(y, s, profile: LightProfile | None, params: ModelParams):
+    """Height-parameterized slopes (p', q', z') of the state s = (p, q, z).
+
+    With `profile=None` the light is the stems' own shade at `params.rho0`,
+    carried as a fourth state I and floored at 1e-9; the slopes are then
+    (p', q', z', I').
+    """
+    I = max(s[3], 1e-9) if profile is None else profile.eval(y)
+    f1, f2, zs = _rhs_terms(I, s[0], s[1], params)
+    if profile is None:
+        dI = _self_shade_slope(I, zs, params)
+        return np.array([-dI * f1, f2, zs, dI])
     return np.array([-profile.derivative(y) * f1, f2, zs])
 
 
@@ -176,14 +192,20 @@ def layer_constant(params: ModelParams, I_h: float = 1.0) -> float:
     return base ** (a / (2.0 - a))
 
 
-def seed_terminal_layer(h: float, profile: LightProfile, params: ModelParams,
-                        epsilon: float):
+def _tip_light(h, profile: LightProfile | None):
+    """I(h); the stems' own shade (`profile=None`) leaves the tip in full light."""
+    return 1.0 if profile is None else profile.eval(h)
+
+
+def seed_terminal_layer(h: float, profile: LightProfile | None,
+                        params: ModelParams, epsilon: float):
     """Asymptotic start values (p, q) at y = h - epsilon.
 
     The mass costate leaves its terminal value with a known fractional power;
-    the height costate is higher order and starts at zero.
+    the height costate is higher order and starts at zero.  `profile=None`
+    stands for the stems' own shade, which is 1 at the tip.
     """
-    I_h = profile.eval(h)
+    I_h = _tip_light(h, profile)
     K = layer_constant(params, I_h)
     e = K * epsilon ** (params.alpha / (2.0 - params.alpha))
     if e >= 0.5:
@@ -192,9 +214,11 @@ def seed_terminal_layer(h: float, profile: LightProfile, params: ModelParams,
 
 
 def _seed_state(h, profile, params, epsilon):
+    """(p, q, z) at y = h - epsilon, and I = 1 for the stems' own shade."""
     p0, q0 = seed_terminal_layer(h, profile, params, epsilon)
-    z0 = z_first_integral(profile.eval(h), p0, q0, params)
-    return np.array([p0, q0, z0])
+    I_h = _tip_light(h, profile)
+    z0 = z_first_integral(I_h, p0, q0, params)
+    return np.array([p0, q0, z0] if profile is not None else [p0, q0, z0, I_h])
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +258,7 @@ def _shoot_once(h, profile, params, cfg: Op2Config, rtol):
     def rhs(y, s):   # a closure here, so that perfbench names it model2.rhs
         return _costate_rhs(y, s, profile, params)
 
-    problem = OdeProblem(3, rhs)
+    problem = OdeProblem(len(state0), rhs)
     return integrate(problem, (h - eps, 0.0), state0, rtol=rtol, atol=cfg.atol)
 
 
@@ -250,15 +274,15 @@ def _graded_sigma(n_layer: int = 64, n_main: int = 384) -> np.ndarray:
     return np.concatenate([[0.0], layer, main])
 
 
-def residual_batch(hs, profile: LightProfile, params: ModelParams,
-                   eps_rel: float = 1e-6, coupled_slope=None) -> np.ndarray:
+def residual_batch(hs, profile: LightProfile | None, params: ModelParams,
+                   eps_rel: float) -> np.ndarray:
     """Ground residual q(0, h) for many tip heights in one vectorized sweep.
 
     Fixed-step RK4 in the scaled coordinate sigma = (h - eps - y)/(h - eps)
     on a tip-graded mesh; accuracy is ample for locating sign changes, which
-    Brent then refines with the adaptive integrator.  `coupled_slope(Y)`
-    gives the slopes of a system that carries the intensity as a fourth
-    state column, started at I(h) (the coupled equilibrium system).
+    Brent then refines with the adaptive integrator.  With `profile=None`
+    the light is the stems' own shade, carried as a fourth state column
+    started at 1 and floored at 1e-12 (the coupled equilibrium system).
     """
     hs = np.asarray(hs, dtype=float)
     eps = eps_rel * hs
@@ -267,20 +291,25 @@ def residual_batch(hs, profile: LightProfile, params: ModelParams,
 
     p0 = np.zeros(n)
     q0 = np.empty(n)
-    I_h = np.atleast_1d(profile.eval(hs))
+    I_h = np.ones(n) if profile is None else np.atleast_1d(profile.eval(hs))
     for i, h in enumerate(hs):
         _, q0[i] = seed_terminal_layer(float(h), profile, params, float(eps[i]))
     z0 = z_first_integral(I_h, p0, q0, params)
-    Y = np.stack([p0, q0, z0] if coupled_slope is None else [p0, q0, z0, I_h], axis=1)
+    Y = np.stack([p0, q0, z0] if profile is not None else [p0, q0, z0, I_h], axis=1)
 
     def slope(sig, Y):
-        if coupled_slope is not None:
-            return -h_eff[:, None] * coupled_slope(Y)
-        y = h_eff * (1.0 - sig)
-        I = np.atleast_1d(profile.eval(y))
-        Ip = np.atleast_1d(profile.derivative(y))
+        if profile is None:
+            I = np.maximum(Y[:, 3], 1e-12)
+        else:
+            y = h_eff * (1.0 - sig)
+            I = np.atleast_1d(profile.eval(y))
         f1, f2, zs = _rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
-        return -h_eff[:, None] * np.stack([-Ip * f1, f2, zs], axis=1)
+        if profile is None:
+            dI = _self_shade_slope(I, zs, params)
+            cols = [-dI * f1, f2, zs, dI]
+        else:
+            cols = [-np.atleast_1d(profile.derivative(y)) * f1, f2, zs]
+        return -h_eff[:, None] * np.stack(cols, axis=1)
 
     return rk4_mesh(slope, _graded_sigma(), Y)[:, 1].copy()
 
@@ -293,42 +322,36 @@ def estimate_h0(params: ModelParams) -> float:
     return math.sin(t0) / (a * c ** (1.0 / a)) * val
 
 
-def _shoot_tip_height(residual, scan, finalize, h0: float, cfg: Op2Config):
-    """Shared tip-height shooting driver; returns (best state, all roots).
-
-    The stages of `numerics.find_roots` are the warm bracket `cfg.h_bracket`,
-    evaluated by `residual(h, rtol)` at the scan tolerance, then the batched
-    `scan(hs)` on [1e-3, 3]*h0.  Brent refines each bracket at `cfg.rtol`,
-    `finalize(h)` builds a state per root, and the best payoff wins (first
-    one on ties).
-    """
-    def stages():
-        if cfg.h_bracket is not None:
-            lo, hi = cfg.h_bracket
-            yield [([lo, hi], [residual(lo, _SCAN_RTOL), residual(hi, _SCAN_RTOL)])]
-        hs = np.linspace(max(1e-3 * h0, 1e-9), 3.0 * h0, cfg.scan_samples)
-        yield [(hs, scan(hs))]
-
-    roots = find_roots(lambda h: residual(h, cfg.rtol), cfg.root_tol, stages())
-    states = [finalize(h) for h in roots]
-    return max(states, key=lambda s: s.payoff), roots
-
-
-def shoot_op2(profile: LightProfile, params: ModelParams,
+def shoot_op2(profile: LightProfile | None, params: ModelParams,
               config: Op2Config | None = None) -> StemState2:
     """Solve the free-height stem problem under the given light profile.
 
-    Scans the ground residual over a height range (or the supplied bracket),
-    refines every sign change by Brent, and returns the trajectory at the
-    best-payoff root with reconstruction of controls, tail mass, curve and
-    invariant diagnostics.
+    `profile=None` solves the coupled equilibrium system instead: the light
+    is the shade the stems cast on themselves at density `params.rho0`,
+    integrated along with the costates from full light at the tip.
+
+    The stages of `numerics.find_roots` are the warm bracket `cfg.h_bracket`,
+    evaluated at the scan tolerance, then the batched RK4 scan on
+    [1e-3, 3] times the full-light height.  Brent refines every bracket at
+    `cfg.rtol`, and the trajectory of the best-payoff root (the first one on
+    ties) is returned with reconstruction of controls, tail mass, curve and
+    invariant diagnostics; `h_candidates` holds every root.
     """
     cfg = config or Op2Config()
-    best, roots = _shoot_tip_height(
-        lambda h, rtol: shoot_residual(h, profile, params, cfg, rtol=rtol),
-        lambda hs: residual_batch(hs, profile, params, eps_rel=cfg.epsilon_rel),
-        lambda h: _finalize(h, profile, params, cfg),
-        estimate_h0(params), cfg)
+
+    def stages():
+        if cfg.h_bracket is not None:
+            lo, hi = cfg.h_bracket
+            yield [([lo, hi], [shoot_residual(h, profile, params, cfg, _SCAN_RTOL)
+                               for h in (lo, hi)])]
+        h0 = estimate_h0(params)
+        hs = np.linspace(max(1e-3 * h0, 1e-9), 3.0 * h0, cfg.scan_samples)
+        yield [(hs, residual_batch(hs, profile, params, cfg.epsilon_rel))]
+
+    roots = find_roots(lambda h: shoot_residual(h, profile, params, cfg, cfg.rtol),
+                       cfg.root_tol, stages())
+    best = max((_finalize(h, profile, params, cfg) for h in roots),
+               key=lambda s: s.payoff)
     best.h_candidates = roots
     return best
 
@@ -384,7 +407,8 @@ def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
 
     y_all = output_mesh(traj.t[::-1], h, eps, cfg.n_out)
     samp = traj.sample(y_all)
-    I = np.atleast_1d(profile.eval(y_all))
+    I = (np.clip(samp[:, 3], 1e-12, 1.0) if profile is None
+         else np.atleast_1d(profile.eval(y_all)))
     state = assemble_state(h, y_all, samp[:, 0], samp[:, 1], samp[:, 2], I,
                            params, eps, float(traj.y[-1, 1]))
 

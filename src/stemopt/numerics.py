@@ -442,18 +442,3 @@ def map_blocks(fn, x) -> np.ndarray:
         out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
     return out
 
-
-def invert_sampled_monotone(x: np.ndarray, fx: np.ndarray, target: float) -> float:
-    """Invert a strictly monotone sampled map by local linear interpolation."""
-    x = np.asarray(x, dtype=float)
-    fx = np.asarray(fx, dtype=float)
-    if fx[0] > fx[-1]:
-        x, fx = x[::-1], fx[::-1]
-    if not (fx[0] <= target <= fx[-1]):
-        raise ValueError(f"target {target} outside sampled range [{fx[0]}, {fx[-1]}]")
-    i = int(np.clip(np.searchsorted(fx, target) - 1, 0, len(x) - 2))
-    f0, f1 = fx[i], fx[i + 1]
-    if f1 == f0:
-        return float(x[i])
-    w = (target - f0) / (f1 - f0)
-    return float(x[i] + w * (x[i + 1] - x[i]))

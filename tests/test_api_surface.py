@@ -203,3 +203,26 @@ def test_only_numerics_brackets_a_scan():
         and (getattr(node.func, "id", None) == "sign_change_brackets"
              or getattr(node.func, "attr", None) == "sign_change_brackets"))
     assert set(callers) == {"numerics"}, callers
+
+
+def test_costate_kernels_have_one_caller_each():
+    # the free-length slopes have one shooting path, whatever light the
+    # stems see: the scalar kernel is called only by the adaptive shot's
+    # right side and the vectorized one only by the batched scan, both in
+    # model2, and no other module imports or names either
+    kernels = ("_rhs_terms", "_rhs_terms_vec")
+    calls = {name: [] for name in kernels}
+    outside = []
+    for path, tree in _trees(SRC, TESTS).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in kernels:
+                    calls[name].append(path.stem)
+            refs = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                    else [node.id] if isinstance(node, ast.Name)
+                    else [node.attr] if isinstance(node, ast.Attribute) else [])
+            outside += [(path.stem, ref) for ref in refs
+                        if ref in kernels and path.stem != "model2"]
+    assert calls == {name: ["model2"] for name in kernels}, calls
+    assert outside == [], outside

@@ -111,14 +111,27 @@ def test_former_runaway_draw():
     assert rep.residual_map <= 1e-6
 
 
-def test_height_falls_back_to_whole_range(eq_01, monkeypatch):
-    # a guess 30 % low leaves the root outside the +-2 % stage, so the
-    # height comes from the second stage, Brent on ]0, ell]
-    invert = e1.invert_sampled_monotone
-    monkeypatch.setattr(e1, "invert_sampled_monotone",
-                        lambda *args: 0.7 * invert(*args))
-    res = e1.solve_equilibrium1(_params(0.1), run_refit=False)
-    assert abs(res.h_star - eq_01.h_star) <= 1e-12
+def test_height_matches_bisection_over_eq1_box():
+    # L(h), the stem length from the tip down to depth h, is strictly
+    # increasing; bisection on the same Simpson rule finds its one root
+    n = 2048
+    weights = np.ones(n + 1)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    for params in _eq1_box_draws(8):
+        traj = e1.solve_bcp(params)
+
+        def length(h):
+            th = e1.theta_hat_at(traj, np.linspace(-h, 0.0, n + 1), params)
+            return float(np.sum(weights / np.sin(th))) * h / (3.0 * n)
+
+        lo, hi = 0.0, params.ell
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if length(mid) < params.ell else (lo, mid)
+        res = e1.solve_equilibrium1(params, run_refit=False)
+        assert abs(res.h_star - 0.5 * (lo + hi)) <= 1e-12
 
 
 def test_perturbation_detector(eq_01):
@@ -144,7 +157,7 @@ def test_ground_angle_monotone_in_density():
 # ---------------------------------------------------------------------------
 
 _BLOCKED_SIZES = [numerics._BLOCK - 1, numerics._BLOCK, numerics._BLOCK + 1,
-                  8 * e1._N_GRID + 1]   # the last is the dense length grid
+                  8 * numerics._BLOCK + 1]   # eight full blocks and one point
 _DRAW = ModelParams(theta0=1.0, kappa=2.5, ell=1.7, rho=0.08)
 
 
@@ -211,6 +224,6 @@ def test_blocked_solve_matches_one_shot(params, monkeypatch):
 
 
 def test_eq1_bounded_memory(eq_draw, traced_peak):
-    assert traced_peak(lambda: e1.solve_equilibrium1(_DRAW)) <= 1.5 * 2 ** 20
+    assert traced_peak(lambda: e1.solve_equilibrium1(_DRAW)) <= 0.75 * 2 ** 20
     assert traced_peak(lambda: lightfield.check_uniqueness_condition(
         eq_draw.I_star, _DRAW, eq_draw.h_star)) <= 0.6 * 2 ** 20
