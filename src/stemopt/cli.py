@@ -144,10 +144,9 @@ def _run_eq2(scn: Scenario):
         "class_f_ok": primary.class_f_ok, "multiroot_flag": primary.multiroot_flag,
     }
     if len(results) == 2:
-        ys = np.linspace(0.0, max(r.h for r in results.values()) * 1.05, 2001)
-        gap = float(np.max(np.abs(results["direct"].I_star.eval(ys)
-                                  - results["fixed_point"].I_star.eval(ys))))
-        summary["method_gap_I"] = gap
+        summary["method_gap_I"] = equilibrium2.profile_gap(
+            results["direct"].I_star, results["fixed_point"].I_star,
+            max(r.h for r in results.values()))
         summary["method_gap_h"] = abs(results["direct"].h
                                       - results["fixed_point"].h)
     return {"equilibrium.csv": {"y": st.y, "theta": st.theta, "u": st.u,

@@ -10,7 +10,7 @@ fixed-point property is verified a posteriori instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -75,12 +75,13 @@ def theta_hat_at(traj: Trajectory, t, params: ModelParams):
 
 
 def solve_equilibrium1(params: ModelParams,
-                       run_refit: bool = True) -> Equilibrium1Result:
+                       verify: bool = True) -> Equilibrium1Result:
     """Equilibrium shape, height and light profile for the given density.
 
     The tip height solves the cumulative-length equation along the backward
     solution; the shade profile is then assembled from the equilibrium shape
-    and both defining residuals are measured.
+    and its map residual is measured against that solution.  With `verify`,
+    the refit residual is measured too, as in `verify_fixed_point`.
     """
     ell = params.ell
     traj = solve_bcp(params)
@@ -101,25 +102,21 @@ def solve_equilibrium1(params: ModelParams,
     y = np.linspace(0.0, h_star, _N_GRID + 1)
     theta_star = theta_hat_at(traj, y - h_star, params)
     x = trapezoid_cumulative(y, np.cos(theta_star) / np.sin(theta_star))
-    I_star = LightProfile.from_theta_samples(y, theta_star,
-                                             params.rho * params.kappa)
+    # the shade that identical stems of this shape cast: rate rho*kappa / sin
+    rho_kappa = params.rho * params.kappa
+    I_star = LightProfile.exponential_canopy(y, rho_kappa / np.sin(theta_star),
+                                             h_star)
 
     uniq_ok, uniq_margin = check_uniqueness_condition(I_star, params, h_star)
 
-    # map residual: the profile built from the shape against the BCP's shade
-    residual_map = _map_residual(traj, y, h_star, I_star)
-
-    residual_refit = math.nan
-    if run_refit:
-        refit = solve_op1(I_star, params)[0]
-        residual_refit = float(np.max(np.abs(refit.theta_at(y) - theta_star)))
-
-    return Equilibrium1Result(
+    result = Equilibrium1Result(
         h_star=float(h_star), y=y, theta_star=theta_star, x=x, I_star=I_star,
-        residual_refit=residual_refit, residual_map=residual_map,
-        rho_kappa=params.rho * params.kappa,
-        uniqueness_ok=uniq_ok, uniqueness_margin=uniq_margin,
+        residual_refit=math.nan,
+        residual_map=_map_residual(traj, y, h_star, I_star),
+        rho_kappa=rho_kappa, uniqueness_ok=uniq_ok, uniqueness_margin=uniq_margin,
     )
+    return (replace(result, residual_refit=_refit_residual(result, params))
+            if verify else result)
 
 
 def _map_residual(traj: Trajectory, y, h_star: float, I_star: LightProfile):
@@ -129,21 +126,21 @@ def _map_residual(traj: Trajectory, y, h_star: float, I_star: LightProfile):
     return float(np.max(np.abs(I_star.eval(y) - np.exp(-zeta))))
 
 
-@dataclass
-class FixedPointReport:
-    residual_refit: float
-    residual_map: float
+def _refit_residual(result: Equilibrium1Result, params: ModelParams) -> float:
+    """Sup gap between the stored angles and the shape problem re-solved
+    under the stored light."""
+    refit = solve_op1(result.I_star, params)[0]
+    return float(np.max(np.abs(refit.theta_at(result.y) - result.theta_star)))
 
 
-def verify_fixed_point(result: Equilibrium1Result, params: ModelParams) -> FixedPointReport:
-    """Measure both halves of the equilibrium definition.
+def verify_fixed_point(result: Equilibrium1Result,
+                       params: ModelParams) -> Equilibrium1Result:
+    """The result with both halves of the equilibrium definition measured.
 
     refit: re-solve the shape problem under the equilibrium light and compare
     angle profiles in sup norm.  map: re-solve the backward Cauchy problem
     and compare its shade exp(-zeta) against the stored profile in sup norm.
     """
-    refit = solve_op1(result.I_star, params)[0]
-    residual_refit = float(np.max(np.abs(refit.theta_at(result.y) - result.theta_star)))
-    residual_map = _map_residual(solve_bcp(params), result.y, result.h_star,
-                                 result.I_star)
-    return FixedPointReport(residual_refit=residual_refit, residual_map=residual_map)
+    return replace(result, residual_refit=_refit_residual(result, params),
+                   residual_map=_map_residual(solve_bcp(params), result.y,
+                                              result.h_star, result.I_star))

@@ -83,15 +83,15 @@ class Equilibrium2Result:
     history: list[float] = field(default_factory=list)
 
 
-def _sup_gap_profiles(p1: LightProfile, p2: LightProfile, y_max: float,
-                      n: int = 2001) -> float:
-    ys = np.linspace(0.0, y_max, n)
+def profile_gap(p1: LightProfile, p2: LightProfile, h: float) -> float:
+    """Sup gap between two light profiles at 2001 points on [0, 1.05 h]."""
+    ys = np.linspace(0.0, h * 1.05, 2001)
     return float(np.max(np.abs(p1.eval(ys) - p2.eval(ys))))
 
 
 def verify_equilibrium(result: Equilibrium2Result,
-                       params: ModelParams) -> tuple[float, float]:
-    """Residuals of the two halves of the equilibrium definition.
+                       params: ModelParams) -> Equilibrium2Result:
+    """The result with both halves of the equilibrium definition measured.
 
     refit: fresh best response under the stored profile, compared to the
     stored stem controls in sup norm (angles everywhere; leaf density away
@@ -113,9 +113,9 @@ def verify_equilibrium(result: Equilibrium2Result,
     residual_refit = float(max(d_theta, d_u, abs(fresh.h - result.h)))
     stem = result.stem
     residual_map = max(
-        _sup_gap_profiles(result.I_star, shade_map(stem, params), 1.05 * result.h),
+        profile_gap(result.I_star, shade_map(stem, params), result.h),
         float(np.max(np.abs(stem.I - result.I_star.eval(stem.y)))))
-    return residual_refit, residual_map
+    return replace(result, residual_refit=residual_refit, residual_map=residual_map)
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +199,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         h_roots=h_roots, class_f_ok=class_f_ok, class_f_delta=class_f_delta,
         multiroot_flag=multiroot, history=history,
     )
-    if verify:
-        result.residual_refit, result.residual_map = verify_equilibrium(result, params)
-    return result
+    return verify_equilibrium(result, params) if verify else result
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +226,4 @@ def solve_equilibrium_direct(params: ModelParams,
         h_roots=roots, class_f_ok=report.in_class,
         class_f_delta=report.delta, multiroot_flag=len(roots) > 1,
     )
-    if verify:
-        result.residual_refit, result.residual_map = verify_equilibrium(result, params)
-    return result
+    return verify_equilibrium(result, params) if verify else result

@@ -48,7 +48,6 @@ class LightProfile:
     breakpoints: tuple | np.ndarray = ()   # knots the checks add to their grid
     rate_y: np.ndarray | None = None
     rate_v: np.ndarray | None = None
-    height: float = 0.0
 
     # -- constructors -------------------------------------------------------
 
@@ -137,19 +136,11 @@ class LightProfile:
             rate = np.interp(y, ry, rv, left=rv[0], right=rv[-1])
             return np.where(y < height, rate * intensity(y), 0.0)
         return LightProfile("exponential-canopy", intensity, slope, top=height,
-                            breakpoints=ry, rate_y=ry, rate_v=rv, height=height)
+                            breakpoints=ry, rate_y=ry, rate_v=rv)
 
     @staticmethod
     def constant_rate_canopy(rate: float, height: float) -> "LightProfile":
         return LightProfile.exponential_canopy([0.0, height], [rate, rate], height)
-
-    @staticmethod
-    def from_theta_samples(y, theta, rho_kappa: float) -> "LightProfile":
-        """Canopy shading generated by identical stems with angle profile
-        theta(y) on [0, h]: rate = rho*kappa / sin(theta)."""
-        y = np.asarray(y, float)
-        theta = np.asarray(theta, float)
-        return LightProfile.exponential_canopy(y, rho_kappa / np.sin(theta), float(y[-1]))
 
     # -- evaluation ---------------------------------------------------------
 

@@ -15,7 +15,7 @@ state from full light at the tip (`profile=None`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .numerics import (
 )
 from .params import ModelParams, Op2Config
 
+_EPS_REL = 1e-6        # layer offset below the tip, as a fraction of h
 _Q_FLOOR = -0.9         # reduced system extended to slightly negative mass costate
 _W_CAP = 1e12
 _SCAN_RTOL = 1e-7       # warm-bracket end points only locate a sign change
@@ -245,14 +246,13 @@ class StemState2:
     residual_q0: float
     h_candidates: list[float] = field(default_factory=list)
     epsilon: float = 0.0
-    richardson_dq: float = math.nan
 
     def interp(self, name: str, yq):
         return np.interp(np.asarray(yq, dtype=float), self.y, getattr(self, name))
 
 
 def _shoot_once(h, profile, params, cfg: Op2Config, rtol):
-    eps = cfg.epsilon_rel * h
+    eps = _EPS_REL * h
     state0 = _seed_state(h, profile, params, eps)
 
     def rhs(y, s):   # a closure here, so that perfbench names it model2.rhs
@@ -274,8 +274,7 @@ def _graded_sigma(n_layer: int = 64, n_main: int = 384) -> np.ndarray:
     return np.concatenate([[0.0], layer, main])
 
 
-def residual_batch(hs, profile: LightProfile | None, params: ModelParams,
-                   eps_rel: float) -> np.ndarray:
+def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.ndarray:
     """Ground residual q(0, h) for many tip heights in one vectorized sweep.
 
     Fixed-step RK4 in the scaled coordinate sigma = (h - eps - y)/(h - eps)
@@ -285,7 +284,7 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams,
     started at 1 and floored at 1e-12 (the coupled equilibrium system).
     """
     hs = np.asarray(hs, dtype=float)
-    eps = eps_rel * hs
+    eps = _EPS_REL * hs
     h_eff = hs - eps
     n = len(hs)
 
@@ -346,7 +345,7 @@ def shoot_op2(profile: LightProfile | None, params: ModelParams,
                                for h in (lo, hi)])]
         h0 = estimate_h0(params)
         hs = np.linspace(max(1e-3 * h0, 1e-9), 3.0 * h0, cfg.scan_samples)
-        yield [(hs, residual_batch(hs, profile, params, cfg.epsilon_rel))]
+        yield [(hs, residual_batch(hs, profile, params))]
 
     roots = find_roots(lambda h: shoot_residual(h, profile, params, cfg, cfg.rtol),
                        cfg.root_tol, stages())
@@ -403,20 +402,14 @@ def assemble_state(h, y_all, p, q, z, I, params: ModelParams,
 
 def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
     traj = _shoot_once(h, profile, params, cfg, rtol=cfg.rtol)
-    eps = cfg.epsilon_rel * h
+    eps = _EPS_REL * h
 
     y_all = output_mesh(traj.t[::-1], h, eps, cfg.n_out)
     samp = traj.sample(y_all)
     I = (np.clip(samp[:, 3], 1e-12, 1.0) if profile is None
          else np.atleast_1d(profile.eval(y_all)))
-    state = assemble_state(h, y_all, samp[:, 0], samp[:, 1], samp[:, 2], I,
-                           params, eps, float(traj.y[-1, 1]))
-
-    if cfg.richardson:
-        cfg_half = replace(cfg, epsilon_rel=cfg.epsilon_rel / 2, richardson=False)
-        traj_half = _shoot_once(h, profile, params, cfg_half, rtol=cfg.rtol)
-        state.richardson_dq = abs(float(traj_half.y[-1, 1]) - float(traj.y[-1, 1]))
-    return state
+    return assemble_state(h, y_all, samp[:, 0], samp[:, 1], samp[:, 2], I,
+                          params, eps, float(traj.y[-1, 1]))
 
 
 def closed_form_q(y, h: float, params: ModelParams):

@@ -25,10 +25,9 @@ from .kernels import trapezoid_cumulative  # noqa: F401  (still importable from 
 
 _EPS = np.finfo(float).eps
 
-DEFAULT_ABS_TOL = 1e-10
-DEFAULT_REL_TOL = 1e-10
 _MAX_STEPS = 200_000
 _BRENT_MAX_ITER = 200
+_QUAD_MAX_LEVELS = 400   # panels of a graded wing
 _BLOCK = 2048        # elements per block of `map_blocks`
 
 
@@ -62,7 +61,7 @@ def bracket(f: Callable[[float], float], lo: float, hi: float) -> Bracket:
 def find_root(
     f: Callable[[float], float],
     brk: Bracket,
-    tol: float = 1e-12,
+    tol: float,
 ) -> float:
     """Brent's method on a validated bracket.
 
@@ -282,13 +281,13 @@ def integrate(
     span: tuple[float, float],
     initial: Sequence[float],
     *,
-    rtol: float | None = None,
-    atol: float | None = None,
+    rtol: float,
+    atol: float,
 ) -> Trajectory:
     """Integrate an ODE system over span=(a, b), a != b.
 
     Embedded Dormand-Prince 5(4) pair with per-step error control at
-    (rtol, atol), defaulting to 1e-10 absolute and relative.
+    (rtol, atol).
     """
     a, b = float(span[0]), float(span[1])
     if a == b:
@@ -298,8 +297,6 @@ def integrate(
         raise ValueError(f"initial state must have shape ({problem.dimension},)")
     if not np.all(np.isfinite(y0)):
         raise ValueError("initial state must be finite")
-    rtol = DEFAULT_REL_TOL if rtol is None else rtol
-    atol = DEFAULT_ABS_TOL if atol is None else atol
     return _integrate_dp45(problem, a, b, y0, rtol, atol)
 
 
@@ -355,7 +352,7 @@ def _quad_panel(f, a, b, tol, depth=48):
     return _simpson_adaptive(f, a, b, fa, fm, fb, whole, tol, depth)
 
 
-def _graded_wing(f, end, inner, tol, max_levels):
+def _graded_wing(f, end, inner, tol):
     """Integral over the interval between `inner` and `end` (ascending sense),
     with panel widths halving geometrically toward the singular `end`.
 
@@ -369,7 +366,7 @@ def _graded_wing(f, end, inner, tol, max_levels):
     prev_panel = None
     ratio = None
     floor = 64.0 * _EPS * max(1.0, abs(end))
-    for level in range(max_levels):
+    for level in range(_QUAD_MAX_LEVELS):
         nxt = end + 0.5 * (edge - end)
         if abs(nxt - end) <= floor or nxt == edge:
             break
@@ -396,11 +393,10 @@ def quad(
     f: Callable[[float], float],
     a: float,
     b: float,
-    tol: float = DEFAULT_ABS_TOL,
+    tol: float,
     singular_at: Sequence[float] = (),
-    max_levels: int = 400,
 ) -> float:
-    """Adaptive-Simpson quadrature with graded meshes at declared endpoints.
+    """Adaptive-Simpson quadrature (a <= b) with graded meshes at declared endpoints.
 
     `singular_at` lists endpoint coordinates (a and/or b) where the integrand
     has an integrable power/log singularity.  Panels shrink geometrically
@@ -410,8 +406,6 @@ def quad(
     """
     if a == b:
         return 0.0
-    if b < a:
-        return -quad(f, b, a, tol, singular_at=singular_at, max_levels=max_levels)
     sing_a = any(abs(s - a) <= 1e-14 * max(1.0, abs(a)) for s in singular_at)
     sing_b = any(abs(s - b) <= 1e-14 * max(1.0, abs(b)) for s in singular_at)
     width = b - a
@@ -422,13 +416,11 @@ def quad(
     # Carve the interval into a smooth core plus graded wings.
     lo = a + (0.25 * width if sing_a else 0.0)
     hi = b - (0.25 * width if sing_b else 0.0)
-    if hi <= lo:  # both endpoints singular on a short interval
-        lo = hi = a + 0.5 * width
-    total = _quad_panel(f, lo, hi, tol / 4.0) if hi > lo else 0.0
+    total = _quad_panel(f, lo, hi, tol / 4.0)
     if sing_a:
-        total += _graded_wing(f, a, lo, tol, max_levels)
+        total += _graded_wing(f, a, lo, tol)
     if sing_b:
-        total += _graded_wing(f, b, hi, tol, max_levels)
+        total += _graded_wing(f, b, hi, tol)
     return total
 
 

@@ -52,11 +52,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Op2Config:
-    epsilon_rel: float = 1e-6          # layer offset as a fraction of h
     h_bracket: tuple[float, float] | None = None
     scan_samples: int = 200
     rtol: float = 1e-11
     atol: float = 1e-13
     root_tol: float = 1e-12
     n_out: int = 4096                  # uniform output resolution
-    richardson: bool = False           # repeat the final run at epsilon/2

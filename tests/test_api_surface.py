@@ -16,16 +16,20 @@ objects their defining modules hold.
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
 import stemopt
+from stemopt import Op2Config
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "stemopt"
 TESTS = ROOT / "tests"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _trees(*dirs):
@@ -226,3 +230,54 @@ def test_costate_kernels_have_one_caller_each():
                         if ref in kernels and path.stem != "model2"]
     assert calls == {name: ["model2"] for name in kernels}, calls
     assert outside == [], outside
+
+
+def test_shooting_config_fields_set_by_callers():
+    # a shooting option earns its field only where a solver sets it: every
+    # Op2Config field is passed by keyword to Op2Config(...) or replace(...)
+    # in a module other than the one that defines it and the one that reads it
+    set_by = set()
+    for path, tree in _trees(SRC).items():
+        if path.stem in ("model2", "params"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            ) in ("Op2Config", "replace"):
+                set_by.update(kw.arg for kw in node.keywords)
+    unset = sorted({f.name for f in dataclasses.fields(Op2Config)} - set_by)
+    assert unset == [], f"Op2Config fields that no solver sets: {unset}"
+
+
+def _tracer_tables():
+    """The literal name tables of the benchmark's tracer, read without
+    importing it: {LAYERS, SPANS, _SPECIAL, _PROFILE_CALLS: names}."""
+    tables = {}
+    for node in ast.parse(TRACER.read_text(), filename=str(TRACER)).body:
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            name = node.targets[0].id
+            if name in ("LAYERS", "SPANS", "_PROFILE_CALLS"):
+                tables[name] = ast.literal_eval(node.value)
+            elif name == "_SPECIAL":
+                tables[name] = [ast.literal_eval(key) for key in node.value.keys]
+    return tables
+
+
+def test_tracer_targets_resolve():
+    # the tracer patches public functions and methods of its layer modules
+    # by name; a name that no longer resolves would stop a traced benchmark
+    # run short of its result line
+    tables = _tracer_tables()
+    assert set(tables) == {"LAYERS", "SPANS", "_SPECIAL", "_PROFILE_CALLS"}
+    layers = {layer: importlib.import_module(f"stemopt.{layer}")
+              for layer in tables["LAYERS"]}
+    unresolved = []
+    for table in ("SPANS", "_SPECIAL", "_PROFILE_CALLS"):
+        for target in tables[table]:
+            layer, *path = target.split(".")
+            obj = layers.get(layer)
+            for attr in path:
+                obj = None if attr.startswith("_") else getattr(obj, attr, None)
+            if not inspect.isfunction(obj):
+                unresolved.append(f"{table}: {target}")
+    assert unresolved == [], unresolved

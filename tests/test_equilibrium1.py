@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -130,8 +131,31 @@ def test_height_matches_bisection_over_eq1_box():
             if mid in (lo, hi):
                 break
             lo, hi = (mid, hi) if length(mid) < params.ell else (lo, mid)
-        res = e1.solve_equilibrium1(params, run_refit=False)
+        res = e1.solve_equilibrium1(params, verify=False)
         assert abs(res.h_star - 0.5 * (lo + hi)) <= 1e-12
+
+
+def _same_profile(a, b, ys):
+    return (a.kind == b.kind and a.top == b.top
+            and np.array_equal(a.rate_y, b.rate_y)
+            and np.array_equal(a.rate_v, b.rate_v)
+            and np.array_equal(a.eval(ys), b.eval(ys)))
+
+
+def test_verify_fixed_point_completes_an_unverified_solve(eq_01):
+    # the solve measures its residuals through the same contract as the
+    # stand-alone verification: the same result, field by field and bit by bit
+    res = e1.verify_fixed_point(e1.solve_equilibrium1(_params(0.1), verify=False),
+                                _params(0.1))
+    assert type(res) is e1.Equilibrium1Result
+    for f in dataclasses.fields(res):
+        a, b = getattr(res, f.name), getattr(eq_01, f.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b), f.name
+        elif f.name == "I_star":
+            assert _same_profile(a, b, res.y)
+        else:
+            assert a == b, f.name
 
 
 def test_perturbation_detector(eq_01):
@@ -147,7 +171,7 @@ def test_perturbation_detector(eq_01):
 
 def test_ground_angle_monotone_in_density():
     # more shading pushes the stem base toward vertical
-    values = [e1.solve_equilibrium1(_params(rk), run_refit=False).theta_star[0]
+    values = [e1.solve_equilibrium1(_params(rk), verify=False).theta_star[0]
               for rk in (0.02, 0.04, 0.06, 0.08, 0.1)]
     assert np.all(np.diff(values) > 0.0)
 
@@ -178,7 +202,7 @@ def _eq1_box_draws(n):
 
 @pytest.fixture(scope="module")
 def eq_draw():
-    return e1.solve_equilibrium1(_DRAW, run_refit=False)
+    return e1.solve_equilibrium1(_DRAW, verify=False)
 
 
 @pytest.mark.parametrize("n", _BLOCKED_SIZES)

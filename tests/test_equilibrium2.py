@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -170,12 +171,28 @@ def test_verify_detects_perturbation(pair_001):
     mid = direct.h / 2
     bump = -math.log(0.99) / width * ((ys >= mid) & (ys < mid + width))
     fake_profile = LightProfile.exponential_canopy(
-        ys, prof.rate_v + bump, prof.height)
+        ys, prof.rate_v + bump, prof.top)
     fake = e2.Equilibrium2Result(
         I_star=fake_profile, stem=direct.stem, method="direct_shooting",
         iterations=1, residual_map=0.0, residual_refit=0.0, h=direct.h)
-    refit, _ = e2.verify_equilibrium(fake, params)
-    assert refit > 1e-3
+    assert e2.verify_equilibrium(fake, params).residual_refit > 1e-3
+
+
+def test_verify_equilibrium_completes_an_unverified_solve(direct_sweep):
+    # the verified solve and the stand-alone verification of an unverified
+    # solve report the same residuals, and the verification leaves every
+    # other field as the solve built it
+    params = _params(0.001)
+    bare = direct_sweep[0.001]
+    res = e2.verify_equilibrium(bare, params)
+    assert type(res) is e2.Equilibrium2Result
+    assert math.isnan(bare.residual_refit) and math.isnan(bare.residual_map)
+    verified = e2.solve_equilibrium_direct(params)
+    assert res.residual_refit == verified.residual_refit
+    assert res.residual_map == verified.residual_map
+    for f in dataclasses.fields(res):
+        if f.name not in ("residual_refit", "residual_map"):
+            assert getattr(res, f.name) is getattr(bare, f.name), f.name
 
 
 def test_height_approaches_flat_limit(direct_sweep, pair_001):

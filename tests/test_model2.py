@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -243,10 +242,21 @@ def test_residual_decreasing_near_root(params2, const_profile):
     assert np.all(np.diff(resid) < 0.0)
 
 
-def test_richardson_layer_check(params2, const_profile, op2_cfg_warm):
-    cfg = dataclasses.replace(op2_cfg_warm(H0_EXACT), richardson=True)
+def test_richardson_layer_check(params2, const_profile, op2_cfg_warm, monkeypatch):
+    # halving the layer offset barely moves the ground residual at the root
+    cfg = op2_cfg_warm(H0_EXACT)
     st = m2.shoot_op2(const_profile, params2, cfg)
-    assert st.richardson_dq < 1e-7
+    monkeypatch.setattr(m2, "_EPS_REL", m2._EPS_REL / 2)
+    half = m2.shoot_residual(st.h, const_profile, params2, cfg, rtol=cfg.rtol)
+    assert abs(half - st.residual_q0) < 1e-7
+
+
+@pytest.mark.xfail(strict=True, raises=DomainError,
+                   reason="the fixed relative layer offset is too large for "
+                          "the tip layer at small alpha")
+def test_small_alpha_layer_offset(const_profile):
+    params = ModelParams(theta0=math.pi / 4, alpha=0.11, c=1.0)
+    assert m2.shoot_op2(const_profile, params).h > 0.0
 
 
 def test_maximality_along_trajectory(stem_canopy, params2):

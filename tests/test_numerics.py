@@ -76,7 +76,7 @@ def test_brackets_zero_at_first_sample():
 def test_brackets_zero_at_last_sample():
     assert _spans(nx.sign_change_brackets([0, 1], [1.0, 0.0])) == [(0.0, 1.0)]
     assert _spans(nx.sign_change_brackets([0, 1, 2], [2.0, 1.0, 0.0])) == [(1.0, 2.0)]
-    roots = [nx.find_root(lambda x: 1.0 - x, brk)
+    roots = [nx.find_root(lambda x: 1.0 - x, brk, tol=1e-12)
              for brk in nx.sign_change_brackets([0, 1], [1.0, 0.0])]
     assert roots == [1.0]
 
@@ -152,7 +152,7 @@ def test_find_roots_reports_last_stage():
 
 def test_integrate_exponential_decay():
     pr = nx.OdeProblem(1, lambda t, y: -y)
-    traj = nx.integrate(pr, (0.0, 1.0), [1.0])
+    traj = nx.integrate(pr, (0.0, 1.0), [1.0], rtol=1e-10, atol=1e-10)
     assert abs(traj.y[-1, 0] - math.exp(-1.0)) < 1e-8
 
 
@@ -168,7 +168,7 @@ def test_integrate_frozen_shade_backward():
     # frozen-angle version of the equilibrium shade equation, exact linear sol
     rho_kappa, theta0 = 0.1, math.pi / 4
     pr = nx.OdeProblem(1, lambda t, y: np.array([-rho_kappa / math.sin(theta0)]))
-    traj = nx.integrate(pr, (0.0, -1.0), [0.0])
+    traj = nx.integrate(pr, (0.0, -1.0), [0.0], rtol=1e-10, atol=1e-10)
     assert abs(traj.y[-1, 0] - 0.1 * math.sqrt(2.0)) < 1e-10
 
 
