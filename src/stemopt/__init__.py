@@ -25,17 +25,18 @@ _PUBLIC = {
     "params": ("ModelParams", "Op2Config"),
     "lightfield": ("LightProfile", "RegularityReport", "check_class_F",
                    "check_uniqueness_condition", "load_tabulated_csv"),
-    "model1": ("StemShape1", "NonUniqueness", "OracleResult", "g_profile",
-               "phi_inverse", "solve_op1", "payoff_op1", "fold_angles",
-               "rearrange_nonincreasing", "oracle_op1", "find_nonuniqueness_epsilon"),
+    "model1": ("StemShape1", "NonUniqueness", "g_profile", "phi_inverse", "solve_op1",
+               "find_nonuniqueness_epsilon"),
     "equilibrium1": ("Equilibrium1Result", "solve_bcp", "solve_equilibrium1",
                      "verify_fixed_point"),
     "model2": ("G2", "StemState2", "feedback_TU", "z_first_integral", "shoot_op2",
-               "seed_terminal_layer", "oracle_op2"),
+               "seed_terminal_layer"),
     "equilibrium2": ("Equilibrium2Result", "shade_map", "solve_equilibrium_fixed_point",
                      "solve_equilibrium_direct", "verify_equilibrium"),
     "spatial": ("LightField2D", "StemFamily", "solve_op3_single", "light_from_family",
                 "halfline_relaxation"),
+    "oracles": ("OracleResult", "Oracle2Result", "payoff_op1", "fold_angles",
+                "rearrange_nonincreasing", "oracle_op1", "oracle_op2"),
     "cli": (),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -34,6 +34,8 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class Scenario:
+    """A parsed scenario file: its kind, typed parameters, light profile and options."""
+
     kind: str
     params: ModelParams
     profile: lightfield.LightProfile | None
@@ -61,7 +63,11 @@ def _write_json(path: Path, obj):
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _listed(out: Path) -> dict:

@@ -31,6 +31,8 @@ _N_GRID = 2048   # cells of the returned equilibrium shape and profile
 
 @dataclass
 class Equilibrium1Result:
+    """Fixed-length equilibrium: shape, shade profile and verification residuals."""
+
     h_star: float
     y: np.ndarray
     theta_star: np.ndarray

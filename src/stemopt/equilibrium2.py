@@ -69,6 +69,8 @@ def shade_map(stem: StemState2, params: ModelParams) -> LightProfile:
 
 @dataclass
 class Equilibrium2Result:
+    """Free-length equilibrium: shade profile, stem, method, residuals and diagnostics."""
+
     I_star: LightProfile
     stem: StemState2
     method: str                      # 'fixed_point' | 'direct_shooting'

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, DomainError, NoCrossingError
-from .kernels import _G_parts, capture_transverse, sorted_unique, trapezoid_cumulative
+from .errors import DomainError, NoCrossingError
+from .kernels import _G_parts, capture_transverse, trapezoid_cumulative
 from .lightfield import LightProfile
 from .numerics import Bracket, _simpson_weights, bracket, find_root, find_roots
 from .params import ModelParams
@@ -24,7 +24,6 @@ from .params import ModelParams
 _THETA_CAP = 1e-9  # feedback angle never reaches pi/2; cap the search there
 _TABLE_NODES = 1025  # nodes of the cached feedback table that seeds Newton
 _MAX_NEWTON = 100  # safeguarded iterations; a table seed needs two or three
-_FOLD_SWEEPS = 64  # passes of each fold before the final clip
 
 
 # ---------------------------------------------------------------------------
@@ -109,118 +108,6 @@ def phi_inverse(z, params: ModelParams):
             th = np.where(done, th, np.where(inside, cand, 0.5 * (lo + hi)))
         out[active] = np.minimum(np.maximum(th, t0), hi_cap)
     return float(out[0]) if np.isscalar(z) or np.asarray(z).ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# Payoff functionals
-# ---------------------------------------------------------------------------
-
-def payoff_op1(theta_s, profile: LightProfile, params: ModelParams,
-               refine: int = 8192):
-    """Sunlight captured by an arc-length parameterized control on [0, ell].
-
-    `theta_s` holds node values on a uniform s-grid, interpreted as a
-    piecewise-linear control with angles in ]0, pi].  Heights below ground
-    (impossible here since sin(theta) >= 0) would clamp to the ground value.
-    """
-    vals = np.asarray(theta_s, dtype=float)
-    n = max(refine, 4 * (len(vals) - 1))
-    s = np.linspace(0.0, params.ell, n + 1)
-    s_nodes = np.linspace(0.0, params.ell, len(vals))
-    th = np.interp(s, s_nodes, vals)
-    y = trapezoid_cumulative(s, np.sin(th))
-    integrand = profile.eval(np.maximum(y, 0.0)) * capture_transverse(th, params)
-    return float(np.trapezoid(integrand, s))
-
-
-def payoff_piecewise_constant(theta_segments, profile: LightProfile,
-                              params: ModelParams, j_grid=None):
-    """Exact payoff of piecewise-constant controls on equal s-segments.
-
-    Vectorized over a (n_combos, n_segments) matrix of angle values; each
-    segment contributes G(theta)/sin(theta) * (J(y1) - J(y0)) with J the
-    antiderivative of the light profile.
-    """
-    V = np.atleast_2d(np.asarray(theta_segments, dtype=float))
-    n_seg = V.shape[1]
-    ds = params.ell / n_seg
-    if j_grid is None:
-        j_grid = profile_antiderivative(profile, params.ell)
-    yg, Jg = j_grid
-    dy = np.sin(V) * ds
-    y_hi = np.cumsum(dy, axis=1)
-    y_lo = y_hi - dy
-    J_hi = np.interp(y_hi, yg, Jg)
-    J_lo = np.interp(y_lo, yg, Jg)
-    seg = capture_transverse(V, params) / np.sin(V) * (J_hi - J_lo)
-    out = seg.sum(axis=1)
-    return float(out[0]) if np.asarray(theta_segments).ndim == 1 else out
-
-
-def profile_antiderivative(profile: LightProfile, y_max: float):
-    """Dense cumulative integral of the profile, for segment-exact payoffs."""
-    yg = np.linspace(0.0, y_max, (1 << 17) + 1)
-    return yg, trapezoid_cumulative(yg, profile.eval(yg))
-
-
-def payoff_heights(theta_y, h: float, profile: LightProfile, params: ModelParams):
-    """Height-parameterized payoff: integral of I(y) g(theta(y)) over [0, h].
-
-    `theta_y` holds values at uniform y-nodes; midpoint rule per cell, which
-    makes the discrete rearrangement inequality exact.
-    """
-    vals = np.asarray(theta_y, dtype=float)
-    n = len(vals) - 1
-    y_mid = (np.arange(n) + 0.5) * h / n
-    th_mid = 0.5 * (vals[:-1] + vals[1:])
-    return float(np.sum(profile.eval(y_mid) * g_profile(th_mid, params)) * h / n)
-
-
-# ---------------------------------------------------------------------------
-# Range reduction and rearrangement
-# ---------------------------------------------------------------------------
-
-def fold_angles(theta_s, params: ModelParams):
-    """Fold a control with values in ]-pi, pi] into [theta0, pi/2].
-
-    One pass of the sign reflection, then the piecewise-affine fold iterated
-    until the range settles.  Each elementary move never lowers the captured
-    sunlight when the light profile is non-decreasing.
-    """
-    t0 = params.theta0
-    th = np.asarray(theta_s, dtype=float).copy()
-    if np.any(th <= -math.pi) or np.any(th > math.pi):
-        raise ValueError("angles must lie in ]-pi, pi]")
-
-    for _ in range(_FOLD_SWEEPS):
-        neg = th <= t0 - math.pi / 2
-        th[neg] = -th[neg]
-        high = th > t0 + math.pi / 2
-        th[high] = 2.0 * t0 + math.pi - th[high]
-        low = (th > t0 - math.pi / 2) & (th <= 0.0)
-        th[low] = 2.0 * t0 - th[low]
-        if np.all((th > 0.0) & (th <= t0 + math.pi / 2)):
-            break
-
-    for _ in range(_FOLD_SWEEPS):
-        if np.all((th >= t0) & (th <= math.pi / 2)):
-            return th
-        mid = (th > math.pi / 2) & (th <= t0 + math.pi / 2)
-        th[mid] = math.pi - th[mid]
-        low = (th >= 0.0) & (th < t0)
-        th[low] = 2.0 * t0 - th[low]
-    return np.clip(th, t0, math.pi / 2)
-
-
-def rearrange_nonincreasing(theta_y):
-    """Non-increasing rearrangement of a sampled height profile.
-
-    Equimeasurable with the input on a uniform grid: simply the values sorted
-    in descending order.  Preserves the stem length and never lowers the
-    payoff under non-decreasing light.
-    """
-    vals = np.asarray(theta_y, dtype=float)
-    return np.sort(vals)[::-1].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -321,77 +208,13 @@ def solve_op1(profile: LightProfile, params: ModelParams,
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class OracleResult:
-    payoff: float
-    theta: np.ndarray  # one angle per s-segment
-    evaluations: int
-
-
-def oracle_op1(profile: LightProfile, params: ModelParams,
-               n_segments: int, n_angles: int) -> OracleResult:
-    """Maximize the payoff over piecewise-constant angle controls.
-
-    Exhaustive search over the full angle grid when the combination count
-    fits the budget (small segment counts); otherwise coordinate descent
-    with local grid refinement from two flat starts, theta0 and mid-range.
-    """
-    grid = np.linspace(params.theta0, math.pi / 2, n_angles)
-    j_grid = profile_antiderivative(profile, params.ell)
-    combos = n_angles ** n_segments
-
-    if combos <= 2_000_000 and n_segments <= 6:
-        mesh = np.meshgrid(*([grid] * n_segments), indexing="ij")
-        V = np.stack([m.ravel() for m in mesh], axis=1)
-        pays = payoff_piecewise_constant(V, profile, params, j_grid)
-        best = int(np.argmax(pays))
-        return OracleResult(float(pays[best]), V[best].copy(), combos)
-
-    if n_segments > 64:
-        raise BudgetExceededError(f"{n_segments} segments exceed the oracle limit")
-
-    evals = 0
-    best_pay = -math.inf
-    best_v = None
-    for start in (params.theta0, 0.5 * (params.theta0 + math.pi / 2)):
-        v = np.full(n_segments, start)
-        local = grid.copy()
-        span = (math.pi / 2 - params.theta0) / (n_angles - 1)
-        for sweep in range(60):
-            improved = False
-            for i in range(n_segments):
-                trial = np.repeat(v[None, :], len(local), axis=0)
-                trial[:, i] = local
-                pays = payoff_piecewise_constant(trial, profile, params, j_grid)
-                evals += len(local)
-                j = int(np.argmax(pays))
-                if pays[j] > payoff_piecewise_constant(v, profile, params, j_grid) + 1e-15:
-                    v[i] = local[j]
-                    improved = True
-            if not improved:
-                # refine the search grid around the current point
-                span *= 0.35
-                if span < 1e-7:
-                    break
-                local = np.clip(np.concatenate(
-                    [v + d for d in np.linspace(-span, span, 9)]),
-                    params.theta0, math.pi / 2)
-                local = sorted_unique(local)
-        pay = payoff_piecewise_constant(v, profile, params, j_grid)
-        if pay > best_pay:
-            best_pay, best_v = pay, v.copy()
-    return OracleResult(float(best_pay), best_v, evals)
-
-
-# ---------------------------------------------------------------------------
 # Non-uniqueness reproduction
 # ---------------------------------------------------------------------------
 
 @dataclass
 class NonUniqueness:
+    """Step-profile level at which the two stationary shapes tie, with both branches."""
+
     eps_hat: float
     eps_one: float
     payoff_low: float       # short-stem branch at eps_hat

@@ -26,22 +26,13 @@ from .errors import (
 )
 from .kernels import sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
-from .numerics import (
-    OdeProblem,
-    bracket,
-    find_root,
-    find_roots,
-    integrate,
-    quad,
-    rk4_mesh,
-)
+from .numerics import OdeProblem, find_roots, integrate, quad, rk4_mesh
 from .params import ModelParams, Op2Config
 
 _EPS_REL = 1e-6        # layer offset below the tip, as a fraction of h
 _Q_FLOOR = -0.9         # reduced system extended to slightly negative mass costate
 _W_CAP = 1e12
 _SCAN_RTOL = 1e-7       # warm-bracket end points only locate a sign change
-_CLOSED_FORM_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -410,154 +401,3 @@ def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
          else np.atleast_1d(profile.eval(y_all)))
     return assemble_state(h, y_all, samp[:, 0], samp[:, 1], samp[:, 2], I,
                           params, eps, float(traj.y[-1, 1]))
-
-
-def closed_form_q(y, h: float, params: ModelParams):
-    """Full-light mass costate by inverting its implicit relation; oracle use."""
-    a, c, t0 = params.alpha, params.c, params.theta0
-    scale = math.sin(t0) / (a * c ** (1.0 / a))
-
-    def depth(qv):
-        return scale * quad(lambda s: _one_minus_r_scalar(s) ** ((1.0 - a) / a),
-                            qv, 1.0, _CLOSED_FORM_TOL)
-
-    out = []
-    for yy in np.atleast_1d(np.asarray(y, dtype=float)):
-        target = h - yy
-        f = lambda qv: depth(qv) - target
-        out.append(find_root(f, bracket(f, 0.0, 1.0), tol=_CLOSED_FORM_TOL))
-    return np.array(out) if np.asarray(y).ndim else float(out[0])
-
-
-def closed_form_payoff(params: ModelParams) -> float:
-    """Full-light optimal payoff, reduced to a single quadrature in q."""
-    a, c = params.alpha, params.c
-
-    def f(qv):
-        return (-qv * math.log(qv)) * _one_minus_r_scalar(qv) ** ((1.0 - a) / a)
-
-    return quad(f, 0.0, 1.0, _CLOSED_FORM_TOL, singular_at=(0.0,)) / (a * c ** (1.0 / a))
-
-
-# ---------------------------------------------------------------------------
-# Direct-transcription oracle
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Oracle2Result:
-    payoff: float
-    theta: np.ndarray
-    u: np.ndarray
-    T: float
-    evaluations: int
-
-
-def oracle_payoff(theta_vals, u_vals, T, profile: LightProfile,
-                  params: ModelParams, j_grid=None):
-    """Exact running payoff of piecewise-constant controls on [0, T]."""
-    th = np.asarray(theta_vals, dtype=float)
-    uu = np.asarray(u_vals, dtype=float)
-    n = len(th)
-    dt = T / n
-    if j_grid is None:
-        y_max = T + 1.0
-        yg = np.linspace(0.0, y_max, 1 << 16)
-        j_grid = (yg, trapezoid_cumulative(yg, profile.eval(yg)))
-    yg, Jg = j_grid
-    dy = np.sin(th) * dt
-    y_hi = np.cumsum(dy)
-    y_lo = y_hi - dy
-    cap = G2(th, uu, params) / np.sin(th) * (np.interp(y_hi, yg, Jg)
-                                             - np.interp(y_lo, yg, Jg))
-    tail = np.concatenate([np.cumsum((uu * dt)[::-1])[::-1], [0.0]])
-    a = params.alpha
-    cost = np.empty(n)
-    for i in range(n):
-        z_hi, z_lo = tail[i], tail[i + 1]
-        if uu[i] > 1e-14:
-            cost[i] = (z_hi ** (a + 1.0) - z_lo ** (a + 1.0)) / (uu[i] * (a + 1.0))
-        else:
-            cost[i] = z_hi ** a * dt
-    return float(np.sum(cap) - params.c * np.sum(cost))
-
-
-def oracle_op2(profile: LightProfile, params: ModelParams, n_segments: int,
-               seed: int = 0, n_starts: int = 2) -> Oracle2Result:
-    """Direct transcription with coordinate descent over (T, theta_i, u_i).
-
-    Golden-section line search per coordinate, multi-start, honest continuous
-    payoff evaluation, so the indirect solver must dominate the result.
-    """
-    if n_segments > 64:
-        raise DomainError("transcription limited to 64 segments")
-    rng = np.random.default_rng(seed)
-    h0_est = estimate_h0(params)
-    T_ref = h0_est / math.sin(params.theta0)
-    u_ref = params.c ** (-1.0 / params.alpha) / T_ref
-
-    y_max = 3.0 * T_ref + 1.0
-    yg = np.linspace(0.0, y_max, 1 << 16)
-    j_grid = (yg, trapezoid_cumulative(yg, profile.eval(yg)))
-
-    evals = 0
-    gold = (math.sqrt(5.0) - 1.0) / 2.0
-
-    def golden_max(fun, lo, hi, iters=28):
-        nonlocal evals
-        a_, b_ = lo, hi
-        c_ = b_ - gold * (b_ - a_)
-        d_ = a_ + gold * (b_ - a_)
-        fc, fd = fun(c_), fun(d_)
-        evals += 2
-        for _ in range(iters):
-            if fc > fd:
-                b_, d_, fd = d_, c_, fc
-                c_ = b_ - gold * (b_ - a_)
-                fc = fun(c_)
-            else:
-                a_, c_, fc = c_, d_, fd
-                d_ = a_ + gold * (b_ - a_)
-                fd = fun(d_)
-            evals += 1
-        return (c_, fc) if fc > fd else (d_, fd)
-
-    best = None
-    for start in range(n_starts):
-        if start == 0:
-            th = np.full(n_segments, params.theta0)
-            uu = np.full(n_segments, 2.0 * u_ref)
-            T = T_ref
-        else:
-            th = rng.uniform(params.theta0, math.pi / 2 - 0.1, n_segments)
-            uu = rng.uniform(0.0, 4.0 * u_ref, n_segments)
-            T = rng.uniform(0.5 * T_ref, 2.0 * T_ref)
-        current = oracle_payoff(th, uu, T, profile, params, j_grid)
-        for _ in range(40):
-            before = current
-            for i in range(n_segments):
-                def f_u(v, i=i):
-                    trial = uu.copy()
-                    trial[i] = v
-                    return oracle_payoff(th, trial, T, profile, params, j_grid)
-                v, fv = golden_max(f_u, 0.0, 12.0 * u_ref)
-                if fv > current:
-                    uu[i], current = v, fv
-
-                def f_th(v, i=i):
-                    trial = th.copy()
-                    trial[i] = v
-                    return oracle_payoff(trial, uu, T, profile, params, j_grid)
-                v, fv = golden_max(f_th, params.theta0, math.pi / 2 - 1e-6)
-                if fv > current:
-                    th[i], current = v, fv
-
-            def f_T(v):
-                return oracle_payoff(th, uu, v, profile, params, j_grid)
-            v, fv = golden_max(f_T, 0.2 * T_ref, 3.0 * T_ref)
-            if fv > current:
-                T, current = v, fv
-            if evals > 300_000 or current - before < 1e-12 * (1.0 + abs(current)):
-                break
-        if best is None or current > best.payoff:
-            best = Oracle2Result(float(current), th.copy(), uu.copy(), float(T), evals)
-    return best

@@ -52,6 +52,8 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Op2Config:
+    """Options of the free-length shooting, `model2.shoot_op2`."""
+
     h_bracket: tuple[float, float] | None = None
     scan_samples: int = 200
     rtol: float = 1e-11

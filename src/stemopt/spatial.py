@@ -114,6 +114,8 @@ def _capture_slopes(theta, params: ModelParams):
 
 @dataclass
 class Op3Result:
+    """Single stem in a planar light field, from the forward-backward sweep."""
+
     s: np.ndarray
     x: np.ndarray
     y: np.ndarray
@@ -262,6 +264,8 @@ def rho_bar_ramp(xi, b: float, scale: float = 1.0):
 
 @dataclass
 class FieldBuildReport:
+    """Light field cast by a stem family, with the leaf density deposited on its grid."""
+
     field: LightField2D
     vegetation: np.ndarray      # (ny, nx) deposited density
     deposited_mass: float
@@ -373,6 +377,8 @@ def _bilinear_raw(grid, xs, ys, xq, yq):
 
 @dataclass
 class HalflineResult:
+    """Last stem family and light field of the half-line relaxation, with its history."""
+
     family: StemFamily
     report: FieldBuildReport
     changes: list[float] = field(default_factory=list)

@@ -11,6 +11,7 @@ from stemopt import equilibrium1 as e1
 from stemopt import equilibrium2 as e2
 from stemopt import model1 as m1
 from stemopt import model2 as m2
+from stemopt import oracles
 from stemopt.numerics import trapezoid_cumulative
 
 H0_EXACT = math.sqrt(2.0) / 4.0
@@ -51,7 +52,7 @@ def test_criterion_02_op2_flat_light_closed_form(stem_flat, params2):
     dh = abs(stem_flat.h - H0_EXACT)
     ys = np.linspace(0.0, stem_flat.h * 0.98, 100)
     dq = float(np.max(np.abs(stem_flat.interp("q", ys)
-                             - m2.closed_form_q(ys, stem_flat.h, params2))))
+                             - oracles.closed_form_q(ys, stem_flat.h, params2))))
     dz = abs(stem_flat.z[0] - 1.0)
     _report(2, "flat-light free-length closed form",
             dh <= 1e-6 and dq <= 1e-6 and dz <= 1e-6,
@@ -69,8 +70,8 @@ def test_criterion_03_hamiltonian_first_integral(stem_flat, stem_canopy, eq2_cas
 
 def test_criterion_04_oracle_equivalence_op1(params45, canopy_profile):
     solver = m1.solve_op1(canopy_profile, params45)[0]
-    exhaustive = m1.oracle_op1(canopy_profile, params45, 5, 9)
-    descent = m1.oracle_op1(canopy_profile, params45, 64, 33)
+    exhaustive = oracles.oracle_op1(canopy_profile, params45, 5, 9)
+    descent = oracles.oracle_op1(canopy_profile, params45, 64, 33)
     gap = (solver.payoff - descent.payoff) / solver.payoff
     _report(4, "fixed-length solver dominates brute-force oracles",
             exhaustive.payoff <= solver.payoff + 1e-9 and 0.0 <= gap + 1e-9
@@ -82,9 +83,9 @@ def test_criterion_04_oracle_equivalence_op1(params45, canopy_profile):
 def test_criterion_05_oracle_equivalence_op2(params2, const_profile,
                                              canopy_profile, stem_flat,
                                              stem_canopy):
-    closed = m2.closed_form_payoff(params2)
-    orc_flat = m2.oracle_op2(const_profile, params2, 64, seed=0)
-    orc_can = m2.oracle_op2(canopy_profile, params2, 64, seed=1)
+    closed = oracles.closed_form_payoff(params2)
+    orc_flat = oracles.oracle_op2(const_profile, params2, 64, seed=0)
+    orc_can = oracles.oracle_op2(canopy_profile, params2, 64, seed=1)
     rel = (closed - orc_flat.payoff) / closed
     dominated = (orc_flat.payoff <= stem_flat.payoff + 1e-9
                  and orc_can.payoff <= stem_canopy.payoff + 1e-9)
@@ -119,8 +120,7 @@ def test_criterion_07_equilibrium1_fixed_point():
     for rk in (0.01, 0.05, 0.1):
         params = ModelParams(theta0=math.pi / 4, kappa=1.0, ell=1.0, rho=rk)
         res = e1.solve_equilibrium1(params)
-        rep = e1.verify_fixed_point(res, params)
-        worst_resid = max(worst_resid, rep.residual_refit, rep.residual_map)
+        worst_resid = max(worst_resid, res.residual_refit, res.residual_map)
         shade = trapezoid_cumulative(res.y, rk / np.sin(res.theta_star))
         z = (math.exp(-1.0) - 1.0) * np.exp(shade[-1] - shade)
         nc = float(np.max(np.abs(m1.phi_inverse(z, params) - res.theta_star)))
@@ -184,14 +184,14 @@ def test_criterion_10_property_suites(params45, params2, stem_flat, stem_canopy)
     # rearrangement and fold never lower the payoff (100 cases each)
     for _ in range(100):
         theta = rng.uniform(params45.theta0, math.pi / 2, 64)
-        re = m1.rearrange_nonincreasing(theta)
-        if m1.payoff_heights(re, 0.8, prof, params45) \
-                < m1.payoff_heights(theta, 0.8, prof, params45) - 1e-13:
+        re = oracles.rearrange_nonincreasing(theta)
+        if oracles.payoff_heights(re, 0.8, prof, params45) \
+                < oracles.payoff_heights(theta, 0.8, prof, params45) - 1e-13:
             failures += 1
         up = rng.uniform(1e-6, math.pi, 33)
-        folded = m1.fold_angles(up, params45)
-        if m1.payoff_op1(folded, prof, params45, refine=2048) \
-                < m1.payoff_op1(up, prof, params45, refine=2048) - 1e-11:
+        folded = oracles.fold_angles(up, params45)
+        if oracles.payoff_op1(folded, prof, params45, refine=2048) \
+                < oracles.payoff_op1(up, prof, params45, refine=2048) - 1e-11:
             failures += 1
     # feedback stationarity by finite differences (100 cases)
     worst_grad = 0.0

@@ -281,3 +281,48 @@ def test_tracer_targets_resolve():
             if not inspect.isfunction(obj):
                 unresolved.append(f"{table}: {target}")
     assert unresolved == [], unresolved
+
+
+def test_every_class_has_a_docstring():
+    # dataclasses builds a missing class docstring from inspect.signature
+    # each time the class is created, on every set-up that defines it
+    missing = sorted(f"{path.stem}.{node.name}"
+                     for path, tree in _trees(SRC).items()
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ClassDef) and not ast.get_docstring(node))
+    assert missing == [], f"classes without a docstring: {missing}"
+
+
+_SOLVER_PATH = {"solve_op1", "phi_inverse", "shoot_op2", "residual_batch",
+                "feedback_TU", "integrate", "find_root", "find_roots"}
+
+
+def test_oracles_reach_no_solver_path():
+    # an oracle that ran the code it checks would agree with it by
+    # construction: neither oracle, nor an oracles helper that one calls,
+    # names a solver, a feedback law, the ODE integrator or a root finder
+    path = SRC / "oracles.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+    imported = {alias.asname or alias.name: alias.name
+                for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+
+    def names(fn):
+        return {imported.get(ref, ref) for node in ast.walk(fn)
+                for ref in ([node.id] if isinstance(node, ast.Name)
+                            else [node.attr] if isinstance(node, ast.Attribute) else [])}
+
+    reached, todo, offending = set(), ["oracle_op1", "oracle_op2"], {}
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        refs = names(functions[name])
+        if refs & _SOLVER_PATH:
+            offending[name] = sorted(refs & _SOLVER_PATH)
+        todo += sorted(refs & set(functions))
+    assert {"payoff_piecewise_constant", "oracle_payoff"} <= reached, reached
+    assert offending == {}, f"oracle code that names the solver path: {offending}"

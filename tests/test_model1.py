@@ -5,6 +5,7 @@ import pytest
 
 from stemopt import LightProfile, ModelParams
 from stemopt import model1 as m1
+from stemopt import oracles
 from stemopt.errors import DomainError, NoCrossingError
 
 
@@ -84,13 +85,13 @@ def test_phi_exact_over_eq1_box():
 
 def test_payoff_flat_light_straight_stem(params45, const_profile):
     theta = np.full(65, params45.theta0)
-    val = m1.payoff_op1(theta, const_profile, params45)
+    val = oracles.payoff_op1(theta, const_profile, params45)
     assert abs(val - params45.ell * (1.0 - math.exp(-1.0))) < 1e-10
 
 
 def test_payoff_vertical_stem(params45, const_profile):
     theta = np.full(65, math.pi / 2)
-    val = m1.payoff_op1(theta, const_profile, params45)
+    val = oracles.payoff_op1(theta, const_profile, params45)
     expect = (1.0 - math.exp(-math.sqrt(2.0))) * math.sqrt(2.0) / 2.0
     assert abs(val - expect) < 1e-10
 
@@ -100,7 +101,7 @@ def test_payoff_step_profile_short_branch():
     params = ModelParams(theta0=math.pi / 4, kappa=1.0, ell=1.2)
     eps = 0.3
     theta = np.full(129, math.pi / 4)
-    val = m1.payoff_op1(theta, LightProfile.step(eps, 1.0), params)
+    val = oracles.payoff_op1(theta, LightProfile.step(eps, 1.0), params)
     assert abs(val - 1.2 * (1.0 - math.exp(-1.0)) * eps) < 1e-10
 
 
@@ -110,18 +111,18 @@ def test_payoff_step_profile_short_branch():
 
 def test_fold_fixed_point(params45):
     theta = np.full(33, params45.theta0)
-    out = m1.fold_angles(theta, params45)
+    out = oracles.fold_angles(theta, params45)
     assert np.array_equal(out, theta)
 
 
 def test_fold_negative_reflection(params45):
-    out = m1.fold_angles(np.array([-math.pi / 4]), params45)
+    out = oracles.fold_angles(np.array([-math.pi / 4]), params45)
     assert abs(out[0] - math.pi / 4) < 1e-14
 
 
 def test_fold_affine_branch(params45):
     # 3pi/5 lies in ]pi/2, theta0 + pi/2]; folds to pi - 3pi/5 = 2pi/5
-    out = m1.fold_angles(np.array([3.0 * math.pi / 5]), params45)
+    out = oracles.fold_angles(np.array([3.0 * math.pi / 5]), params45)
     assert abs(out[0] - 2.0 * math.pi / 5) < 1e-14
 
 
@@ -130,23 +131,23 @@ def test_fold_range_and_payoff_improvement(params45):
     prof = LightProfile.tabulated([0.0, 0.5, 1.0], [0.6, 0.8, 1.0])
     for _ in range(100):
         theta = rng.uniform(1e-6, math.pi, 33)  # upward controls
-        folded = m1.fold_angles(theta, params45)
+        folded = oracles.fold_angles(theta, params45)
         assert np.all(folded >= params45.theta0 - 1e-12)
         assert np.all(folded <= math.pi / 2 + 1e-12)
-        before = m1.payoff_op1(theta, prof, params45, refine=2048)
-        after = m1.payoff_op1(folded, prof, params45, refine=2048)
+        before = oracles.payoff_op1(theta, prof, params45, refine=2048)
+        after = oracles.payoff_op1(folded, prof, params45, refine=2048)
         assert after >= before - 1e-11
 
 
 def test_rearrange_sorted_input_unchanged():
     vals = np.linspace(1.5, 0.8, 17)
-    assert np.array_equal(m1.rearrange_nonincreasing(vals), vals)
+    assert np.array_equal(oracles.rearrange_nonincreasing(vals), vals)
 
 
 def test_rearrange_two_block():
     t0 = math.pi / 4
     vals = np.concatenate([np.full(8, t0), np.full(8, math.pi / 2)])
-    out = m1.rearrange_nonincreasing(vals)
+    out = oracles.rearrange_nonincreasing(vals)
     assert np.array_equal(out, np.concatenate([np.full(8, math.pi / 2),
                                                np.full(8, t0)]))
 
@@ -157,15 +158,15 @@ def test_rearrange_properties(params45):
     h = 0.8
     for _ in range(100):
         theta = rng.uniform(params45.theta0, math.pi / 2, 64)
-        re = m1.rearrange_nonincreasing(theta)
+        re = oracles.rearrange_nonincreasing(theta)
         # equimeasurable and length preserving
         assert np.array_equal(np.sort(re), np.sort(theta))
         len_before = np.sum(1.0 / np.sin(theta))
         len_after = np.sum(1.0 / np.sin(re))
         assert abs(len_before - len_after) < 1e-12 * len_before
         # payoff never decreases under non-decreasing light
-        before = m1.payoff_heights(theta, h, prof, params45)
-        after = m1.payoff_heights(re, h, prof, params45)
+        before = oracles.payoff_heights(theta, h, prof, params45)
+        after = oracles.payoff_heights(re, h, prof, params45)
         assert after >= before - 1e-13
 
 
@@ -217,20 +218,20 @@ def test_solve_step_two_candidates():
 # ---------------------------------------------------------------------------
 
 def test_oracle_flat_light_picks_theta0(params45, const_profile):
-    res = m1.oracle_op1(const_profile, params45, 4, 9)
+    res = oracles.oracle_op1(const_profile, params45, 4, 9)
     assert np.max(np.abs(res.theta - params45.theta0)) < 1e-12
 
 
 def test_oracle_never_beats_solver(params45, canopy_profile):
     best = m1.solve_op1(canopy_profile, params45)[0]
-    res = m1.oracle_op1(canopy_profile, params45, 5, 9)
+    res = oracles.oracle_op1(canopy_profile, params45, 5, 9)
     assert res.payoff <= best.payoff + 1e-9
 
 
 def test_oracle_refinement_narrows_gap(params45, canopy_profile):
     best = m1.solve_op1(canopy_profile, params45)[0]
-    coarse = m1.oracle_op1(canopy_profile, params45, 3, 7)
-    finer = m1.oracle_op1(canopy_profile, params45, 6, 11)
+    coarse = oracles.oracle_op1(canopy_profile, params45, 3, 7)
+    finer = oracles.oracle_op1(canopy_profile, params45, 6, 11)
     assert finer.payoff >= coarse.payoff - 1e-12
     assert best.payoff - finer.payoff < best.payoff - coarse.payoff + 1e-9
 
@@ -311,8 +312,8 @@ def test_oracle_finds_both_branches_at_tie(nonuniq):
     grid = np.linspace(params.theta0, math.pi / 2, 9)
     mesh = np.meshgrid(*([grid] * 4), indexing="ij")
     V = np.stack([m.ravel() for m in mesh], axis=1)
-    j = m1.profile_antiderivative(prof, params.ell)
-    pays = m1.payoff_piecewise_constant(V, prof, params, j)
+    j = oracles.profile_antiderivative(prof, params.ell)
+    pays = oracles.payoff_piecewise_constant(V, prof, params, j)
     heights = np.sin(V).sum(axis=1) * params.ell / 4
     tied = nu.payoff_low
     assert pays[heights < 1.0].max() >= tied - 1e-9

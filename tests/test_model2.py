@@ -5,6 +5,7 @@ import pytest
 
 from stemopt import LightProfile, ModelParams
 from stemopt import model2 as m2
+from stemopt import oracles
 from stemopt.errors import DomainError
 from stemopt.numerics import quad
 
@@ -153,7 +154,7 @@ def test_seed_matches_implicit_solution(params2, const_profile):
     h = H0_EXACT
     for eps in (1e-5, 1e-6):
         _, q_seed = m2.seed_terminal_layer(h, const_profile, params2, eps)
-        q_true = m2.closed_form_q([h - eps], h, params2)[0]
+        q_true = oracles.closed_form_q([h - eps], h, params2)[0]
         rel = abs(q_seed - q_true) / (1.0 - q_true)
         assert rel < 3.0 * (1.0 - q_true)  # relative error O(e) with e -> 0
     assert m2.seed_terminal_layer(h, const_profile, params2, 1e-6)[0] == 0.0
@@ -202,7 +203,7 @@ def test_shoot_flat_light_profiles(stem_flat, params2):
 def test_shoot_flat_light_implicit_relation(stem_flat, params2):
     ys = np.linspace(0.0, stem_flat.h * 0.98, 100)
     q = stem_flat.interp("q", ys)
-    q_true = m2.closed_form_q(ys, stem_flat.h, params2)
+    q_true = oracles.closed_form_q(ys, stem_flat.h, params2)
     assert np.max(np.abs(q - q_true)) < 1e-6
 
 
@@ -287,14 +288,52 @@ def test_h0_closed_form_quarter_integral(params2):
 
 
 def test_oracle_zero_density_floor(params2, const_profile):
-    val = m2.oracle_payoff(np.full(8, params2.theta0), np.zeros(8), 0.5,
-                           const_profile, params2)
+    val = oracles.oracle_payoff(np.full(8, params2.theta0), np.zeros(8), 0.5,
+                                const_profile, params2)
     assert val == 0.0
 
 
+def _oracle_payoff_loop(th, uu, T, profile, params):
+    """The running payoff with its transport cost summed segment by segment:
+    the reference for the vectorized `oracles.oracle_payoff`."""
+    n = len(th)
+    dt = T / n
+    yg, Jg = oracles.profile_antiderivative(profile, T + 1.0, 1 << 16)
+    dy = np.sin(th) * dt
+    y_hi = np.cumsum(dy)
+    y_lo = y_hi - dy
+    cap = m2.G2(th, uu, params) / np.sin(th) * (np.interp(y_hi, yg, Jg)
+                                                - np.interp(y_lo, yg, Jg))
+    tail = np.concatenate([np.cumsum((uu * dt)[::-1])[::-1], [0.0]])
+    a = params.alpha
+    cost = np.empty(n)
+    for i in range(n):
+        z_hi, z_lo = tail[i], tail[i + 1]
+        if uu[i] > 1e-14:
+            cost[i] = (z_hi ** (a + 1.0) - z_lo ** (a + 1.0)) / (uu[i] * (a + 1.0))
+        else:
+            cost[i] = z_hi ** a * dt
+    return float(np.sum(cap) - params.c * np.sum(cost))
+
+
+def test_oracle_payoff_matches_its_segment_loop(params2, canopy_profile):
+    # numpy's array power may round differently from the scalar one by an
+    # ulp; the cancellation between a segment's two tail powers amplifies
+    # that by z / (u dt) < 2e3 on these inputs, far below the tolerance
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        n = int(rng.integers(1, 65))
+        th = rng.uniform(params2.theta0, math.pi / 2, n)
+        uu = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.1, 3.0, n))
+        T = rng.uniform(0.2, 2.0)
+        want = _oracle_payoff_loop(th, uu, T, canopy_profile, params2)
+        got = oracles.oracle_payoff(th, uu, T, canopy_profile, params2)
+        assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
+
+
 def test_oracle_flat_light_close_to_solver(params2, const_profile, stem_flat):
-    res = m2.oracle_op2(const_profile, params2, 64, seed=0)
-    closed = m2.closed_form_payoff(params2)
+    res = oracles.oracle_op2(const_profile, params2, 64, seed=0)
+    closed = oracles.closed_form_payoff(params2)
     assert res.payoff <= stem_flat.payoff + 1e-9
     assert res.payoff >= 0.98 * closed
     # optimal angles cluster at the light angle under flat light
@@ -303,12 +342,12 @@ def test_oracle_flat_light_close_to_solver(params2, const_profile, stem_flat):
 
 def test_oracle_segment_limit(params2, const_profile):
     with pytest.raises(DomainError):
-        m2.oracle_op2(const_profile, params2, 128)
+        oracles.oracle_op2(const_profile, params2, 128)
 
 
 def test_oracle_refinement_improves(params2, const_profile, stem_flat):
-    coarse = m2.oracle_op2(const_profile, params2, 8, seed=3, n_starts=1)
-    fine = m2.oracle_op2(const_profile, params2, 32, seed=3, n_starts=1)
+    coarse = oracles.oracle_op2(const_profile, params2, 8, seed=3, n_starts=1)
+    fine = oracles.oracle_op2(const_profile, params2, 32, seed=3, n_starts=1)
     assert coarse.payoff <= stem_flat.payoff + 1e-9
     assert fine.payoff <= stem_flat.payoff + 1e-9
     assert fine.payoff >= coarse.payoff - 1e-9
@@ -322,6 +361,6 @@ def test_shoot_flat_light_generic_parameters(theta0, alpha, c):
     assert abs(st.h - m2.estimate_h0(params)) < 1e-6
     ys = np.linspace(0.1 * st.h, 0.9 * st.h, 7)
     q = st.interp("q", ys)
-    q_true = m2.closed_form_q(ys, st.h, params)
+    q_true = oracles.closed_form_q(ys, st.h, params)
     assert np.max(np.abs(q - q_true)) < 1e-6
     assert st.hamiltonian_max_abs < 1e-6
