@@ -44,9 +44,6 @@ class Equilibrium1Result:
     uniqueness_ok: bool          # constructed profile passes the slope test
     uniqueness_margin: float
 
-    def theta_at(self, yq):
-        return np.interp(np.asarray(yq, dtype=float), self.y, self.theta_star)
-
 
 def solve_bcp(params: ModelParams) -> Trajectory:
     """Backward Cauchy problem for the log-shade zeta(t), t <= 0.

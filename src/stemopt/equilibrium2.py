@@ -135,11 +135,9 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in ]0, 1]")
-    cfg = Op2Config()
     # inner iterates run at relaxed accuracy; the returned stem and the
     # residual verification are recomputed at full accuracy below
-    inner = replace(cfg, rtol=max(cfg.rtol, 1e-9), atol=max(cfg.atol, 1e-12),
-                    root_tol=max(cfg.root_tol, 1e-10), n_out=1024)
+    inner = Op2Config(rtol=1e-9, atol=1e-12, root_tol=1e-10, n_out=1024)
     h0 = model2.estimate_h0(params)
     # shading-rate grid, graded toward the ground where the rate is log-divergent
     y_grid = sorted_unique(np.concatenate([
@@ -148,16 +146,13 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     rate_vals = np.zeros_like(y_grid)
     profile: LightProfile = LightProfile.constant(1.0)
 
-    stem = None
     h_prev = None
     class_f_ok = True
     class_f_delta = 0.0
     history: list[float] = []
-    iterations = 0
     multiroot = False
     h_roots: list[float] = []
     for k in range(_FP_MAX_ITER):
-        iterations = k + 1
         width = 0.1 if k < 2 else 0.02
         warm = None if h_prev is None else ((1.0 - width) * h_prev,
                                             (1.0 + width) * h_prev)
@@ -193,10 +188,10 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         raise exc
 
     # full-accuracy stem under the converged profile
-    final_cfg = replace(cfg, h_bracket=(0.98 * h_prev, 1.02 * h_prev))
+    final_cfg = Op2Config(h_bracket=(0.98 * h_prev, 1.02 * h_prev))
     stem = model2.shoot_op2(profile, params, final_cfg)
     result = Equilibrium2Result(
-        I_star=profile, stem=stem, method="fixed_point", iterations=iterations,
+        I_star=profile, stem=stem, method="fixed_point", iterations=len(history),
         residual_map=math.nan, residual_refit=math.nan, h=stem.h,
         h_roots=h_roots, class_f_ok=class_f_ok, class_f_delta=class_f_delta,
         multiroot_flag=multiroot, history=history,

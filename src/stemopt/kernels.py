@@ -1,5 +1,5 @@
 """Array kernels that more than one solver layer shares: the leaf-capture law,
-the cumulative trapezoid and a sorted unique.
+the cumulative trapezoid along an array's last axis and a sorted unique.
 
 The module imports nothing but numpy, so a layer that needs only these
 kernels does not execute the fixed-length stem model or the shared numerics.
@@ -41,15 +41,16 @@ def _G_parts(th, t0, k):
 
 
 def trapezoid_cumulative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cumulative trapezoid of samples y(x); result[0] = 0."""
+    """Cumulative trapezoid of samples y(x) along y's last axis, which
+    matches the nodes x; result[..., 0] = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(x)
+    out = np.zeros(y.shape)
     # 0.5 * (y[1:] + y[:-1]) * diff(x), in two arrays instead of four
-    area = y[1:] + y[:-1]
+    area = y[..., 1:] + y[..., :-1]
     area *= 0.5
-    area *= np.subtract(x[1:], x[:-1], out=out[1:])
-    np.cumsum(area, out=out[1:])
+    area *= np.subtract(x[1:], x[:-1], out=out[..., 1:])
+    np.cumsum(area, axis=-1, out=out[..., 1:])
     return out
 
 

@@ -148,18 +148,21 @@ def _simpson_piece(a: float, b: float, n_min: int, density: float):
     return ys, _simpson_weights(n) * (b - a) / (3.0 * n)
 
 
-def _length_and_payoff(h: float, profile: LightProfile, params: ModelParams,
-                       density: float):
-    """Arc length and payoff of the feedback shape stopping at height h."""
-    L = 0.0
-    P = 0.0
+def _feedback_nodes(h: float, profile: LightProfile, params: ModelParams,
+                    density: float):
+    """Simpson nodes, weights and feedback angles of each continuity piece
+    of the shape stopping at height h."""
     eps_edge = 1e-13 * max(1.0, h)
     for (a, b) in _pieces(profile, h):
         ys, wts = _simpson_piece(a + eps_edge, b - eps_edge, 32, density)
-        th = _theta_star(ys, h, profile, params)
+        yield ys, wts, _theta_star(ys, h, profile, params)
+
+
+def _arc_length(nodes) -> float:
+    L = 0.0   # summed piece by piece, in order (sum() compensates on 3.12+)
+    for _, wts, th in nodes:
         L += float(np.sum(wts / np.sin(th)))
-        P += float(np.sum(wts * profile.eval(ys) * g_profile(th, params)))
-    return L, P
+    return L
 
 
 def solve_op1(profile: LightProfile, params: ModelParams,
@@ -177,7 +180,7 @@ def solve_op1(profile: LightProfile, params: ModelParams,
     fine_density = max(float(n_grid) / ell, scan_density)
 
     def resid(h, density=scan_density):
-        return _length_and_payoff(h, profile, params, density)[0] - ell
+        return _arc_length(_feedback_nodes(h, profile, params, density)) - ell
 
     lo_all = 1e-9 * ell
     cuts = [d for d in profile.discontinuities if lo_all < d < ell]
@@ -195,14 +198,17 @@ def solve_op1(profile: LightProfile, params: ModelParams,
 
     shapes: list[StemShape1] = []
     for h in roots:
-        L, P = _length_and_payoff(h, profile, params, fine_density)
+        nodes = list(_feedback_nodes(h, profile, params, fine_density))
+        P = 0.0
+        for ys, wts, th in nodes:
+            P += float(np.sum(wts * profile.eval(ys) * g_profile(th, params)))
         y = np.linspace(0.0, h, n_grid + 1)
         th = _theta_star(y, h, profile, params)
         x = trapezoid_cumulative(y, np.cos(th) / np.sin(th))
         lam = (1.0 - math.exp(-params.kappa)) * profile.eval(h)
         shapes.append(StemShape1(h=float(h), y=y, theta=th, x=x,
                                  payoff=float(P), lam=float(lam),
-                                 length_error=float(L - ell)))
+                                 length_error=float(_arc_length(nodes) - ell)))
     shapes.sort(key=lambda s: (-s.payoff, s.h))
     return shapes
 

@@ -21,7 +21,6 @@ from .errors import (
     NoSignChangeError,
     StepUnderflowError,
 )
-from .kernels import trapezoid_cumulative  # noqa: F401  (still importable from here)
 
 _EPS = np.finfo(float).eps
 

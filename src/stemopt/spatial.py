@@ -11,7 +11,7 @@ carries no convergence guarantee; non-convergence is a reported outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,25 +64,8 @@ class LightField2D:
         col = profile.eval(np.maximum(ys, 0.0))
         return LightField2D(xs, ys, np.tile(col[:, None], (1, nx)))
 
-    def _locate(self, xq, yq):
-        xq = np.clip(xq, self.x[0], self.x[-1])
-        yq = np.clip(yq, self.y[0], self.y[-1])
-        ix = np.clip(np.searchsorted(self.x, xq) - 1, 0, len(self.x) - 2)
-        iy = np.clip(np.searchsorted(self.y, yq) - 1, 0, len(self.y) - 2)
-        tx = (xq - self.x[ix]) / (self.x[ix + 1] - self.x[ix])
-        ty = (yq - self.y[iy]) / (self.y[iy + 1] - self.y[iy])
-        return ix, iy, np.clip(tx, 0.0, 1.0), np.clip(ty, 0.0, 1.0)
-
     def eval(self, xq, yq):
-        xq = np.asarray(xq, dtype=float)
-        yq = np.asarray(yq, dtype=float)
-        ix, iy, tx, ty = self._locate(xq, yq)
-        z00 = self.I[iy, ix]
-        z01 = self.I[iy, ix + 1]
-        z10 = self.I[iy + 1, ix]
-        z11 = self.I[iy + 1, ix + 1]
-        return (z00 * (1 - tx) * (1 - ty) + z01 * tx * (1 - ty)
-                + z10 * (1 - tx) * ty + z11 * tx * ty)
+        return _bilinear(self.I, self.x, self.y, xq, yq)
 
     def grad(self, xq, yq):
         """Central-difference gradient of the interpolated field."""
@@ -91,6 +74,22 @@ class LightField2D:
         gx = (self.eval(xq + hx, yq) - self.eval(xq - hx, yq)) / (2 * hx)
         gy = (self.eval(xq, yq + hy) - self.eval(xq, yq - hy)) / (2 * hy)
         return gx, gy
+
+
+def _cells(nodes, q):
+    """The grid cell of each query, clamped into the grid: the index i of
+    its lower node and its position in [0, 1] from node i to node i + 1."""
+    q = np.clip(q, nodes[0], nodes[-1])
+    i = np.clip(np.searchsorted(nodes, q) - 1, 0, len(nodes) - 2)
+    return i, np.clip((q - nodes[i]) / (nodes[i + 1] - nodes[i]), 0.0, 1.0)
+
+
+def _bilinear(grid, xs, ys, xq, yq):
+    """Bilinear interpolation of grid (ny, nx) on the nodes xs, ys."""
+    ix, tx = _cells(xs, xq)
+    iy, ty = _cells(ys, yq)
+    return (grid[iy, ix] * (1 - tx) * (1 - ty) + grid[iy, ix + 1] * tx * (1 - ty)
+            + grid[iy + 1, ix] * (1 - tx) * ty + grid[iy + 1, ix + 1] * tx * ty)
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +151,12 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
     converged = False
     sweeps = 0
     while True:
-        x = root_x + trapezoid_cumulative(s, np.cos(theta))
-        y = trapezoid_cumulative(s, np.sin(theta))
+        x, y = _curve(s, theta, root_x)
         I_s = fld.eval(x, y)
-        gx, gy = fld.grad(x, y)
         G_s = capture_transverse(theta, params)
         # p(s) = integral_s^ell grad(I) G ds, backward from p(ell) = 0
-        p1 = _reverse_cumtrapz(s, gx * G_s)
-        p2 = _reverse_cumtrapz(s, gy * G_s)
+        total = trapezoid_cumulative(s, np.stack(fld.grad(x, y)) * G_s)
+        p1, p2 = total[:, -1:] - total
         if converged or sweeps == max_sweeps:
             break
 
@@ -189,9 +186,11 @@ def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
     )
 
 
-def _reverse_cumtrapz(s, f):
-    total = trapezoid_cumulative(s, f)
-    return total[-1] - total
+def _curve(s, theta, root_x):
+    """The planar curve (x, y) of the angles theta (along the last axis) on
+    the arc-length nodes s, rooted at (root_x, 0)."""
+    return (root_x + trapezoid_cumulative(s, np.cos(theta)),
+            trapezoid_cumulative(s, np.sin(theta)))
 
 
 def _polish(th, p1, p2, I_s, params: ModelParams, iters: int = 4):
@@ -212,7 +211,7 @@ def _polish(th, p1, p2, I_s, params: ModelParams, iters: int = 4):
 # Stem families and the light they cast
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class StemFamily:
     """Stems gamma(s, xi) rooted along the x axis with density rho_bar(xi)."""
 
@@ -226,7 +225,9 @@ class StemFamily:
     y: np.ndarray = field(init=False)   # (m, n_s+1)
 
     def __post_init__(self):
-        self.recompute_curves()
+        x, y = _curve(self.s, self.theta, self.xi[:, None])
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     @staticmethod
     def uniform_angles(xi, rho_bar, params: ModelParams, n_s: int = 200,
@@ -236,19 +237,6 @@ class StemFamily:
         th = np.full((len(xi), n_s + 1), params.theta0 if theta is None else theta)
         return StemFamily(xi=xi, rho_bar=np.asarray(rho_bar, dtype=float), s=s,
                           theta=th, kappa=params.kappa, ell=params.ell)
-
-    def recompute_curves(self):
-        """Rebuild the planar curves from the angle field (arc-length exact
-        to trapezoid order)."""
-        ds = self.s[1] - self.s[0]
-        cx = np.cos(self.theta)
-        cy = np.sin(self.theta)
-        self.x = self.xi[:, None] + np.concatenate(
-            [np.zeros((len(self.xi), 1)),
-             np.cumsum(0.5 * (cx[:, 1:] + cx[:, :-1]) * ds, axis=1)], axis=1)
-        self.y = np.concatenate(
-            [np.zeros((len(self.xi), 1)),
-             np.cumsum(0.5 * (cy[:, 1:] + cy[:, :-1]) * ds, axis=1)], axis=1)
 
     def total_leaf_mass(self) -> float:
         """kappa * integral rho_bar(xi) * ell dxi over the root interval."""
@@ -284,7 +272,6 @@ def light_from_family(family: StemFamily, window, nx: int = 256, ny: int = 256,
     each grid node toward the sun and exponentiating the accumulated
     vegetation.
     """
-    theta0 = params.theta0
     x0, x1, y0, y1 = window
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
@@ -304,16 +291,11 @@ def light_from_family(family: StemFamily, window, nx: int = 256, ny: int = 256,
     pm = np.repeat(mass, family.x.shape[1] - 1) * ds
 
     rho = np.zeros((ny, nx))
-    fx = np.clip((px - x0) / dx, 0.0, nx - 1.001)
-    fy = np.clip((py - y0) / dy, 0.0, ny - 1.001)
-    ix = fx.astype(int)
-    iy = fy.astype(int)
-    tx = fx - ix
-    ty = fy - iy
-    np.add.at(rho, (iy, ix), pm * (1 - tx) * (1 - ty))
-    np.add.at(rho, (iy, ix + 1), pm * tx * (1 - ty))
-    np.add.at(rho, (iy + 1, ix), pm * (1 - tx) * ty)
-    np.add.at(rho, (iy + 1, ix + 1), pm * tx * ty)
+    ix, tx = _cells(xs, px)   # the transpose of the bilinear sampler
+    iy, ty = _cells(ys, py)
+    for jy, wy in ((iy, 1 - ty), (iy + 1, ty)):
+        for jx, wx in ((ix, 1 - tx), (ix + 1, tx)):
+            np.add.at(rho, (jy, jx), pm * wx * wy)
     deposited = float(rho.sum())
     rho /= cell
     capped = int(np.sum(rho > _DENSITY_CAP))
@@ -322,7 +304,7 @@ def light_from_family(family: StemFamily, window, nx: int = 256, ny: int = 256,
         rho = _binomial_blur(rho)
 
     # march from every node toward the sun (vegetation is up-sun of a point)
-    to_sun = (-math.sin(theta0), math.cos(theta0))
+    to_sun = (-math.sin(params.theta0), math.cos(params.theta0))
     step = 0.5 * min(dx, dy)
     span = math.hypot(x1 - x0, y1 - y0)
     n_steps = int(math.ceil(span / step)) + 2
@@ -338,7 +320,7 @@ def light_from_family(family: StemFamily, window, nx: int = 256, ny: int = 256,
         r = _in_range(qy, y0, y1)
         if c is None or r is None:
             break
-        expo[r, c] += _bilinear_raw(rho, xs, ys, qx[None, c], qy[r, None]) * step
+        expo[r, c] += _bilinear(rho, xs, ys, qx[None, c], qy[r, None]) * step
     I = np.clip(np.exp(-expo), 0.0, 1.0)
     return FieldBuildReport(field=LightField2D(xs, ys, I), vegetation=rho,
                             deposited_mass=deposited, capped_cells=capped)
@@ -356,19 +338,6 @@ def _in_range(q, lo, hi):
     """The slice of the monotone samples `q` that lie in [lo, hi], or None."""
     idx = np.flatnonzero((q >= lo) & (q <= hi))
     return slice(idx[0], idx[-1] + 1) if len(idx) else None
-
-
-def _bilinear_raw(grid, xs, ys, xq, yq):
-    dx = xs[1] - xs[0]
-    dy = ys[1] - ys[0]
-    fx = np.clip((xq - xs[0]) / dx, 0.0, len(xs) - 1.001)
-    fy = np.clip((yq - ys[0]) / dy, 0.0, len(ys) - 1.001)
-    ix = fx.astype(int)
-    iy = fy.astype(int)
-    tx = fx - ix
-    ty = fy - iy
-    return (grid[iy, ix] * (1 - tx) * (1 - ty) + grid[iy, ix + 1] * tx * (1 - ty)
-            + grid[iy + 1, ix] * (1 - tx) * ty + grid[iy + 1, ix + 1] * tx * ty)
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +385,8 @@ def halfline_relaxation(params: ModelParams, rho_scale: float = 0.01,
             new_theta[i] = res.theta
         delta = float(np.max(np.abs(new_theta - family.theta)))
         changes.append(delta)
-        family.theta = (1.0 - relax) * family.theta + relax * new_theta
-        family.recompute_curves()
+        family = replace(family, theta=(1.0 - relax) * family.theta
+                         + relax * new_theta)
         report = light_from_family(family, window, grid, grid, params=params)
         if delta <= 1e-4:
             converged = True

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from stemopt import LightProfile, ModelParams, Op2Config
-from stemopt import model2
+from stemopt import equilibrium2, model2
 
 
 @pytest.fixture(scope="session")
@@ -40,6 +40,16 @@ def stem_flat(params2, const_profile):
 def stem_canopy(params2, canopy_profile):
     """Free-length solution under the smooth canopy (nonzero height costate)."""
     return model2.shoot_op2(canopy_profile, params2)
+
+
+@pytest.fixture(scope="session")
+def pair_001():
+    """Verified direct and fixed-point equilibria at rho0 = 0.01, with their
+    parameters; shared so the suite solves this fixed point once."""
+    params = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, rho0=0.01)
+    return (equilibrium2.solve_equilibrium_direct(params),
+            equilibrium2.solve_equilibrium_fixed_point(params),
+            params)
 
 
 @pytest.fixture(scope="session")

@@ -326,3 +326,15 @@ def test_oracles_reach_no_solver_path():
         todo += sorted(refs & set(functions))
     assert {"payoff_piecewise_constant", "oracle_payoff"} <= reached, reached
     assert offending == {}, f"oracle code that names the solver path: {offending}"
+
+
+def test_only_kernels_accumulates():
+    """Every running sum of the solvers is `kernels.trapezoid_cumulative`.
+    `oracles` keeps its own, so the validators stay independent of the code
+    they check."""
+    calls = sorted({path.stem for path, tree in _trees(SRC).items()
+                    if path.stem not in ("kernels", "oracles")
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and node.attr == "cumsum"
+                    or isinstance(node, ast.Name) and node.id == "cumsum"})
+    assert calls == [], f"modules that accumulate outside kernels: {calls}"

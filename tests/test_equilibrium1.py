@@ -10,7 +10,8 @@ from stemopt import equilibrium1 as e1
 from stemopt import lightfield
 from stemopt import model1 as m1
 from stemopt import numerics
-from stemopt.numerics import map_blocks, trapezoid_cumulative
+from stemopt.kernels import trapezoid_cumulative
+from stemopt.numerics import map_blocks
 
 
 def _params(rho_kappa):

@@ -19,14 +19,6 @@ def _params(rho0):
 
 
 @pytest.fixture(scope="module")
-def pair_001():
-    params = _params(0.01)
-    return (e2.solve_equilibrium_direct(params),
-            e2.solve_equilibrium_fixed_point(params),
-            params)
-
-
-@pytest.fixture(scope="module")
 def direct_sweep():
     return {rho0: e2.solve_equilibrium_direct(_params(rho0), verify=False)
             for rho0 in (0.001, 0.05)}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stemopt import equilibrium2 as e2
-from stemopt import kernels, lightfield, model1, model2, numerics, oracles, spatial
+from stemopt import kernels, lightfield, model1, model2, oracles, spatial
 from stemopt.lightfield import LightProfile
 from stemopt.params import ModelParams
 
@@ -12,7 +12,6 @@ from stemopt.params import ModelParams
 def test_each_shared_kernel_has_one_definition():
     for module, name in [(model1, "capture_transverse"), (model1, "_G_parts"),
                          (spatial, "capture_transverse"), (spatial, "_G_parts"),
-                         (numerics, "trapezoid_cumulative"),
                          (spatial, "trapezoid_cumulative")]:
         assert getattr(module, name) is getattr(kernels, name), (module, name)
         assert getattr(kernels, name).__module__ == "stemopt.kernels"

@@ -53,6 +53,20 @@ def test_sideways_gradient_bends_right(params45):
     assert res.theta_left_range
 
 
+def test_family_curves_match_the_single_stem(params45):
+    rng = np.random.default_rng(15)
+    xi = np.array([0.0, 0.7, 2.3])
+    fam = sp.StemFamily.uniform_angles(xi, np.ones(3), params45, n_s=120,
+                                       theta=rng.uniform(0.2, 3.0, (3, 121)))
+    fld = sp.LightField2D.from_function(lambda X, Y: np.full_like(X, 0.8),
+                                        (-1.0, 4.0, 0.0, 1.5), 16, 16)
+    for i, root in enumerate(xi):
+        res = sp.solve_op3_single(fld, float(root), params45, n_s=120,
+                                  max_sweeps=0, theta_init=fam.theta[i])
+        assert np.array_equal(res.x, fam.x[i])
+        assert np.array_equal(res.y, fam.y[i])
+
+
 @pytest.mark.parametrize("n_s", [63, 64, 800])
 def test_blocked_hamiltonian_matches_one_block(params45, monkeypatch, n_s):
     fld = sp.LightField2D.from_function(
@@ -94,7 +108,7 @@ def _full_grid_march(rho, xs, ys, theta0):
         if not inside.any():
             break
         vals = np.zeros_like(qx)
-        vals[inside] = sp._bilinear_raw(rho, xs, ys, qx[inside], qy[inside])
+        vals[inside] = sp._bilinear(rho, xs, ys, qx[inside], qy[inside])
         expo += vals * step
     return np.clip(np.exp(-expo), 0.0, 1.0)
 
@@ -148,10 +162,25 @@ def test_vertical_family_matches_stratified_formula(params45, vertical_family):
     ts = np.linspace(0.0, 2.0, 20001)
     px = 1.5 + ts * to_sun[0]
     py = 0.5 + ts * to_sun[1]
-    dens = sp._bilinear_raw(rep.vegetation, rep.field.x, rep.field.y, px, py)
+    dens = sp._bilinear(rep.vegetation, rep.field.x, rep.field.y, px, py)
     dens[(px < -1.0) | (py > 1.3)] = 0.0
     ref = math.exp(-np.trapezoid(dens, ts))
     assert abs(float(rep.field.eval(1.5, 0.5)) - ref) < 1e-4
+
+
+def test_splat_on_the_right_edge_stays_in_the_last_column(params45, monkeypatch):
+    # only the stem rooted on the edge carries mass; the splat is the
+    # transpose of the sampler, which reads the edge node alone there
+    monkeypatch.setattr(sp, "_SMOOTH_PASSES", 0)
+    fam = sp.StemFamily.uniform_angles(np.array([2.0, 2.5, 3.0]),
+                                       np.array([0.3, 0.0, 0.0]), params45,
+                                       n_s=50, theta=math.pi / 2)
+    rep = sp.light_from_family(fam, (-1.0, 2.0, 0.0, 1.3), 64, 64,
+                               params=params45)
+    cell = (rep.field.x[1] - rep.field.x[0]) * (rep.field.y[1] - rep.field.y[0])
+    assert np.all(rep.vegetation[:, :-1] == 0.0)
+    assert rep.vegetation[:, -1].sum() * cell == pytest.approx(rep.deposited_mass)
+    assert rep.deposited_mass == pytest.approx(fam.total_leaf_mass())
 
 
 def test_family_mass_conservation(params45, vertical_family):
