@@ -130,9 +130,10 @@ class StemShape1:
         return np.interp(np.asarray(yq, dtype=float), self.y, self.theta)
 
 
-def _pieces(profile: LightProfile, h: float):
-    cuts = [d for d in profile.discontinuities if 0.0 < d < h]
-    bounds = [0.0] + sorted(cuts) + [h]
+def _pieces(profile: LightProfile, lo: float, hi: float):
+    """[lo, hi] split at the profile's jumps strictly inside it."""
+    cuts = [d for d in profile.discontinuities if lo < d < hi]
+    bounds = [lo] + sorted(cuts) + [hi]
     return list(zip(bounds[:-1], bounds[1:]))
 
 
@@ -153,7 +154,7 @@ def _feedback_nodes(h: float, profile: LightProfile, params: ModelParams,
     """Simpson nodes, weights and feedback angles of each continuity piece
     of the shape stopping at height h."""
     eps_edge = 1e-13 * max(1.0, h)
-    for (a, b) in _pieces(profile, h):
+    for (a, b) in _pieces(profile, 0.0, h):
         ys, wts = _simpson_piece(a + eps_edge, b - eps_edge, 32, density)
         yield ys, wts, _theta_star(ys, h, profile, params)
 
@@ -182,11 +183,8 @@ def solve_op1(profile: LightProfile, params: ModelParams,
     def resid(h, density=scan_density):
         return _arc_length(_feedback_nodes(h, profile, params, density)) - ell
 
-    lo_all = 1e-9 * ell
-    cuts = [d for d in profile.discontinuities if lo_all < d < ell]
-    bounds = [lo_all] + sorted(cuts) + [ell]
     pieces = []
-    for (a, b) in zip(bounds[:-1], bounds[1:]):
+    for (a, b) in _pieces(profile, 1e-9 * ell, ell):
         a_in = a + 1e-9 * ell
         b_in = b - 1e-9 * ell if b < ell else b
         if b_in <= a_in:

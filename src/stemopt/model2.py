@@ -4,12 +4,14 @@ The stationarity system gives closed-form controls (angle and leaf density)
 in terms of the two costates and the light intensity, and a first integral
 pins the remaining tail mass.  What is left is a two-point problem in height
 for the costate pair: terminal values are known at the unknown tip height h,
-and the mass costate must vanish at the ground.  The right side blows up
-with an integrable power at the tip, so integration starts from a small
-offset with an asymptotic seed and the tip height is found by root-finding
-on the ground residual.  The same shot solves the coupled equilibrium
-system, where the light is the stems' own shade, integrated as a fourth
-state from full light at the tip (`profile=None`).
+and the mass costate must vanish at the ground.  Near the tip
+1 - q/I ~ K (h - y)^beta with beta = alpha/(2 - alpha), so the right side
+blows up there; the shot runs in the stretched height
+sigma = ((h - y)/h)^beta, in which the solution is regular, from the exact
+tip state at sigma = 0 to the ground at sigma = 1, and the tip height is
+found by root-finding on the ground residual.  The same shot solves the
+coupled equilibrium system, where the light is the stems' own shade,
+integrated as a fourth state from full light at the tip (`profile=None`).
 """
 
 from __future__ import annotations
@@ -19,20 +21,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDenominatorError,
-    DomainError,
-    SingularityError,
-)
+from .errors import DegenerateDenominatorError, DomainError, SingularityError
 from .kernels import sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
 from .numerics import OdeProblem, find_roots, integrate, quad, rk4_mesh
 from .params import ModelParams, Op2Config
 
-_EPS_REL = 1e-6        # layer offset below the tip, as a fraction of h
 _Q_FLOOR = -0.9         # reduced system extended to slightly negative mass costate
 _W_CAP = 1e12
 _SCAN_RTOL = 1e-7       # warm-bracket end points only locate a sign change
+# batched-scan mesh in sigma, dense toward the ground (sigma = 1)
+_SCAN_SIGMA = np.sqrt(np.linspace(0.0, 1.0, 448))
 
 
 # ---------------------------------------------------------------------------
@@ -175,42 +174,34 @@ def _costate_rhs(y, s, profile: LightProfile | None, params: ModelParams):
 # Terminal layer
 # ---------------------------------------------------------------------------
 
-def layer_constant(params: ModelParams, I_h: float = 1.0) -> float:
+def layer_constant(params: ModelParams, I_h):
     """Leading coefficient K of 1 - q/I ~ K (h-y)^(alpha/(2-alpha)) near the tip,
-    from the frozen-intensity local model."""
+    from the frozen-intensity local model, for tip light I_h (array or float)."""
     a, c, t0 = params.alpha, params.c, params.theta0
     base = (2.0 - a) * 2.0 ** ((1.0 - a) / a) * c ** (1.0 / a) \
         / (math.sin(t0) * I_h ** (1.0 / a))
     return base ** (a / (2.0 - a))
 
 
-def _tip_light(h, profile: LightProfile | None):
-    """I(h); the stems' own shade (`profile=None`) leaves the tip in full light."""
-    return 1.0 if profile is None else profile.eval(h)
+def _stretch(params: ModelParams) -> float:
+    """Exponent beta of the stretched height sigma = ((h - y)/h)^beta."""
+    return params.alpha / (2.0 - params.alpha)
 
 
-def seed_terminal_layer(h: float, profile: LightProfile | None,
-                        params: ModelParams, epsilon: float):
-    """Asymptotic start values (p, q) at y = h - epsilon.
-
-    The mass costate leaves its terminal value with a known fractional power;
-    the height costate is higher order and starts at zero.  `profile=None`
-    stands for the stems' own shade, which is 1 at the tip.
-    """
-    I_h = _tip_light(h, profile)
-    K = layer_constant(params, I_h)
-    e = K * epsilon ** (params.alpha / (2.0 - params.alpha))
-    if e >= 0.5:
-        raise DomainError(f"layer offset {epsilon} too large for height {h}")
-    return 0.0, I_h * (1.0 - e)
-
-
-def _seed_state(h, profile, params, epsilon):
-    """(p, q, z) at y = h - epsilon, and I = 1 for the stems' own shade."""
-    p0, q0 = seed_terminal_layer(h, profile, params, epsilon)
-    I_h = _tip_light(h, profile)
-    z0 = z_first_integral(I_h, p0, q0, params)
-    return np.array([p0, q0, z0] if profile is not None else [p0, q0, z0, I_h])
+def _tip(hs, profile: LightProfile | None, params: ModelParams):
+    """Exact state (p, q, z[, I]) = (0, I_h, 0[, 1]) at the tip sigma = 0 of
+    each height in `hs`, one row each, and its sigma-slope
+    (0, -I_h K h^beta, 0[, 0]), the limit of the right side there.
+    `profile=None` stands for the stems' own shade, which is 1 at the tip."""
+    hs = np.atleast_1d(hs)
+    zero = np.zeros_like(hs)
+    I_h = np.ones_like(hs) if profile is None else np.atleast_1d(profile.eval(hs))
+    dq = -I_h * layer_constant(params, I_h) * hs ** _stretch(params)
+    state, slope = [zero, I_h, zero], [zero, dq, zero]
+    if profile is None:
+        state.append(I_h)
+        slope.append(zero)
+    return np.stack(state, axis=1), np.stack(slope, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,21 +227,24 @@ class StemState2:
     hamiltonian_max_abs: float
     residual_q0: float
     h_candidates: list[float] = field(default_factory=list)
-    epsilon: float = 0.0
 
     def interp(self, name: str, yq):
         return np.interp(np.asarray(yq, dtype=float), self.y, getattr(self, name))
 
 
 def _shoot_once(h, profile, params, cfg: Op2Config, rtol):
-    eps = _EPS_REL * h
-    state0 = _seed_state(h, profile, params, eps)
+    """DP45 shot in sigma from the tip (sigma = 0) to the ground (sigma = 1)."""
+    beta = _stretch(params)
+    state0, tip_slope = (a[0] for a in _tip(h, profile, params))
 
-    def rhs(y, s):   # a closure here, so that perfbench names it model2.rhs
-        return _costate_rhs(y, s, profile, params)
+    def rhs(sig, s):   # a closure here, so that perfbench names it model2.rhs
+        if sig == 0.0:
+            return tip_slope
+        t = sig ** (1.0 / beta)
+        return -h / beta * (t / sig) * _costate_rhs(h * (1.0 - t), s, profile, params)
 
     problem = OdeProblem(len(state0), rhs)
-    return integrate(problem, (h - eps, 0.0), state0, rtol=rtol, atol=cfg.atol)
+    return integrate(problem, (0.0, 1.0), state0, rtol=rtol, atol=cfg.atol)
 
 
 def shoot_residual(h, profile, params, cfg: Op2Config, rtol) -> float:
@@ -258,40 +252,27 @@ def shoot_residual(h, profile, params, cfg: Op2Config, rtol) -> float:
     return float(_shoot_once(h, profile, params, cfg, rtol=rtol).y[-1, 1])
 
 
-def _graded_sigma(n_layer: int = 64, n_main: int = 384) -> np.ndarray:
-    """Unit-interval mesh with geometric refinement at the tip end (sigma=0)."""
-    layer = np.logspace(-8.0, -1.0, n_layer)
-    main = np.linspace(0.1, 1.0, n_main)[1:]
-    return np.concatenate([[0.0], layer, main])
-
-
 def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.ndarray:
     """Ground residual q(0, h) for many tip heights in one vectorized sweep.
 
-    Fixed-step RK4 in the scaled coordinate sigma = (h - eps - y)/(h - eps)
-    on a tip-graded mesh; accuracy is ample for locating sign changes, which
-    Brent then refines with the adaptive integrator.  With `profile=None`
-    the light is the stems' own shade, carried as a fourth state column
-    started at 1 and floored at 1e-12 (the coupled equilibrium system).
+    Fixed-step RK4 in sigma on `_SCAN_SIGMA`; accuracy is ample for locating
+    sign changes, which Brent then refines with the adaptive integrator.
+    With `profile=None` the light is the stems' own shade, carried as a
+    fourth state column started at 1 and floored at 1e-12 (the coupled
+    equilibrium system).
     """
     hs = np.asarray(hs, dtype=float)
-    eps = _EPS_REL * hs
-    h_eff = hs - eps
-    n = len(hs)
-
-    p0 = np.zeros(n)
-    q0 = np.empty(n)
-    I_h = np.ones(n) if profile is None else np.atleast_1d(profile.eval(hs))
-    for i, h in enumerate(hs):
-        _, q0[i] = seed_terminal_layer(float(h), profile, params, float(eps[i]))
-    z0 = z_first_integral(I_h, p0, q0, params)
-    Y = np.stack([p0, q0, z0] if profile is not None else [p0, q0, z0, I_h], axis=1)
+    beta = _stretch(params)
+    Y, tip_slope = _tip(hs, profile, params)
 
     def slope(sig, Y):
+        if sig == 0.0:
+            return tip_slope
+        t = sig ** (1.0 / beta)
         if profile is None:
             I = np.maximum(Y[:, 3], 1e-12)
         else:
-            y = h_eff * (1.0 - sig)
+            y = hs * (1.0 - t)
             I = np.atleast_1d(profile.eval(y))
         f1, f2, zs = _rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
         if profile is None:
@@ -299,9 +280,9 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
             cols = [-dI * f1, f2, zs, dI]
         else:
             cols = [-np.atleast_1d(profile.derivative(y)) * f1, f2, zs]
-        return -h_eff[:, None] * np.stack(cols, axis=1)
+        return (-hs / beta * (t / sig))[:, None] * np.stack(cols, axis=1)
 
-    return rk4_mesh(slope, _graded_sigma(), Y)[:, 1].copy()
+    return rk4_mesh(slope, _SCAN_SIGMA, Y)[:, 1].copy()
 
 
 def estimate_h0(params: ModelParams) -> float:
@@ -346,18 +327,22 @@ def shoot_op2(profile: LightProfile | None, params: ModelParams,
     return best
 
 
-def output_mesh(nodes: np.ndarray, h: float, eps: float, n_out: int) -> np.ndarray:
-    """Ascending sample heights: integrator nodes, a uniform fill, and a
-    geometric tail under the tip where the costate curvature blows up
-    (linear interpolation between plain uniform samples would lose five
-    digits there)."""
-    uniform = np.linspace(0.0, h - eps, n_out + 1)
-    tau = np.geomspace(2.0 * eps, 0.5 * h, 320)
-    return sorted_unique(np.concatenate([nodes, uniform, h - tau]))
+def output_mesh(nodes: np.ndarray, h: float, beta: float, n_out: int):
+    """Ascending sample heights and their sigma: the integrator nodes,
+    n_out + 1 uniform heights, and 321 uniform sigma, which grade the
+    samples toward the tip where the costate curvature blows up (linear
+    interpolation between plain uniform heights would lose five digits
+    there).  Distinct small sigma that map to the same height in floating
+    point keep only the smallest."""
+    uniform = np.linspace(1.0, 0.0, n_out + 1) ** beta
+    sigma = sorted_unique(np.concatenate([nodes, uniform, np.linspace(0.0, 1.0, 321)]))
+    y = h * (1.0 - sigma ** (1.0 / beta))
+    keep = np.concatenate([[True], y[1:] < y[:-1]])
+    return y[keep][::-1], sigma[keep][::-1]
 
 
 def assemble_state(h, y_all, p, q, z, I, params: ModelParams,
-                   eps: float, residual: float) -> StemState2:
+                   residual: float) -> StemState2:
     """Reconstruct controls, curve and diagnostics from sampled costates."""
     # the ground node carries the shooting residual; floor it so the
     # reconstructed leaf density stays a finite, plottable value there
@@ -365,8 +350,7 @@ def assemble_state(h, y_all, p, q, z, I, params: ModelParams,
     theta, u, w = feedback_TU(I, np.maximum(p, 0.0), q_floor, params)
 
     sin_t = np.sin(theta)
-    # the truncated tip layer contributes eps/sin(theta(h)) of arc length
-    T = float(np.trapezoid(1.0 / sin_t, y_all)) + eps / float(sin_t[-1])
+    T = float(np.trapezoid(1.0 / sin_t, y_all))
     capture = I * G2(theta, u, params)
     cost_density = params.c * np.maximum(z, 0.0) ** params.alpha
     payoff = float(np.trapezoid((capture - cost_density) / sin_t, y_all))
@@ -387,17 +371,14 @@ def assemble_state(h, y_all, p, q, z, I, params: ModelParams,
         T=T, payoff=payoff, transport_cost=transport,
         hamiltonian_max_abs=ham_max,
         residual_q0=float(residual),
-        epsilon=float(eps),
     )
 
 
 def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
     traj = _shoot_once(h, profile, params, cfg, rtol=cfg.rtol)
-    eps = _EPS_REL * h
-
-    y_all = output_mesh(traj.t[::-1], h, eps, cfg.n_out)
-    samp = traj.sample(y_all)
+    y_all, sigma = output_mesh(traj.t, h, _stretch(params), cfg.n_out)
+    samp = traj.sample(sigma)
     I = (np.clip(samp[:, 3], 1e-12, 1.0) if profile is None
          else np.atleast_1d(profile.eval(y_all)))
     return assemble_state(h, y_all, samp[:, 0], samp[:, 1], samp[:, 2], I,
-                          params, eps, float(traj.y[-1, 1]))
+                          params, float(traj.y[-1, 1]))

@@ -2,8 +2,8 @@
 
 All routines are pure functions of their inputs and hold no module state, so
 they are safe to call concurrently.  Singular layers are never handled here;
-callers are expected to start integrations from asymptotic seeds and to declare
-singular quadrature endpoints explicitly.
+callers are expected to integrate in a variable in which the solution is
+regular and to declare singular quadrature endpoints explicitly.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from .kernels import capture_transverse, sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
 from .model1 import g_profile
 from .model2 import G2, _one_minus_r_scalar, estimate_h0
-from .numerics import bracket, find_root, quad
+from .numerics import Bracket, find_root, quad
 from .params import ModelParams
 
 _FOLD_SWEEPS = 64  # passes of each fold before the final clip
@@ -197,7 +197,9 @@ def oracle_op1(profile: LightProfile, params: ModelParams,
 # ---------------------------------------------------------------------------
 
 def closed_form_q(y, h: float, params: ModelParams):
-    """Full-light mass costate by inverting its implicit relation; oracle use."""
+    """Full-light mass costate by inverting its implicit relation; oracle use.
+
+    Heights at least the full-light height below the tip h get q = 0."""
     a, c, t0 = params.alpha, params.c, params.theta0
     scale = math.sin(t0) / (a * c ** (1.0 / a))
 
@@ -205,11 +207,16 @@ def closed_form_q(y, h: float, params: ModelParams):
         return scale * quad(lambda s: _one_minus_r_scalar(s) ** ((1.0 - a) / a),
                             qv, 1.0, _CLOSED_FORM_TOL)
 
+    full = depth(0.0)   # the full-light height, where q reaches 0
     out = []
     for yy in np.atleast_1d(np.asarray(y, dtype=float)):
         target = h - yy
         f = lambda qv: depth(qv) - target
-        out.append(find_root(f, bracket(f, 0.0, 1.0), tol=_CLOSED_FORM_TOL))
+        if target >= full:   # at or below the full-light ground
+            out.append(0.0)
+            continue
+        out.append(find_root(f, Bracket(0.0, 1.0, full - target, f(1.0)),
+                             tol=_CLOSED_FORM_TOL))
     return np.array(out) if np.asarray(y).ndim else float(out[0])
 
 

@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from stemopt import LightProfile, ModelParams, Op2Config
+from stemopt import LightProfile, ModelParams
 from stemopt import equilibrium2, model2
 
 
@@ -50,13 +50,6 @@ def pair_001():
     return (equilibrium2.solve_equilibrium_direct(params),
             equilibrium2.solve_equilibrium_fixed_point(params),
             params)
-
-
-@pytest.fixture(scope="session")
-def op2_cfg_warm():
-    def make(h, width=0.15):
-        return Op2Config(h_bracket=((1 - width) * h, (1 + width) * h))
-    return make
 
 
 @pytest.fixture(scope="session")

@@ -157,16 +157,14 @@ def test_criterion_09_terminal_layer_exponents():
         params = ModelParams(theta0=math.pi / 4, alpha=alpha, c=1.0)
         flat = m2.shoot_op2(LightProfile.constant(1.0), params)
         tau = flat.h - flat.y
-        m = (tau > 2 * flat.epsilon) & (tau < 100 * flat.epsilon) \
+        m = (tau > 2e-6 * flat.h) & (tau < 100e-6 * flat.h) \
             & (flat.q < flat.I)
         q_slope = np.polyfit(np.log(tau[m]),
                              np.log(1.0 - flat.q[m] / flat.I[m]), 1)[0]
         q_target = alpha / (2.0 - alpha)
         shaded = m2.shoot_op2(canopy, params)
         tau = shaded.h - shaded.y
-        # start the fit away from the seed: the zero start value of the
-        # height costate biases log-slopes for tau below ~20 offsets
-        m = (tau > 20 * shaded.epsilon) & (tau < 1000 * shaded.epsilon) \
+        m = (tau > 20e-6 * shaded.h) & (tau < 1000e-6 * shaded.h) \
             & (shaded.p > 0)
         p_slope = np.polyfit(np.log(tau[m]), np.log(shaded.p[m]), 1)[0]
         p_target = 2.0 / (2.0 - alpha)

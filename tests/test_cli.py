@@ -393,18 +393,14 @@ def _fail_not_converged(scenario):
     raise NotConvergedError("fixed point stalled")
 
 
-_OP2_H_HI_TOO_LARGE = OP1_SCENARIO.replace("kind = op1", "kind = op2").replace(
-    "kappa = 1.0\nell = 1.0", "alpha = 0.5\nc = 1.0").replace(
-    "level = 1.0", "level = 1.0\n\n[solver]\nh_lo = 0.3\nh_hi = 1e9")
-
-
 @pytest.mark.parametrize("existed", [False, True])
 @pytest.mark.parametrize("failure, code", [("solver-error", 1), ("not-converged", 2)])
 def test_failed_run_removes_only_the_directory_it_made(
         tmp_path, monkeypatch, capsys, failure, code, existed):
     text = OP1_SCENARIO
     if failure == "solver-error":
-        text = _OP2_H_HI_TOO_LARGE
+        # op1's example34 search finds no crossing at ell = 1
+        text = OP1_SCENARIO + "\n[solver]\nexample34 = true\n"
     else:
         monkeypatch.setitem(cli._KINDS, "op1", cli._KINDS["op1"]._replace(
             runner=_fail_not_converged))
@@ -415,7 +411,7 @@ def test_failed_run_removes_only_the_directory_it_made(
     assert cli.main(["--scenario", str(_write(tmp_path, text)),
                      "--out", str(out), "--quiet"]) == code
     if failure == "solver-error":
-        assert "error: layer offset" in capsys.readouterr().err
+        assert "error: need ell*sin(theta0) < y_jump < ell" in capsys.readouterr().err
     if existed:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
     else:

@@ -146,18 +146,34 @@ def test_rhs_mass_slope_positive(params2, canopy_profile):
 
 
 # ---------------------------------------------------------------------------
-# layer seed
+# tip layer
 # ---------------------------------------------------------------------------
 
 def test_seed_matches_implicit_solution(params2, const_profile):
-    # the frozen-light seed reproduces the closed-form inversion near the tip
+    # the shot from the exact tip state reproduces the closed-form inversion
+    # inside the tip layer, where 1 - q is small
     h = H0_EXACT
-    for eps in (1e-5, 1e-6):
-        _, q_seed = m2.seed_terminal_layer(h, const_profile, params2, eps)
-        q_true = oracles.closed_form_q([h - eps], h, params2)[0]
-        rel = abs(q_seed - q_true) / (1.0 - q_true)
-        assert rel < 3.0 * (1.0 - q_true)  # relative error O(e) with e -> 0
-    assert m2.seed_terminal_layer(h, const_profile, params2, 1e-6)[0] == 0.0
+    cfg = m2.Op2Config()
+    traj = m2._shoot_once(h, const_profile, params2, cfg, rtol=cfg.rtol)
+    beta = params2.alpha / (2.0 - params2.alpha)
+    for depth in (1e-5 * h, 1e-6 * h):
+        q_shot = traj.sample([(depth / h) ** beta])[0, 1]
+        q_true = oracles.closed_form_q([h - depth], h, params2)[0]
+        assert abs(q_shot - q_true) / (1.0 - q_true) < 1e-5
+    assert np.all(traj.y[:, 0] == 0.0)  # full light keeps the height costate at zero
+
+
+def test_tip_slope_is_the_layer_limit(params2, const_profile):
+    # the sigma-slope (0, -K h^beta, 0) that starts the shot is the limit of
+    # the closed-form mass costate's difference quotient at the tip
+    h = H0_EXACT
+    beta = params2.alpha / (2.0 - params2.alpha)
+    state, slope = m2._tip(h, const_profile, params2)
+    assert state.tolist() == [[0.0, 1.0, 0.0]]
+    assert slope[0, 0] == slope[0, 2] == 0.0
+    for sig in (1e-2, 1e-3):
+        q = oracles.closed_form_q(h * (1.0 - sig ** (1.0 / beta)), h, params2)
+        assert abs((q - 1.0) / sig / slope[0, 1] - 1.0) < sig
 
 
 def test_layer_constant_closed_form(params2):
@@ -168,7 +184,7 @@ def test_layer_constant_closed_form(params2):
 
 def test_qlayer_exponent_fit(stem_flat, params2):
     tau = stem_flat.h - stem_flat.y
-    mask = (tau > 2 * stem_flat.epsilon) & (tau < 100 * stem_flat.epsilon)
+    mask = (tau > 2e-6 * stem_flat.h) & (tau < 100e-6 * stem_flat.h)
     slope = np.polyfit(np.log(tau[mask]),
                        np.log(1.0 - stem_flat.q[mask] / stem_flat.I[mask]), 1)[0]
     target = params2.alpha / (2.0 - params2.alpha)
@@ -177,8 +193,8 @@ def test_qlayer_exponent_fit(stem_flat, params2):
 
 def test_player_exponent_fit(stem_canopy, params2):
     tau = stem_canopy.h - stem_canopy.y
-    mask = (tau > 20 * stem_canopy.epsilon) \
-        & (tau < 1000 * stem_canopy.epsilon) & (stem_canopy.p > 0)
+    mask = (tau > 20e-6 * stem_canopy.h) \
+        & (tau < 1000e-6 * stem_canopy.h) & (stem_canopy.p > 0)
     slope = np.polyfit(np.log(tau[mask]), np.log(stem_canopy.p[mask]), 1)[0]
     target = 2.0 / (2.0 - params2.alpha)
     assert abs(slope / target - 1.0) < 0.10
@@ -213,7 +229,9 @@ def test_shoot_hamiltonian_conservation(stem_flat, stem_canopy):
 
 
 def test_shoot_costate_structure(stem_canopy):
-    # p >= 0 and non-increasing; q strictly increasing with q/I in ]0, 1]
+    # distinct heights; p >= 0 and non-increasing; q strictly increasing
+    # with q/I in ]0, 1]
+    assert np.all(np.diff(stem_canopy.y) > 0.0)
     assert np.all(stem_canopy.p >= 0.0)
     assert np.all(np.diff(stem_canopy.p) <= 1e-12)
     assert np.all(np.diff(stem_canopy.q) > 0.0)
@@ -243,21 +261,35 @@ def test_residual_decreasing_near_root(params2, const_profile):
     assert np.all(np.diff(resid) < 0.0)
 
 
-def test_richardson_layer_check(params2, const_profile, op2_cfg_warm, monkeypatch):
-    # halving the layer offset barely moves the ground residual at the root
-    cfg = op2_cfg_warm(H0_EXACT)
-    st = m2.shoot_op2(const_profile, params2, cfg)
-    monkeypatch.setattr(m2, "_EPS_REL", m2._EPS_REL / 2)
-    half = m2.shoot_residual(st.h, const_profile, params2, cfg, rtol=cfg.rtol)
-    assert abs(half - st.residual_q0) < 1e-7
-
-
-@pytest.mark.xfail(strict=True, raises=DomainError,
-                   reason="the fixed relative layer offset is too large for "
-                          "the tip layer at small alpha")
 def test_small_alpha_layer_offset(const_profile):
     params = ModelParams(theta0=math.pi / 4, alpha=0.11, c=1.0)
     assert m2.shoot_op2(const_profile, params).h > 0.0
+
+
+def test_full_light_height_over_alpha_grid(const_profile):
+    # the shot from the exact tip state finds the full-light height for
+    # every exponent of the parameter box, down to its small-alpha end
+    rng = np.random.default_rng(16)
+    for alpha in np.concatenate([[0.1, 0.9], rng.uniform(0.1, 0.9, 4)]):
+        params = ModelParams(theta0=math.pi / 4, alpha=float(alpha), c=1.0)
+        h0 = m2.estimate_h0(params)
+        h = m2.shoot_op2(const_profile, params).h
+        assert abs(h - h0) / h0 <= 1e-9, (alpha, h, h0)
+
+
+@pytest.mark.parametrize("alpha", [0.11, 0.5, 0.9])
+def test_residual_batch_matches_fine_mesh(alpha, const_profile, monkeypatch):
+    # the 448-node scan stays close to a 16,384-node sigma reference over
+    # the scan range of `shoot_op2` and brackets exactly one root
+    params = ModelParams(theta0=math.pi / 4, alpha=alpha, c=1.0)
+    h0 = m2.estimate_h0(params)
+    hs = np.linspace(1e-3 * h0, 3.0 * h0, 200)
+    coarse = m2.residual_batch(hs, const_profile, params)
+    monkeypatch.setattr(m2, "_SCAN_SIGMA", np.sqrt(np.linspace(0.0, 1.0, 16384)))
+    fine = m2.residual_batch(hs, const_profile, params)
+    assert np.max(np.abs(coarse - fine)) <= 1e-5
+    assert np.count_nonzero(np.diff(np.sign(coarse))) == 1
+    assert np.array_equal(np.sign(coarse), np.sign(fine))
 
 
 def test_maximality_along_trajectory(stem_canopy, params2):
@@ -285,6 +317,14 @@ def test_h0_closed_form_quarter_integral(params2):
                singular_at=(0.0,))
     assert abs(val - 0.25) < 1e-11
     assert abs(m2.estimate_h0(params2) - H0_EXACT) < 1e-10
+
+
+def test_closed_form_q_at_and_below_the_full_light_ground(params2):
+    # a tip height a rounding above the full-light height puts y = 0 below
+    # the closed form's ground, where q = 0 instead of a failed bracket
+    h = m2.estimate_h0(params2) * (1.0 + 1e-12)
+    assert oracles.closed_form_q([0.0, -0.1], h, params2).tolist() == [0.0, 0.0]
+    assert 0.0 < oracles.closed_form_q(0.5 * h, h, params2) < 1.0
 
 
 def test_oracle_zero_density_floor(params2, const_profile):
