@@ -188,6 +188,12 @@ def _stretch(params: ModelParams) -> float:
     return params.alpha / (2.0 - params.alpha)
 
 
+def _unstretch(sig, h, beta):
+    """Height y = h (1 - sigma^(1/beta)) of the stretched height sigma, and
+    dy/dsigma = -(h/beta) sigma^(1/beta - 1), which is 0 at the tip."""
+    return h * (1.0 - sig ** (1.0 / beta)), -h / beta * sig ** (1.0 / beta - 1.0)
+
+
 def _tip(hs, profile: LightProfile | None, params: ModelParams):
     """Exact state (p, q, z[, I]) = (0, I_h, 0[, 1]) at the tip sigma = 0 of
     each height in `hs`, one row each, and its sigma-slope
@@ -196,6 +202,8 @@ def _tip(hs, profile: LightProfile | None, params: ModelParams):
     hs = np.atleast_1d(hs)
     zero = np.zeros_like(hs)
     I_h = np.ones_like(hs) if profile is None else np.atleast_1d(profile.eval(hs))
+    if np.any(I_h <= 0.0):
+        raise DomainError("tip light must be positive")
     dq = -I_h * layer_constant(params, I_h) * hs ** _stretch(params)
     state, slope = [zero, I_h, zero], [zero, dq, zero]
     if profile is None:
@@ -240,8 +248,8 @@ def _shoot_once(h, profile, params, cfg: Op2Config, rtol):
     def rhs(sig, s):   # a closure here, so that perfbench names it model2.rhs
         if sig == 0.0:
             return tip_slope
-        t = sig ** (1.0 / beta)
-        return -h / beta * (t / sig) * _costate_rhs(h * (1.0 - t), s, profile, params)
+        y, dy = _unstretch(sig, h, beta)
+        return dy * _costate_rhs(y, s, profile, params)
 
     problem = OdeProblem(len(state0), rhs)
     return integrate(problem, (0.0, 1.0), state0, rtol=rtol, atol=cfg.atol)
@@ -268,11 +276,10 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
     def slope(sig, Y):
         if sig == 0.0:
             return tip_slope
-        t = sig ** (1.0 / beta)
+        y, dy = _unstretch(sig, hs, beta)
         if profile is None:
             I = np.maximum(Y[:, 3], 1e-12)
         else:
-            y = hs * (1.0 - t)
             I = np.atleast_1d(profile.eval(y))
         f1, f2, zs = _rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
         if profile is None:
@@ -280,7 +287,7 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
             cols = [-dI * f1, f2, zs, dI]
         else:
             cols = [-np.atleast_1d(profile.derivative(y)) * f1, f2, zs]
-        return (-hs / beta * (t / sig))[:, None] * np.stack(cols, axis=1)
+        return dy[:, None] * np.stack(cols, axis=1)
 
     return rk4_mesh(slope, _SCAN_SIGMA, Y)[:, 1].copy()
 
@@ -336,7 +343,7 @@ def output_mesh(nodes: np.ndarray, h: float, beta: float, n_out: int):
     point keep only the smallest."""
     uniform = np.linspace(1.0, 0.0, n_out + 1) ** beta
     sigma = sorted_unique(np.concatenate([nodes, uniform, np.linspace(0.0, 1.0, 321)]))
-    y = h * (1.0 - sigma ** (1.0 / beta))
+    y = _unstretch(sigma, h, beta)[0]
     keep = np.concatenate([[True], y[1:] < y[:-1]])
     return y[keep][::-1], sigma[keep][::-1]
 

@@ -155,7 +155,7 @@ def test_seed_matches_implicit_solution(params2, const_profile):
     h = H0_EXACT
     cfg = m2.Op2Config()
     traj = m2._shoot_once(h, const_profile, params2, cfg, rtol=cfg.rtol)
-    beta = params2.alpha / (2.0 - params2.alpha)
+    beta = m2._stretch(params2)
     for depth in (1e-5 * h, 1e-6 * h):
         q_shot = traj.sample([(depth / h) ** beta])[0, 1]
         q_true = oracles.closed_form_q([h - depth], h, params2)[0]
@@ -167,13 +167,18 @@ def test_tip_slope_is_the_layer_limit(params2, const_profile):
     # the sigma-slope (0, -K h^beta, 0) that starts the shot is the limit of
     # the closed-form mass costate's difference quotient at the tip
     h = H0_EXACT
-    beta = params2.alpha / (2.0 - params2.alpha)
+    beta = m2._stretch(params2)
     state, slope = m2._tip(h, const_profile, params2)
     assert state.tolist() == [[0.0, 1.0, 0.0]]
     assert slope[0, 0] == slope[0, 2] == 0.0
     for sig in (1e-2, 1e-3):
-        q = oracles.closed_form_q(h * (1.0 - sig ** (1.0 / beta)), h, params2)
+        q = oracles.closed_form_q(m2._unstretch(sig, h, beta)[0], h, params2)
         assert abs((q - 1.0) / sig / slope[0, 1] - 1.0) < sig
+
+
+def test_dark_tip_is_rejected(params2):
+    with pytest.raises(DomainError, match="tip light must be positive"):
+        m2.shoot_op2(LightProfile.constant(0.0), params2)
 
 
 def test_layer_constant_closed_form(params2):
