@@ -80,7 +80,6 @@ class Equilibrium2Result:
     h: float
     h_roots: list[float] = field(default_factory=list)
     class_f_ok: bool = True
-    class_f_delta: float = 0.0
     multiroot_flag: bool = False
     history: list[float] = field(default_factory=list)
 
@@ -148,7 +147,6 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
 
     h_prev = None
     class_f_ok = True
-    class_f_delta = 0.0
     history: list[float] = []
     multiroot = False
     h_roots: list[float] = []
@@ -173,9 +171,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         history.append(change)
         rate_vals = new_rate
         profile = new_profile
-        report = check_class_F(profile, y_max=float(y_grid[-1]))
-        class_f_delta = max(class_f_delta, report.delta)
-        if not report.in_class:
+        if not check_class_F(profile, y_max=float(y_grid[-1])).in_class:
             class_f_ok = False
         if change <= 1e-8:
             break
@@ -193,8 +189,8 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="fixed_point", iterations=len(history),
         residual_map=math.nan, residual_refit=math.nan, h=stem.h,
-        h_roots=h_roots, class_f_ok=class_f_ok, class_f_delta=class_f_delta,
-        multiroot_flag=multiroot, history=history,
+        h_roots=h_roots, class_f_ok=class_f_ok, multiroot_flag=multiroot,
+        history=history,
     )
     return verify_equilibrium(result, params) if verify else result
 
@@ -216,11 +212,10 @@ def solve_equilibrium_direct(params: ModelParams,
     stem = model2.shoot_op2(None, params)
     roots = stem.h_candidates
     profile = shade_map(stem, params)
-    report = check_class_F(profile, y_max=2.0 * model2.estimate_h0(params))
+    in_class = check_class_F(profile, y_max=2.0 * model2.estimate_h0(params)).in_class
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="direct_shooting", iterations=1,
         residual_map=math.nan, residual_refit=math.nan, h=stem.h,
-        h_roots=roots, class_f_ok=report.in_class,
-        class_f_delta=report.delta, multiroot_flag=len(roots) > 1,
+        h_roots=roots, class_f_ok=in_class, multiroot_flag=len(roots) > 1,
     )
     return verify_equilibrium(result, params) if verify else result

@@ -30,6 +30,7 @@ from .params import ModelParams, Op2Config
 _Q_FLOOR = -0.9         # reduced system extended to slightly negative mass costate
 _W_CAP = 1e12
 _SCAN_RTOL = 1e-7       # warm-bracket end points only locate a sign change
+_I_FLOOR = 1e-12        # floor of the stems' own shade carried as a state
 # batched-scan mesh in sigma, dense toward the ground (sigma = 1)
 _SCAN_SIGMA = np.sqrt(np.linspace(0.0, 1.0, 448))
 
@@ -159,10 +160,10 @@ def _costate_rhs(y, s, profile: LightProfile | None, params: ModelParams):
     """Height-parameterized slopes (p', q', z') of the state s = (p, q, z).
 
     With `profile=None` the light is the stems' own shade at `params.rho0`,
-    carried as a fourth state I and floored at 1e-9; the slopes are then
-    (p', q', z', I').
+    carried as a fourth state I and floored at `_I_FLOOR`; the slopes are
+    then (p', q', z', I').
     """
-    I = max(s[3], 1e-9) if profile is None else profile.eval(y)
+    I = max(s[3], _I_FLOOR) if profile is None else profile.eval(y)
     f1, f2, zs = _rhs_terms(I, s[0], s[1], params)
     if profile is None:
         dI = _self_shade_slope(I, zs, params)
@@ -266,7 +267,7 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
     Fixed-step RK4 in sigma on `_SCAN_SIGMA`; accuracy is ample for locating
     sign changes, which Brent then refines with the adaptive integrator.
     With `profile=None` the light is the stems' own shade, carried as a
-    fourth state column started at 1 and floored at 1e-12 (the coupled
+    fourth state column started at 1 and floored at `_I_FLOOR` (the coupled
     equilibrium system).
     """
     hs = np.asarray(hs, dtype=float)
@@ -278,7 +279,7 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
             return tip_slope
         y, dy = _unstretch(sig, hs, beta)
         if profile is None:
-            I = np.maximum(Y[:, 3], 1e-12)
+            I = np.maximum(Y[:, 3], _I_FLOOR)
         else:
             I = np.atleast_1d(profile.eval(y))
         f1, f2, zs = _rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
@@ -385,7 +386,7 @@ def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
     traj = _shoot_once(h, profile, params, cfg, rtol=cfg.rtol)
     y_all, sigma = output_mesh(traj.t, h, _stretch(params), cfg.n_out)
     samp = traj.sample(sigma)
-    I = (np.clip(samp[:, 3], 1e-12, 1.0) if profile is None
+    I = (np.clip(samp[:, 3], _I_FLOOR, 1.0) if profile is None
          else np.atleast_1d(profile.eval(y_all)))
     return assemble_state(h, y_all, samp[:, 0], samp[:, 1], samp[:, 2], I,
                           params, float(traj.y[-1, 1]))

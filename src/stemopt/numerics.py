@@ -3,7 +3,7 @@
 All routines are pure functions of their inputs and hold no module state, so
 they are safe to call concurrently.  Singular layers are never handled here;
 callers are expected to integrate in a variable in which the solution is
-regular and to declare singular quadrature endpoints explicitly.
+regular.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ _EPS = np.finfo(float).eps
 
 _MAX_STEPS = 200_000
 _BRENT_MAX_ITER = 200
-_QUAD_MAX_LEVELS = 400   # panels of a graded wing
 _BLOCK = 2048        # elements per block of `map_blocks`
 
 
@@ -219,18 +218,36 @@ _DP_B4 = np.array(
 )
 
 
-def _integrate_dp45(problem, a, b, y0, rtol, atol):
+def integrate(
+    problem: OdeProblem,
+    span: tuple[float, float],
+    initial: Sequence[float],
+    *,
+    rtol: float,
+    atol: float,
+) -> Trajectory:
+    """Integrate an ODE system over span=(a, b), a != b.
+
+    Embedded Dormand-Prince 5(4) pair with per-step error control at
+    (rtol, atol).
+    """
+    a, b = float(span[0]), float(span[1])
+    if a == b:
+        raise ValueError("span endpoints must differ")
+    y = np.asarray(initial, dtype=float)
+    if y.shape != (problem.dimension,):
+        raise ValueError(f"initial state must have shape ({problem.dimension},)")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("initial state must be finite")
     f = problem.rhs
-    span = b - a
-    direction = 1.0 if span > 0 else -1.0
+    direction = 1.0 if b > a else -1.0
     t = a
-    y = np.asarray(y0, dtype=float).copy()
     k0 = np.asarray(f(t, y))
     scale = atol + rtol * np.abs(y)
     d0 = np.sqrt(np.mean((y / scale) ** 2)) if y.size else 0.0
     d1 = np.sqrt(np.mean((k0 / scale) ** 2))
-    h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * abs(span)
-    h = min(h, 0.1 * abs(span)) * direction
+    h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * abs(b - a)
+    h = min(h, 0.1 * abs(b - a)) * direction
 
     ts, ys, dys = [t], [y.copy()], [k0.copy()]
     floor = 16.0 * _EPS * max(abs(a), abs(b))
@@ -275,30 +292,6 @@ def _integrate_dp45(problem, a, b, y0, rtol, atol):
     raise MaxIterationsError(f"adaptive integrator exceeded {_MAX_STEPS} steps")
 
 
-def integrate(
-    problem: OdeProblem,
-    span: tuple[float, float],
-    initial: Sequence[float],
-    *,
-    rtol: float,
-    atol: float,
-) -> Trajectory:
-    """Integrate an ODE system over span=(a, b), a != b.
-
-    Embedded Dormand-Prince 5(4) pair with per-step error control at
-    (rtol, atol).
-    """
-    a, b = float(span[0]), float(span[1])
-    if a == b:
-        raise ValueError("span endpoints must differ")
-    y0 = np.asarray(initial, dtype=float)
-    if y0.shape != (problem.dimension,):
-        raise ValueError(f"initial state must have shape ({problem.dimension},)")
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("initial state must be finite")
-    return _integrate_dp45(problem, a, b, y0, rtol, atol)
-
-
 def rk4_mesh(slope, mesh: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Classical fixed-step RK4 over the nodes of `mesh`; returns the state
     at mesh[-1].  `slope(t, y)` may act on a batch of stacked states."""
@@ -341,86 +334,20 @@ def _simpson_adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
         _simpson_adaptive(f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1)
 
 
-def _quad_panel(f, a, b, tol, depth=48):
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
-        raise NonFiniteError(f"integrand non-finite on [{a}, {b}]")
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_adaptive(f, a, b, fa, fm, fb, whole, tol, depth)
+def quad(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Adaptive Simpson quadrature of f over [a, b], a <= b (Lyness 1969).
 
-
-def _graded_wing(f, end, inner, tol):
-    """Integral over the interval between `inner` and `end` (ascending sense),
-    with panel widths halving geometrically toward the singular `end`.
-
-    Consecutive panel integrals of a power/log singularity form a (nearly)
-    geometric sequence, so the unresolved tail is closed by geometric
-    extrapolation; that keeps power endpoints accurate even when the mesh
-    reaches the floating-point resolution floor at `end`.
-    """
-    total = 0.0
-    edge = inner
-    prev_panel = None
-    ratio = None
-    floor = 64.0 * _EPS * max(1.0, abs(end))
-    for level in range(_QUAD_MAX_LEVELS):
-        nxt = end + 0.5 * (edge - end)
-        if abs(nxt - end) <= floor or nxt == edge:
-            break
-        panel = _quad_panel(f, min(nxt, edge), max(nxt, edge),
-                            tol / (4.0 * (level + 1) ** 2))
-        total += panel
-        if prev_panel is not None and abs(prev_panel) > 0.0:
-            ratio = abs(panel) / abs(prev_panel)
-            if ratio < 0.97:
-                tail = panel * ratio / (1.0 - ratio)
-                if abs(tail) <= 0.25 * tol * (1.0 + abs(total)):
-                    return total + tail
-        prev_panel = panel
-        edge = nxt
-    else:
-        raise MaxIterationsError("graded mesh did not resolve the singular tail")
-    # resolution floor reached: close with the last geometric estimate
-    if prev_panel is not None and ratio is not None and ratio < 0.97:
-        total += prev_panel * ratio / (1.0 - ratio)
-    return total
-
-
-def quad(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float,
-    singular_at: Sequence[float] = (),
-) -> float:
-    """Adaptive-Simpson quadrature (a <= b) with graded meshes at declared endpoints.
-
-    `singular_at` lists endpoint coordinates (a and/or b) where the integrand
-    has an integrable power/log singularity.  Panels shrink geometrically
-    toward those endpoints so the integrand is only ever evaluated at interior
-    points; the innermost tail is closed with a midpoint estimate once it
-    drops below the tolerance floor.
+    f must be finite at both ends and inside: an integrand with an integrable
+    singularity at an end is passed with its finite limit there.
     """
     if a == b:
         return 0.0
-    sing_a = any(abs(s - a) <= 1e-14 * max(1.0, abs(a)) for s in singular_at)
-    sing_b = any(abs(s - b) <= 1e-14 * max(1.0, abs(b)) for s in singular_at)
-    width = b - a
-
-    if not sing_a and not sing_b:
-        return _quad_panel(f, a, b, tol)
-
-    # Carve the interval into a smooth core plus graded wings.
-    lo = a + (0.25 * width if sing_a else 0.0)
-    hi = b - (0.25 * width if sing_b else 0.0)
-    total = _quad_panel(f, lo, hi, tol / 4.0)
-    if sing_a:
-        total += _graded_wing(f, a, lo, tol)
-    if sing_b:
-        total += _graded_wing(f, b, hi, tol)
-    return total
+    m = 0.5 * (a + b)
+    fa, fm, fb = f(a), f(m), f(b)
+    if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
+        raise NonFiniteError(f"integrand non-finite on [{a}, {b}]")
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _simpson_adaptive(f, a, b, fa, fm, fb, whole, tol, 48)
 
 
 def map_blocks(fn, x) -> np.ndarray:

@@ -57,11 +57,10 @@ def payoff_piecewise_constant(theta_segments, profile: LightProfile,
     ds = params.ell / n_seg
     yg, Jg = j_grid
     dy = np.sin(V) * ds
-    y_hi = np.cumsum(dy, axis=1)
-    y_lo = y_hi - dy
-    J_hi = np.interp(y_hi, yg, Jg)
-    J_lo = np.interp(y_lo, yg, Jg)
-    seg = capture_transverse(V, params) / np.sin(V) * (J_hi - J_lo)
+    # J at the column ends; the root's J is 0, so each gain is one difference
+    J = np.interp(np.cumsum(dy, axis=1), yg, Jg)
+    gain = np.diff(J, axis=1, prepend=0.0)
+    seg = capture_transverse(V, params) / np.sin(V) * gain
     out = seg.sum(axis=1)
     return float(out[0]) if np.asarray(theta_segments).ndim == 1 else out
 
@@ -221,13 +220,20 @@ def closed_form_q(y, h: float, params: ModelParams):
 
 
 def closed_form_payoff(params: ModelParams) -> float:
-    """Full-light optimal payoff, reduced to a single quadrature in q."""
+    """Full-light optimal payoff, reduced to a single quadrature in q.
+
+    The integrand -q ln q (1 - q + q ln q)^((1 - alpha)/alpha) has the limit 0
+    at q = 0 but an unbounded slope there, which Simpson's error estimate
+    misjudges; it is integrated in s = sqrt(q), where the slope is bounded.
+    """
     a, c = params.alpha, params.c
 
     def f(qv):
-        return (-qv * math.log(qv)) * _one_minus_r_scalar(qv) ** ((1.0 - a) / a)
+        return ((-qv * math.log(qv) if qv > 0.0 else 0.0)
+                * _one_minus_r_scalar(qv) ** ((1.0 - a) / a))
 
-    return quad(f, 0.0, 1.0, _CLOSED_FORM_TOL, singular_at=(0.0,)) / (a * c ** (1.0 / a))
+    return quad(lambda s: 2.0 * s * f(s * s), 0.0, 1.0,
+                _CLOSED_FORM_TOL) / (a * c ** (1.0 / a))
 
 
 @dataclass

@@ -338,3 +338,36 @@ def test_only_kernels_accumulates():
                     if isinstance(node, ast.Attribute) and node.attr == "cumsum"
                     or isinstance(node, ast.Name) and node.id == "cumsum"})
     assert calls == [], f"modules that accumulate outside kernels: {calls}"
+
+
+def _decorator_name(node):
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_every_result_field_is_read():
+    # a field that no code reads is computed and carried for nothing:
+    # every dataclass field of the solver modules is loaded as an attribute,
+    # or fetched by getattr with a constant name, somewhere in the package
+    # or the tests; `oracles` is exempt, as in test_only_kernels_accumulates
+    trees = _trees(SRC, TESTS)
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "getattr"
+                  and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)):
+                read.add(node.args[1].value)
+    unread = sorted(
+        f"{path.stem}.{node.name}.{item.target.id}"
+        for path, tree in trees.items()
+        if path.parent == SRC and path.stem != "oracles"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and "dataclass" in map(_decorator_name, node.decorator_list)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in read)
+    assert unread == [], f"dataclass fields that nothing reads: {unread}"

@@ -318,8 +318,8 @@ def test_maximality_along_trajectory(stem_canopy, params2):
 
 def test_h0_closed_form_quarter_integral(params2):
     # sin(t0)/(a c^(1/a)) * int_0^1 (1 + s ln s - s) ds with the integral 1/4
-    val = quad(lambda s: 1.0 + s * math.log(s) - s, 0.0, 1.0, 1e-12,
-               singular_at=(0.0,))
+    val = quad(lambda s: 1.0 + (s * math.log(s) if s > 0.0 else 0.0) - s,
+               0.0, 1.0, 1e-12)
     assert abs(val - 0.25) < 1e-11
     assert abs(m2.estimate_h0(params2) - H0_EXACT) < 1e-10
 
@@ -330,6 +330,12 @@ def test_closed_form_q_at_and_below_the_full_light_ground(params2):
     h = m2.estimate_h0(params2) * (1.0 + 1e-12)
     assert oracles.closed_form_q([0.0, -0.1], h, params2).tolist() == [0.0, 0.0]
     assert 0.0 < oracles.closed_form_q(0.5 * h, h, params2) < 1.0
+
+
+def test_closed_form_payoff_half_exponent(params2):
+    # at alpha = 1/2, c = 1 the payoff is 2 int_0^1 -q ln q (1 - q + q ln q) dq
+    # = 2 * 7/108; the integrand's log factor enters with its limit 0 at q = 0
+    assert oracles.closed_form_payoff(params2) == pytest.approx(7.0 / 54.0, rel=1e-14)
 
 
 def test_oracle_zero_density_floor(params2, const_profile):
