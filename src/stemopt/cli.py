@@ -166,7 +166,8 @@ def _run_sweep(scn: Scenario):
     values = list(scn.options["values"])
     h, residual_map = [], []
     for v in values:
-        res = equilibrium2.solve_equilibrium_direct(replace(scn.params, rho0=v))
+        res = equilibrium2.solve_equilibrium_direct(replace(scn.params, rho0=v),
+                                                    verify=False)
         h.append(res.h)
         residual_map.append(res.residual_map)
     return {"sweep.csv": {"rho0": values, "h": h, "residual_map": residual_map},

@@ -80,7 +80,7 @@ def solve_equilibrium1(params: ModelParams,
     The tip height solves the cumulative-length equation along the backward
     solution; the shade profile is then assembled from the equilibrium shape
     and its map residual is measured against that solution.  With `verify`,
-    the refit residual is measured too, as in `verify_fixed_point`.
+    the refit residual is measured too, by `verify_fixed_point`.
     """
     ell = params.ell
     traj = solve_bcp(params)
@@ -105,41 +105,29 @@ def solve_equilibrium1(params: ModelParams,
     rho_kappa = params.rho * params.kappa
     I_star = LightProfile.exponential_canopy(y, rho_kappa / np.sin(theta_star),
                                              h_star)
+    # map: the stored profile against exp(-zeta), the backward problem's shade
+    zeta = traj.sample(y - h_star)[:, 0]
 
     uniq_ok, uniq_margin = check_uniqueness_condition(I_star, params, h_star)
 
     result = Equilibrium1Result(
         h_star=float(h_star), y=y, theta_star=theta_star, x=x, I_star=I_star,
         residual_refit=math.nan,
-        residual_map=_map_residual(traj, y, h_star, I_star),
+        residual_map=float(np.max(np.abs(I_star.eval(y) - np.exp(-zeta)))),
         rho_kappa=rho_kappa, uniqueness_ok=uniq_ok, uniqueness_margin=uniq_margin,
     )
-    return (replace(result, residual_refit=_refit_residual(result, params))
-            if verify else result)
-
-
-def _map_residual(traj: Trajectory, y, h_star: float, I_star: LightProfile):
-    """Sup gap between the stored profile and exp(-zeta(y - h*)), the shade
-    the backward Cauchy problem integrated along the stem."""
-    zeta = traj.sample(y - h_star)[:, 0]
-    return float(np.max(np.abs(I_star.eval(y) - np.exp(-zeta))))
-
-
-def _refit_residual(result: Equilibrium1Result, params: ModelParams) -> float:
-    """Sup gap between the stored angles and the shape problem re-solved
-    under the stored light."""
-    refit = solve_op1(result.I_star, params)[0]
-    return float(np.max(np.abs(refit.theta_at(result.y) - result.theta_star)))
+    return verify_fixed_point(result, params) if verify else result
 
 
 def verify_fixed_point(result: Equilibrium1Result,
                        params: ModelParams) -> Equilibrium1Result:
-    """The result with both halves of the equilibrium definition measured.
+    """The result with its refit residual measured; the map residual is the
+    one the solve set.
 
     refit: re-solve the shape problem under the equilibrium light and compare
-    angle profiles in sup norm.  map: re-solve the backward Cauchy problem
-    and compare its shade exp(-zeta) against the stored profile in sup norm.
+    angle profiles in sup norm.
     """
-    return replace(result, residual_refit=_refit_residual(result, params),
-                   residual_map=_map_residual(solve_bcp(params), result.y,
-                                              result.h_star, result.I_star))
+    refit = solve_op1(result.I_star, params)[0]
+    theta = np.interp(result.y, refit.y, refit.theta)
+    return replace(result, residual_refit=float(
+        np.max(np.abs(theta - result.theta_star))))

@@ -92,15 +92,12 @@ def profile_gap(p1: LightProfile, p2: LightProfile, h: float) -> float:
 
 def verify_equilibrium(result: Equilibrium2Result,
                        params: ModelParams) -> Equilibrium2Result:
-    """The result with both halves of the equilibrium definition measured.
+    """The result with its refit residual measured; the map residual is the
+    one the solve set.
 
     refit: fresh best response under the stored profile, compared to the
     stored stem controls in sup norm (angles everywhere; leaf density away
-    from the ground where it is log-divergent).  map: the larger of two sup
-    gaps, the stored profile against the shade rebuilt from the stored stem
-    on [0, 1.05 h], and the intensity the stem carries (the integrated
-    intensity column for direct shooting) against the stored profile at the
-    stem's nodes.
+    from the ground where it is log-divergent).
     """
     cfg = Op2Config(h_bracket=(max(1e-6, result.h * 0.9), result.h * 1.1))
     fresh = model2.shoot_op2(result.I_star, params, cfg)
@@ -111,12 +108,8 @@ def verify_equilibrium(result: Equilibrium2Result,
     # so the density comparison starts above the ground layer
     ys_u = ys[ys > 0.05 * result.h]
     d_u = np.max(np.abs(fresh.interp("u", ys_u) - result.stem.interp("u", ys_u)))
-    residual_refit = float(max(d_theta, d_u, abs(fresh.h - result.h)))
-    stem = result.stem
-    residual_map = max(
-        profile_gap(result.I_star, shade_map(stem, params), result.h),
-        float(np.max(np.abs(stem.I - result.I_star.eval(stem.y)))))
-    return replace(result, residual_refit=residual_refit, residual_map=residual_map)
+    return replace(result, residual_refit=float(
+        max(d_theta, d_u, abs(fresh.h - result.h))))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +181,8 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     stem = model2.shoot_op2(profile, params, final_cfg)
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="fixed_point", iterations=len(history),
-        residual_map=math.nan, residual_refit=math.nan, h=stem.h,
+        residual_map=profile_gap(profile, shade_map(stem, params), stem.h),
+        residual_refit=math.nan, h=stem.h,
         h_roots=h_roots, class_f_ok=class_f_ok, multiroot_flag=multiroot,
         history=history,
     )
@@ -206,8 +200,8 @@ def solve_equilibrium_direct(params: ModelParams,
     Terminal values p=0, q=I=1 hold at the unknown height h; the ground
     residual is again the mass costate.  The stem is `model2.shoot_op2`
     under the stems' own shade (`profile=None`).  The equilibrium profile is
-    the shade cast by the solved stem; the verification compares it against
-    the integrated intensity component.
+    the shade cast by the solved stem; the map residual compares it against
+    the integrated intensity column at the stem's nodes.
     """
     stem = model2.shoot_op2(None, params)
     roots = stem.h_candidates
@@ -215,7 +209,8 @@ def solve_equilibrium_direct(params: ModelParams,
     in_class = check_class_F(profile, y_max=2.0 * model2.estimate_h0(params)).in_class
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="direct_shooting", iterations=1,
-        residual_map=math.nan, residual_refit=math.nan, h=stem.h,
+        residual_map=float(np.max(np.abs(stem.I - profile.eval(stem.y)))),
+        residual_refit=math.nan, h=stem.h,
         h_roots=roots, class_f_ok=in_class, multiroot_flag=len(roots) > 1,
     )
     return verify_equilibrium(result, params) if verify else result

@@ -126,9 +126,6 @@ class StemShape1:
     lam: float
     length_error: float
 
-    def theta_at(self, yq):
-        return np.interp(np.asarray(yq, dtype=float), self.y, self.theta)
-
 
 def _pieces(profile: LightProfile, lo: float, hi: float):
     """[lo, hi] split at the profile's jumps strictly inside it."""
@@ -174,9 +171,13 @@ def solve_op1(profile: LightProfile, params: ModelParams,
     piece of the profile (steep or discontinuous profiles admit several
     roots), refines each by Brent, and evaluates payoffs to order the
     candidates.  Ties are returned in ascending height order for the caller
-    to break.  Raises NoBracketError when no piece changes sign.
+    to break.  Raises DomainError when the light is zero along the whole
+    stem, and NoBracketError when no piece changes sign.
     """
     ell = params.ell
+    # profiles are non-decreasing: dark at the top means dark all along
+    if profile.eval(ell) <= 0.0:
+        raise DomainError(f"light is zero along the whole stem (I({ell!r}) = 0)")
     scan_density = max(256.0 / ell, scan_samples / ell * 0.25)
     fine_density = max(float(n_grid) / ell, scan_density)
 

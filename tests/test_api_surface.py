@@ -328,6 +328,25 @@ def test_oracles_reach_no_solver_path():
     assert offending == {}, f"oracle code that names the solver path: {offending}"
 
 
+def test_verifiers_measure_only_the_refit():
+    # the solve measures the map residual from the two constructions it
+    # holds; a verifier that rebuilt the shade or re-solved the backward
+    # Cauchy problem would measure again what the solve already measured
+    forbidden = {("equilibrium2", "verify_equilibrium"): {"shade_map", "profile_gap"},
+                 ("equilibrium1", "verify_fixed_point"): {"solve_bcp"}}
+    offending = {}
+    for (module, fn), names in forbidden.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        body = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == fn)
+        refs = {ref for node in ast.walk(body)
+                for ref in ([node.id] if isinstance(node, ast.Name)
+                            else [node.attr] if isinstance(node, ast.Attribute) else [])}
+        if refs & names:
+            offending[fn] = sorted(refs & names)
+    assert offending == {}, f"verifiers that rebuild the map half: {offending}"
+
+
 def test_only_kernels_accumulates():
     """Every running sum of the solvers is `kernels.trapezoid_cumulative`.
     `oracles` keeps its own, so the validators stay independent of the code

@@ -170,20 +170,38 @@ def test_verify_detects_perturbation(pair_001):
     assert e2.verify_equilibrium(fake, params).residual_refit > 1e-3
 
 
+def test_direct_map_residual_detects_a_perturbed_shade(pair_001, monkeypatch):
+    # the shade the stems cast, one percent denser than the coupled system's
+    # own intensity column: the direct solve's map residual must see it
+    direct, _, params = pair_001
+    shade = e2.shade_map
+
+    def denser(stem, params):
+        prof = shade(stem, params)
+        return LightProfile.exponential_canopy(prof.rate_y, 1.01 * prof.rate_v,
+                                               prof.top)
+
+    monkeypatch.setattr(e2, "shade_map", denser)
+    perturbed = e2.solve_equilibrium_direct(params, verify=False)
+    assert direct.residual_map <= 1e-6
+    assert perturbed.residual_map > 1e-5
+    assert perturbed.residual_map > 100.0 * direct.residual_map
+
+
 def test_verify_equilibrium_completes_an_unverified_solve(direct_sweep):
     # the verified solve and the stand-alone verification of an unverified
     # solve report the same residuals, and the verification leaves every
-    # other field as the solve built it
+    # other field, the solve's map residual included, as the solve built it
     params = _params(0.001)
     bare = direct_sweep[0.001]
     res = e2.verify_equilibrium(bare, params)
     assert type(res) is e2.Equilibrium2Result
-    assert math.isnan(bare.residual_refit) and math.isnan(bare.residual_map)
+    assert math.isnan(bare.residual_refit)
     verified = e2.solve_equilibrium_direct(params)
     assert res.residual_refit == verified.residual_refit
     assert res.residual_map == verified.residual_map
     for f in dataclasses.fields(res):
-        if f.name not in ("residual_refit", "residual_map"):
+        if f.name != "residual_refit":
             assert getattr(res, f.name) is getattr(bare, f.name), f.name
 
 

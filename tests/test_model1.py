@@ -213,6 +213,13 @@ def test_solve_step_two_candidates():
     assert hs[0] < 1.0 < hs[1]
 
 
+@pytest.mark.filterwarnings("error")
+def test_solve_all_dark_light_is_a_domain_error(params45):
+    # 0/0 in the feedback angle once warned and ended in a NaN bracket scan
+    with pytest.raises(DomainError, match="light is zero along the whole stem"):
+        m1.solve_op1(LightProfile.constant(0.0), params45)
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
