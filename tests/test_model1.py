@@ -215,7 +215,8 @@ def test_solve_step_two_candidates():
 
 @pytest.mark.filterwarnings("error")
 def test_solve_all_dark_light_is_a_domain_error(params45):
-    # 0/0 in the feedback angle once warned and ended in a NaN bracket scan
+    # the feedback angle would be 0/0 all along the stem: refused before the
+    # scan, with no warning on the way
     with pytest.raises(DomainError, match="light is zero along the whole stem"):
         m1.solve_op1(LightProfile.constant(0.0), params45)
 
