@@ -1,9 +1,10 @@
 """Competitive equilibrium for fixed-length, constant-thickness stems.
 
 All stems share one shape; the shade they cast determines the light profile,
-which in turn must make that shape optimal.  The equilibrium shape follows
-from a single backward Cauchy problem for the log-intensity along the stem,
-measured downward from the tip, so no fixed-point iteration is needed; the
+which in turn must make that shape optimal.  At stem length s from the tip
+the log-shade is rho*kappa*s, the leaf mass above, so the angle is explicit
+in s and one forward integration of the depth gives the shape and its
+height: no fixed-point iteration or height search is needed, and the
 fixed-point property is verified a posteriori instead.
 """
 
@@ -16,14 +17,8 @@ import numpy as np
 
 from .kernels import trapezoid_cumulative
 from .lightfield import LightProfile, check_uniqueness_condition
-from .model1 import phi_inverse, solve_op1
-from .numerics import (
-    OdeProblem,
-    Trajectory,
-    _simpson_weights,
-    find_roots,
-    integrate,
-)
+from .model1 import _theta_star, phi_inverse, solve_op1
+from .numerics import OdeProblem, Trajectory, integrate
 from .params import ModelParams
 
 _N_GRID = 2048   # cells of the returned equilibrium shape and profile
@@ -46,74 +41,50 @@ class Equilibrium1Result:
 
 
 def solve_bcp(params: ModelParams) -> Trajectory:
-    """Backward Cauchy problem for the log-shade zeta(t), t <= 0.
+    """Depth of the equilibrium stem below its tip, by stem length s from the tip.
 
-    zeta' = -rho*kappa / sin(phi((e^-kappa - 1) e^zeta)), zeta(0) = 0.
-    The angle profile measured down from the tip is
-    theta_hat(t) = phi((e^-kappa - 1) e^zeta(t)), starting at theta0.
+    The log-shade at s is rho*kappa*s, so the angle is explicit,
+    theta(s) = phi((e^-kappa - 1) e^(rho kappa s)), starting at theta0, and
+    depth' = sin(theta(s)), depth(0) = 0, is integrated over [0, ell].
     """
     rk = params.rho * params.kappa
     z_top = math.exp(-params.kappa) - 1.0
 
-    def rhs(t, state):
-        th = phi_inverse(z_top * math.exp(state[0]), params)
-        return np.array([-rk / math.sin(th)])
+    def rhs(s, state):
+        return np.array([math.sin(phi_inverse(z_top * math.exp(rk * s), params))])
 
-    if rk == 0.0:
-        ts = np.linspace(0.0, -params.ell, 65)
-        return Trajectory(ts, np.zeros((65, 1)), np.zeros((65, 1)))
-    return integrate(OdeProblem(1, rhs), (0.0, -params.ell), [0.0],
+    return integrate(OdeProblem(1, rhs), (0.0, params.ell), [0.0],
                      rtol=1e-11, atol=1e-13)
-
-
-def theta_hat_at(traj: Trajectory, t, params: ModelParams):
-    """Angle profile along the backward solution (vectorized)."""
-    z_top = math.exp(-params.kappa) - 1.0
-    zeta = traj.sample(np.asarray(t, dtype=float))[:, 0]
-    return phi_inverse(z_top * np.exp(zeta), params)
 
 
 def solve_equilibrium1(params: ModelParams,
                        verify: bool = True) -> Equilibrium1Result:
     """Equilibrium shape, height and light profile for the given density.
 
-    The tip height solves the cumulative-length equation along the backward
-    solution; the shade profile is then assembled from the equilibrium shape
-    and its map residual is measured against that solution.  With `verify`,
-    the refit residual is measured too, by `verify_fixed_point`.
+    The tip height is the depth of the stem's foot; the shape is sampled at
+    nodes uniform in stem length, the shade profile is assembled from it,
+    and its map residual is measured against exp(-rho*kappa*s), the shade
+    the stem length above each node implies.  With `verify`, the refit
+    residual is measured too, by `verify_fixed_point`.
     """
-    ell = params.ell
     traj = solve_bcp(params)
-
-    # stem length L(h) from the tip down to depth h is strictly increasing,
-    # its integrand 1/sin(theta) being positive, so ]0, ell] brackets the
-    # one root of L(h) = ell
-    def length_resid(h):
-        n = 2048
-        ts = np.linspace(-h, 0.0, n + 1)
-        th = theta_hat_at(traj, ts, params)
-        return float(np.sum(_simpson_weights(n) / np.sin(th)) * h / (3.0 * n)) - ell
-
-    lo, hi = 1e-12, ell
-    h_star = find_roots(length_resid, 1e-13,
-                        [[([lo, hi], [length_resid(lo), length_resid(hi)])]])[0]
-
-    y = np.linspace(0.0, h_star, _N_GRID + 1)
-    theta_star = theta_hat_at(traj, y - h_star, params)
+    h_star = float(traj.y[-1, 0])
+    rho_kappa = params.rho * params.kappa
+    s = np.linspace(params.ell, 0.0, _N_GRID + 1)   # foot to tip: y increases
+    y = h_star - traj.sample(s)[:, 0]
+    theta_star = phi_inverse((math.exp(-params.kappa) - 1.0) * np.exp(rho_kappa * s),
+                             params)
     x = trapezoid_cumulative(y, np.cos(theta_star) / np.sin(theta_star))
     # the shade that identical stems of this shape cast: rate rho*kappa / sin
-    rho_kappa = params.rho * params.kappa
     I_star = LightProfile.exponential_canopy(y, rho_kappa / np.sin(theta_star),
                                              h_star)
-    # map: the stored profile against exp(-zeta), the backward problem's shade
-    zeta = traj.sample(y - h_star)[:, 0]
 
     uniq_ok, uniq_margin = check_uniqueness_condition(I_star, params, h_star)
 
     result = Equilibrium1Result(
-        h_star=float(h_star), y=y, theta_star=theta_star, x=x, I_star=I_star,
+        h_star=h_star, y=y, theta_star=theta_star, x=x, I_star=I_star,
         residual_refit=math.nan,
-        residual_map=float(np.max(np.abs(I_star.eval(y) - np.exp(-zeta)))),
+        residual_map=float(np.max(np.abs(I_star.eval(y) - np.exp(-rho_kappa * s)))),
         rho_kappa=rho_kappa, uniqueness_ok=uniq_ok, uniqueness_margin=uniq_margin,
     )
     return verify_fixed_point(result, params) if verify else result
@@ -125,9 +96,10 @@ def verify_fixed_point(result: Equilibrium1Result,
     one the solve set.
 
     refit: re-solve the shape problem under the equilibrium light and compare
-    angle profiles in sup norm.
+    its feedback angles at the equilibrium's nodes with the stored angles in
+    sup norm.
     """
     refit = solve_op1(result.I_star, params)[0]
-    theta = np.interp(result.y, refit.y, refit.theta)
+    theta = _theta_star(np.minimum(result.y, refit.h), refit.h, result.I_star, params)
     return replace(result, residual_refit=float(
         np.max(np.abs(theta - result.theta_star))))

@@ -43,8 +43,7 @@ def F_of(theta, params: ModelParams):
     Strictly decreasing from e^-kappa - 1 at theta0 to -infinity at pi/2.
     """
     th = np.asarray(theta, dtype=float)
-    G, Gp, _ = _G_parts(th, params.theta0, params.kappa)
-    val = Gp * np.tan(th) - G
+    val = _F_and_deriv(th, params.theta0, params.kappa)[0]
     return float(val) if np.isscalar(theta) or val.ndim == 0 else val
 
 
@@ -135,7 +134,9 @@ def _pieces(profile: LightProfile, lo: float, hi: float):
 
 
 def _theta_star(y, h: float, profile: LightProfile, params: ModelParams):
-    z = (math.exp(-params.kappa) - 1.0) * profile.eval(h) / profile.eval(y)
+    # where the light is zero z is -inf, and the angle is capped below pi/2
+    with np.errstate(divide="ignore"):
+        z = (math.exp(-params.kappa) - 1.0) * profile.eval(h) / profile.eval(y)
     return phi_inverse(z, params)
 
 

@@ -197,9 +197,9 @@ def test_package_names_resolve_to_their_defining_modules():
 
 
 def test_only_numerics_brackets_a_scan():
-    # the height scans of op1, op2, eq1 and eq2 all go through
+    # the height scans of op1, op2 and eq2 all go through
     # numerics.find_roots; a solver that brackets its own samples again
-    # would be a fourth scan loop
+    # would be another scan loop
     callers = sorted(
         path.stem for path, tree in _trees(SRC).items()
         for node in ast.walk(tree)
@@ -207,6 +207,19 @@ def test_only_numerics_brackets_a_scan():
         and (getattr(node.func, "id", None) == "sign_change_brackets"
              or getattr(node.func, "attr", None) == "sign_change_brackets"))
     assert set(callers) == {"numerics"}, callers
+
+
+def test_equilibrium1_has_no_height_search():
+    # the fixed-length equilibrium height is the end of one forward
+    # integration in stem length; a root finder there would be a height
+    # search come back
+    tree = ast.parse((SRC / "equilibrium1.py").read_text())
+    refs = {ref for node in ast.walk(tree)
+            for ref in ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
+                        else [node.id] if isinstance(node, ast.Name)
+                        else [node.attr] if isinstance(node, ast.Attribute) else [])}
+    found = refs & {"find_root", "find_roots", "bracket", "sign_change_brackets"}
+    assert found == set(), sorted(found)
 
 
 def test_costate_kernels_have_one_caller_each():

@@ -11,7 +11,6 @@ from stemopt import lightfield
 from stemopt import model1 as m1
 from stemopt import numerics
 from stemopt.kernels import trapezoid_cumulative
-from stemopt.numerics import map_blocks
 
 
 def _params(rho_kappa):
@@ -23,28 +22,34 @@ def eq_01():
     return e1.solve_equilibrium1(_params(0.1))
 
 
+def _theta_of_s(s, params):
+    # the equilibrium angle at stem length s below the tip, log-shade rho*kappa*s
+    return m1.phi_inverse((math.exp(-params.kappa) - 1.0)
+                          * np.exp(params.rho * params.kappa * s), params)
+
+
 def test_bcp_zero_density_is_flat():
     traj = e1.solve_bcp(_params(0.0))
-    assert np.all(traj.y == 0.0)
-    th = e1.theta_hat_at(traj, np.linspace(-1.0, 0.0, 11), _params(0.0))
-    assert np.max(np.abs(th - math.pi / 4)) == 0.0
+    # no shade: theta stays theta0 at every node and the depth is s sin(theta0)
+    assert np.all(traj.dy[:, 0] == math.sin(math.pi / 4))
+    assert np.max(np.abs(traj.y[:, 0] - traj.t * math.sin(math.pi / 4))) <= 1e-15
 
 
 def test_bcp_first_order_taylor():
-    params = _params(0.1)
-    traj = e1.solve_bcp(params)
-    z = traj.sample(np.array([-0.01]))[0, 0]
-    # zeta(-t) = (rho kappa / sin theta0) t + O(t^2)
-    assert abs(z - 0.1 / math.sin(math.pi / 4) * 0.01) < 5e-6
+    traj = e1.solve_bcp(_params(0.1))
+    # depth(s) = s sin(theta0) + O(s^2): the gap quarters when s halves
+    gaps = [traj.sample(np.array([s]))[0, 0] - s * math.sin(math.pi / 4)
+            for s in (0.01, 0.005)]
+    assert abs(gaps[0]) < 1e-5
+    assert 3.5 < gaps[0] / gaps[1] < 4.5
 
 
 def test_bcp_resubstitution():
     params = _params(0.1)
     traj = e1.solve_bcp(params)
-    ts = np.linspace(-0.9, -1e-4, 400)
-    th = e1.theta_hat_at(traj, ts, params)
-    dz = traj.sample(ts + 5e-7)[:, 0] - traj.sample(ts - 5e-7)[:, 0]
-    resid = dz / 1e-6 + 0.1 / np.sin(th)
+    ss = np.linspace(1e-4, 0.9, 400)
+    dd = traj.sample(ss + 5e-7)[:, 0] - traj.sample(ss - 5e-7)[:, 0]
+    resid = dd / 1e-6 - np.sin(_theta_of_s(ss, params))
     assert np.max(np.abs(resid)) < 1e-6
 
 
@@ -97,13 +102,15 @@ def test_fixed_point_residuals(rk):
     rep = e1.verify_fixed_point(res, _params(rk))
     assert rep.residual_refit <= 1e-6
     assert rep.residual_map <= 1e-6
-    # profile and BCP shade are independent constructions: the gap is real
+    # the profile and exp(-rho kappa s) are independent constructions:
+    # the gap is real
     assert res.residual_map > 0
     assert res.uniqueness_ok
 
 
 def test_former_runaway_draw():
-    # a wrong feedback root made the backward solve's step size collapse here
+    # a wrong feedback root made the equilibrium integration's step size
+    # collapse here
     params = ModelParams(theta0=0.7642311192707387, kappa=2.8119289102694713,
                          ell=1.9943380715350787, rho=0.07723037028980666)
     assert len(e1.solve_bcp(params).t) < 1000
@@ -113,27 +120,17 @@ def test_former_runaway_draw():
     assert rep.residual_map <= 1e-6
 
 
-def test_height_matches_bisection_over_eq1_box():
-    # L(h), the stem length from the tip down to depth h, is strictly
-    # increasing; bisection on the same Simpson rule finds its one root
-    n = 2048
+def test_height_matches_simpson_over_eq1_box():
+    # h* is the depth of the foot, the integral of sin(theta(s)) over the
+    # stem; a composite Simpson rule on 2^14 + 1 nodes is independent of it
+    n = 2 ** 14
     weights = np.ones(n + 1)
     weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
     for params in _eq1_box_draws(8):
-        traj = e1.solve_bcp(params)
-
-        def length(h):
-            th = e1.theta_hat_at(traj, np.linspace(-h, 0.0, n + 1), params)
-            return float(np.sum(weights / np.sin(th))) * h / (3.0 * n)
-
-        lo, hi = 0.0, params.ell
-        while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            lo, hi = (mid, hi) if length(mid) < params.ell else (lo, mid)
+        th = _theta_of_s(np.linspace(0.0, params.ell, n + 1), params)
+        height = float(np.sum(weights * np.sin(th))) * params.ell / (3.0 * n)
         res = e1.solve_equilibrium1(params, verify=False)
-        assert abs(res.h_star - 0.5 * (lo + hi)) <= 1e-12
+        assert abs(res.h_star - height) <= 1e-12
 
 
 def _same_profile(a, b, ys):
@@ -204,17 +201,6 @@ def _eq1_box_draws(n):
 @pytest.fixture(scope="module")
 def eq_draw():
     return e1.solve_equilibrium1(_DRAW, verify=False)
-
-
-@pytest.mark.parametrize("n", _BLOCKED_SIZES)
-def test_blocked_dense_length_matches_one_shot(n):
-    traj = e1.solve_bcp(_DRAW)
-    t = np.linspace(0.0, -_DRAW.ell, n)
-    th = map_blocks(lambda tb: e1.theta_hat_at(traj, tb, _DRAW), t)
-    ref = e1.theta_hat_at(traj, t, _DRAW)
-    assert np.array_equal(th, ref)
-    assert np.array_equal(trapezoid_cumulative(-t, 1.0 / np.sin(th)),
-                          _one_shot_trapezoid(-t, 1.0 / np.sin(ref)))
 
 
 def _one_shot_uniqueness_margin(profile, params, ys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,17 @@ def test_solve_all_dark_light_is_a_domain_error(params45):
     # scan, with no warning on the way
     with pytest.raises(DomainError, match="light is zero along the whole stem"):
         m1.solve_op1(LightProfile.constant(0.0), params45)
+
+
+def test_solve_dark_ground_has_no_warning(params45):
+    # zero light at the ground only: the feedback value there is -inf and
+    # the angle sits at the cap below pi/2, with no division warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        best = m1.solve_op1(LightProfile.tabulated([0.0, 0.5, 1.0], [0.0, 0.5, 1.0]),
+                            params45)[0]
+    assert abs(best.h - 0.9345909337060336) <= 1e-12
+    assert best.theta[0] == math.pi / 2 - m1._THETA_CAP
 
 
 # ---------------------------------------------------------------------------

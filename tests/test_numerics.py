@@ -164,12 +164,14 @@ def test_integrate_constant():
     assert np.all(ys[:, 0] == 3.25)
 
 
-def test_integrate_frozen_shade_backward():
+def test_integrate_frozen_shade_forward():
     # frozen-angle version of the equilibrium shade equation, exact linear sol
     rho_kappa, theta0 = 0.1, math.pi / 4
-    pr = nx.OdeProblem(1, lambda t, y: np.array([-rho_kappa / math.sin(theta0)]))
-    traj = nx.integrate(pr, (0.0, -1.0), [0.0], rtol=1e-10, atol=1e-10)
+    pr = nx.OdeProblem(1, lambda t, y: np.array([rho_kappa / math.sin(theta0)]))
+    traj = nx.integrate(pr, (0.0, 1.0), [0.0], rtol=1e-10, atol=1e-10)
     assert abs(traj.y[-1, 0] - 0.1 * math.sqrt(2.0)) < 1e-10
+    with pytest.raises(ValueError, match="span must increase"):
+        nx.integrate(pr, (0.0, -1.0), [0.0], rtol=1e-10, atol=1e-10)
 
 
 def test_integrate_fourth_order_convergence():
