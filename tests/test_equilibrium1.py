@@ -11,6 +11,7 @@ from stemopt import lightfield
 from stemopt import model1 as m1
 from stemopt import numerics
 from stemopt.kernels import trapezoid_cumulative
+from stemopt.numerics import map_blocks
 
 
 def _params(rho_kappa):
@@ -201,6 +202,22 @@ def _eq1_box_draws(n):
 @pytest.fixture(scope="module")
 def eq_draw():
     return e1.solve_equilibrium1(_DRAW, verify=False)
+
+
+@pytest.mark.parametrize("n", _BLOCKED_SIZES)
+def test_blocked_dense_length_matches_one_shot(n):
+    # the shape on a dense grid in stem length, foot to tip, as the solve
+    # samples it: depth from the dense output, angle explicit in s
+    traj = e1.solve_bcp(_DRAW)
+    s = np.linspace(_DRAW.ell, 0.0, n)
+    depth = map_blocks(lambda sb: traj.sample(sb)[:, 0], s)
+    th = map_blocks(lambda sb: _theta_of_s(sb, _DRAW), s)
+    ref_depth, ref_th = traj.sample(s)[:, 0], _theta_of_s(s, _DRAW)
+    assert np.array_equal(depth, ref_depth)
+    assert np.array_equal(th, ref_th)
+    y, ref_y = depth[0] - depth, ref_depth[0] - ref_depth
+    assert np.array_equal(trapezoid_cumulative(y, np.cos(th) / np.sin(th)),
+                          _one_shot_trapezoid(ref_y, np.cos(ref_th) / np.sin(ref_th)))
 
 
 def _one_shot_uniqueness_margin(profile, params, ys):
