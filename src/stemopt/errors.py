@@ -36,10 +36,6 @@ class DegenerateDenominatorError(DomainError):
     """Feedback denominator vanished (costate ratio q/I reached 1 with p > 0)."""
 
 
-class SingularityError(StemOptError):
-    """Reduced costate system evaluated at its blow-up locus q = I."""
-
-
 class NoCrossingError(StemOptError):
     """Payoff-equality bisection found no sign change."""
 

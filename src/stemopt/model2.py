@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, DomainError, SingularityError
+from .errors import DegenerateDenominatorError, DomainError
 from .kernels import sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
 from .numerics import OdeProblem, find_roots, integrate, quad, rk4_mesh
@@ -49,25 +50,19 @@ def G2(theta, u, params: ModelParams):
     return float(val) if (np.isscalar(theta) and np.isscalar(u)) else val
 
 
-def _one_minus_r_term(r):
-    """Stable 1 - r + r ln r, extended by ln|r| for the negative-r guard."""
-    r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
-    near = np.abs(1.0 - r) < 1e-3
-    e = 1.0 - r[near]
-    out[near] = e * e / 2 + e ** 3 / 6 + e ** 4 / 12 + e ** 5 / 20 + e ** 6 / 30
-    rest = ~near
-    rr = r[rest]
-    safe = np.maximum(np.abs(rr), 1e-300)
-    out[rest] = 1.0 - rr + rr * np.log(safe)
-    return out
+# the numpy names the costate kernel uses, on plain floats, so that one state
+# of the adaptive shot keeps scalar arithmetic; `where` takes both values
+_Floats = SimpleNamespace(maximum=max, minimum=min, abs=abs, log=math.log,
+                          where=lambda cond, a, b: a if cond else b)
 
 
-def _one_minus_r_scalar(r: float) -> float:
-    if abs(1.0 - r) < 1e-3:
-        e = 1.0 - r
-        return e * e / 2 + e ** 3 / 6 + e ** 4 / 12 + e ** 5 / 20 + e ** 6 / 30
-    return 1.0 - r + r * math.log(max(abs(r), 1e-300))
+def _one_minus_r(r, xp):
+    """Stable 1 - r + r ln r, extended by ln|r| for the negative-r guard,
+    in the arithmetic of `xp` (numpy for arrays, `_Floats` for a float)."""
+    e = 1.0 - r
+    series = e * e / 2 + e ** 3 / 6 + e ** 4 / 12 + e ** 5 / 20 + e ** 6 / 30
+    return xp.where(xp.abs(e) < 1e-3, series,
+                    e + r * xp.log(xp.maximum(xp.abs(r), 1e-300)))
 
 
 def feedback_TU(I, p, q, params: ModelParams):
@@ -85,7 +80,7 @@ def feedback_TU(I, p, q, params: ModelParams):
     if np.any(p_arr < 0.0):
         raise DomainError("height costate p must be non-negative")
     r = q_arr / I_arr
-    D = I_arr * _one_minus_r_term(r)
+    D = I_arr * _one_minus_r(r, np)
     if np.any((D <= 0.0) & (p_arr > 0.0)):
         raise DegenerateDenominatorError("q reached I with p > 0: w diverges")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -109,7 +104,7 @@ def z_first_integral(I, p, q, params: ModelParams):
     I_arr = np.asarray(I, dtype=float)
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
-    D = I_arr * _one_minus_r_term(q_arr / I_arr)
+    D = I_arr * _one_minus_r(q_arr / I_arr, np)
     t0 = params.theta0
     inner = (D * math.cos(t0)) ** 2 + (p_arr + D * math.sin(t0)) ** 2
     val = params.c ** (-1.0 / params.alpha) * inner ** (1.0 / (2.0 * params.alpha))
@@ -117,56 +112,38 @@ def z_first_integral(I, p, q, params: ModelParams):
     return float(val) if scalar else val
 
 
-def _rhs_terms(I, p, q, params: ModelParams):
-    """f1, f2 and the tail-mass slope, with the negative-q guard applied."""
+def _rhs_terms(I, p, q, params: ModelParams, xp):
+    """f1, f2 and the tail-mass slope, with the negative-q guard applied and
+    D floored at 1e-300, in the arithmetic of `xp`."""
     a, c, t0 = params.alpha, params.c, params.theta0
     sa = math.sin(t0)
-    r = max(q / I, _Q_FLOOR)
-    D = I * _one_minus_r_scalar(r)
-    if D <= 0.0:
-        raise SingularityError(f"degenerate bracket at q/I={r}")
-    w = min(max(p, 0.0) / D, _W_CAP)
+    r = xp.maximum(q / I, _Q_FLOOR)
+    D = xp.maximum(I * _one_minus_r(r, xp), 1e-300)
+    w = xp.minimum(xp.maximum(p, 0.0) / D, _W_CAP)
     S = math.cos(t0) ** 2 + (w + sa) ** 2
     f1 = (1.0 - r) * (1.0 + w * sa) / (w + sa)
     f2 = a * c ** (1.0 / a) / (w + sa) * S ** (1.0 - 1.0 / (2.0 * a)) \
         * D ** (1.0 - 1.0 / a)
-    ln_r = math.log(max(abs(r), 1e-300))
-    z_slope = ln_r * (1.0 + w * sa) / (sa + w)
+    z_slope = xp.log(xp.maximum(xp.abs(r), 1e-300)) * (1.0 + w * sa) / (sa + w)
     return f1, f2, z_slope
 
 
-def _rhs_terms_vec(I, p, q, params: ModelParams):
-    """Vectorized f1, f2, tail-mass slope for batched residual scans."""
-    a, c, t0 = params.alpha, params.c, params.theta0
-    sa = math.sin(t0)
-    r = np.maximum(q / I, _Q_FLOOR)
-    D = I * _one_minus_r_term(r)
-    D = np.maximum(D, 1e-300)
-    w = np.minimum(np.maximum(p, 0.0) / D, _W_CAP)
-    S = math.cos(t0) ** 2 + (w + sa) ** 2
-    f1 = (1.0 - r) * (1.0 + w * sa) / (w + sa)
-    f2 = a * c ** (1.0 / a) / (w + sa) * S ** (1.0 - 1.0 / (2.0 * a)) \
-        * D ** (1.0 - 1.0 / a)
-    z_slope = np.log(np.maximum(np.abs(r), 1e-300)) * (1.0 + w * sa) / (sa + w)
-    return f1, f2, z_slope
-
-
-def _self_shade_slope(I, z_slope, params: ModelParams):
-    """dI/dy of the light the stems cast on themselves at density rho0."""
-    return -params.rho0 / math.cos(params.theta0) * I * z_slope
-
-
-def _costate_rhs(y, s, profile: LightProfile | None, params: ModelParams):
-    """Height-parameterized slopes (p', q', z') of the state s = (p, q, z).
+def _costate_rhs(y, S, profile: LightProfile | None, params: ModelParams, xp):
+    """Height-parameterized slopes (p', q', z') of the state S = (p, q, z)
+    at height y, with `xp` = `_Floats`; or, with `xp` = numpy, of a batch of
+    states, one per row of S at its height in y, returned one slope
+    component per row (the transpose of the layout of S).
 
     With `profile=None` the light is the stems' own shade at `params.rho0`,
     carried as a fourth state I and floored at `_I_FLOOR`; the slopes are
     then (p', q', z', I').
     """
-    I = max(s[3], _I_FLOOR) if profile is None else profile.eval(y)
-    f1, f2, zs = _rhs_terms(I, s[0], s[1], params)
+    s = S.T
+    I = xp.maximum(s[3], _I_FLOOR) if profile is None else profile.eval(y)
+    f1, f2, zs = _rhs_terms(I, s[0], s[1], params, xp)
     if profile is None:
-        dI = _self_shade_slope(I, zs, params)
+        # dI/dy of the light the stems cast on themselves at density rho0
+        dI = -params.rho0 / math.cos(params.theta0) * I * zs
         return np.array([-dI * f1, f2, zs, dI])
     return np.array([-profile.derivative(y) * f1, f2, zs])
 
@@ -241,17 +218,28 @@ class StemState2:
         return np.interp(np.asarray(yq, dtype=float), self.y, getattr(self, name))
 
 
-def _shoot_once(h, profile, params, cfg: Op2Config, rtol):
-    """DP45 shot in sigma from the tip (sigma = 0) to the ground (sigma = 1)."""
+def _sigma_problem(h, profile, params):
+    """Tip state and right side in sigma of the shot from the tip (sigma = 0)
+    to the ground (sigma = 1): of one state for a float tip height h, or of
+    one state per row for an array of tip heights."""
     beta = _stretch(params)
-    state0, tip_slope = (a[0] for a in _tip(h, profile, params))
+    state0, tip_slope = _tip(h, profile, params)
+    xp = np if np.ndim(h) else _Floats
+    if xp is _Floats:
+        state0, tip_slope = state0[0], tip_slope[0]
 
     def rhs(sig, s):   # a closure here, so that perfbench names it model2.rhs
         if sig == 0.0:
             return tip_slope
         y, dy = _unstretch(sig, h, beta)
-        return dy * _costate_rhs(y, s, profile, params)
+        return (dy * _costate_rhs(y, s, profile, params, xp)).T
 
+    return state0, rhs
+
+
+def _shoot_once(h, profile, params, cfg: Op2Config, rtol):
+    """DP45 shot in sigma from the tip (sigma = 0) to the ground (sigma = 1)."""
+    state0, rhs = _sigma_problem(h, profile, params)
     problem = OdeProblem(len(state0), rhs)
     return integrate(problem, (0.0, 1.0), state0, rtol=rtol, atol=cfg.atol)
 
@@ -270,33 +258,14 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
     fourth state column started at 1 and floored at `_I_FLOOR` (the coupled
     equilibrium system).
     """
-    hs = np.asarray(hs, dtype=float)
-    beta = _stretch(params)
-    Y, tip_slope = _tip(hs, profile, params)
-
-    def slope(sig, Y):
-        if sig == 0.0:
-            return tip_slope
-        y, dy = _unstretch(sig, hs, beta)
-        if profile is None:
-            I = np.maximum(Y[:, 3], _I_FLOOR)
-        else:
-            I = np.atleast_1d(profile.eval(y))
-        f1, f2, zs = _rhs_terms_vec(I, Y[:, 0], Y[:, 1], params)
-        if profile is None:
-            dI = _self_shade_slope(I, zs, params)
-            cols = [-dI * f1, f2, zs, dI]
-        else:
-            cols = [-np.atleast_1d(profile.derivative(y)) * f1, f2, zs]
-        return dy[:, None] * np.stack(cols, axis=1)
-
-    return rk4_mesh(slope, _SCAN_SIGMA, Y)[:, 1].copy()
+    Y, rhs = _sigma_problem(np.asarray(hs, dtype=float), profile, params)
+    return rk4_mesh(rhs, _SCAN_SIGMA, Y)[:, 1].copy()
 
 
 def estimate_h0(params: ModelParams) -> float:
     """Tip height of the full-light closed form, used to size scan ranges."""
     a, c, t0 = params.alpha, params.c, params.theta0
-    val = quad(lambda s: _one_minus_r_scalar(s) ** ((1.0 - a) / a),
+    val = quad(lambda s: _one_minus_r(s, _Floats) ** ((1.0 - a) / a),
                0.0, 1.0, 1e-12)
     return math.sin(t0) / (a * c ** (1.0 / a)) * val
 
@@ -367,7 +336,7 @@ def assemble_state(h, y_all, p, q, z, I, params: ModelParams,
 
     # Hamiltonian along the integrated (not first-integral) tail mass
     t0 = params.theta0
-    D = I * _one_minus_r_term(q_floor / I)
+    D = I * _one_minus_r(q_floor / I, np)
     S = np.sqrt(math.cos(t0) ** 2 + (w + math.sin(t0)) ** 2)
     H = np.maximum(p, 0.0) * (math.sin(t0) + w) / S \
         + D * (1.0 + w * math.sin(t0)) / S - cost_density

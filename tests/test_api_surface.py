@@ -222,27 +222,35 @@ def test_equilibrium1_has_no_height_search():
     assert found == set(), sorted(found)
 
 
+def _name(node):
+    """The name a node defines, imports or refers to, if any."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return getattr(node, "name", None)
+
+
 def test_costate_kernels_have_one_caller_each():
-    # the free-length slopes have one shooting path, whatever light the
-    # stems see: the scalar kernel is called only by the adaptive shot's
-    # right side and the vectorized one only by the batched scan, both in
-    # model2, and no other module imports or names either
-    kernels = ("_rhs_terms", "_rhs_terms_vec")
-    calls = {name: [] for name in kernels}
-    outside = []
+    # the free-length slopes have one kernel for one state and for a batch:
+    # model2 defines each piece once, no module or test names the scalar and
+    # vector twins it replaced or the error only the scalar twin raised, and
+    # only model2 calls the right side
+    kernels = ("_costate_rhs", "_one_minus_r", "_rhs_terms")
+    gone = {"_rhs_terms_vec", "_one_minus_r_term", "_one_minus_r_scalar",
+            "SingularityError"}
+    defined, callers, named = [], set(), set()
     for path, tree in _trees(SRC, TESTS).items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                if name in kernels:
-                    calls[name].append(path.stem)
-            refs = ([a.name for a in node.names] if isinstance(node, ast.ImportFrom)
-                    else [node.id] if isinstance(node, ast.Name)
-                    else [node.attr] if isinstance(node, ast.Attribute) else [])
-            outside += [(path.stem, ref) for ref in refs
-                        if ref in kernels and path.stem != "model2"]
-    assert calls == {name: ["model2"] for name in kernels}, calls
-    assert outside == [], outside
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in kernels:
+                defined.append((path.stem, node.name))
+            if isinstance(node, ast.Call) and _name(node.func) == "_rhs_terms":
+                callers.add(path.stem)
+            if _name(node) in gone:
+                named.add((path.stem, _name(node)))
+    assert sorted(defined) == [("model2", name) for name in kernels], defined
+    assert callers == {"model2"}, callers
+    assert named == set(), sorted(named)
 
 
 def test_shooting_config_fields_set_by_callers():

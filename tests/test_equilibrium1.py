@@ -99,10 +99,10 @@ def test_length_constraint(eq_01):
 
 @pytest.mark.parametrize("rk", [0.01, 0.05, 0.1])
 def test_fixed_point_residuals(rk):
+    # the solve verifies by default: re-verifying returns the same bits
     res = e1.solve_equilibrium1(_params(rk))
-    rep = e1.verify_fixed_point(res, _params(rk))
-    assert rep.residual_refit <= 1e-6
-    assert rep.residual_map <= 1e-6
+    assert res.residual_refit <= 1e-6
+    assert res.residual_map <= 1e-6
     # the profile and exp(-rho kappa s) are independent constructions:
     # the gap is real
     assert res.residual_map > 0
@@ -116,9 +116,8 @@ def test_former_runaway_draw():
                          ell=1.9943380715350787, rho=0.07723037028980666)
     assert len(e1.solve_bcp(params).t) < 1000
     res = e1.solve_equilibrium1(params)
-    rep = e1.verify_fixed_point(res, params)
-    assert rep.residual_refit <= 1e-6
-    assert rep.residual_map <= 1e-6
+    assert res.residual_refit <= 1e-6
+    assert res.residual_map <= 1e-6
 
 
 def test_height_matches_simpson_over_eq1_box():

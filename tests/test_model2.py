@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,7 +121,8 @@ def test_tail_mass_matches_flat_light_closed_form(params2):
 # ---------------------------------------------------------------------------
 
 def test_rhs_flat_light(params2, const_profile):
-    dp, dq, _ = m2._costate_rhs(0.2, (0.0, 0.4), const_profile, params2)
+    dp, dq, _ = m2._costate_rhs(0.2, np.array([0.0, 0.4]), const_profile, params2,
+                                m2._Floats)
     assert dp == 0.0
     expect = 0.5 / math.sin(math.pi / 4) / (1.0 + 0.4 * math.log(0.4) - 0.4)
     assert abs(dq - expect) < 1e-12
@@ -129,7 +131,8 @@ def test_rhs_flat_light(params2, const_profile):
 def test_rhs_zero_height_costate_factor(params2, canopy_profile):
     y, q = 0.3, 0.5
     I = canopy_profile.eval(y)
-    dp, _, _ = m2._costate_rhs(y, (0.0, q * I), canopy_profile, params2)
+    dp, _, _ = m2._costate_rhs(y, np.array([0.0, q * I]), canopy_profile, params2,
+                               m2._Floats)
     f1 = (1.0 - q) / math.sin(params2.theta0)
     assert abs(dp + canopy_profile.derivative(y) * f1) < 1e-12
 
@@ -141,8 +144,34 @@ def test_rhs_mass_slope_positive(params2, canopy_profile):
         I = canopy_profile.eval(y)
         q = rng.uniform(0.05, 0.95) * I
         p = rng.uniform(0.0, 0.2)
-        _, dq, _ = m2._costate_rhs(y, (p, q), canopy_profile, params2)
+        _, dq, _ = m2._costate_rhs(y, np.array([p, q]), canopy_profile, params2,
+                                   m2._Floats)
         assert dq > 0.0
+
+
+@pytest.mark.parametrize("self_shade", [True, False])
+def test_costate_rhs_batch_rows_are_float_calls(self_shade, params2, canopy_profile):
+    # one kernel for one state and for a batch, in every branch: the series
+    # (|1 - q/I| < 1e-3), the logarithm, the negative-q guard with r above
+    # and at _Q_FLOOR, and q = I, where D takes the 1e-300 floor.  numpy's
+    # vectorized log and pow may round the last bit unlike the C library's
+    # on the float path, so the rows agree to a few ulp, not bit for bit
+    ratio = np.array([1.0 - 5e-4, 1.0 + 2e-4, 1.0, 0.3, 0.9, 1.4, -0.5, -2.0])
+    p = np.array([0.1, 0.0, 0.05, 0.2, 0.0, 0.1, 0.3, 0.1])
+    y = np.linspace(0.05, 0.8, len(ratio))
+    if self_shade:
+        params, profile = replace(params2, rho0=0.3), None
+        I = np.linspace(1.0, 0.4, len(ratio))
+    else:
+        params, profile = params2, canopy_profile
+        I = canopy_profile.eval(y)
+    z = np.linspace(0.0, 0.5, len(ratio))
+    S = np.stack([p, ratio * I, z] + ([I] if self_shade else []), axis=1)
+    batch = m2._costate_rhs(y, S, profile, params, np).T
+    rows = np.array([m2._costate_rhs(yi, si, profile, params, m2._Floats)
+                     for yi, si in zip(y, S)])
+    assert np.all(np.isfinite(batch))
+    np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
