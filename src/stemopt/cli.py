@@ -353,6 +353,10 @@ def parse_scenario(path) -> Scenario:
             profile = attrgetter(build)(lightfield)(*(given[key] for key in keys))
         except (ValueError, OSError) as exc:
             raise ValidationError(f"profile.{name}", str(exc)) from exc
+        if kind == "op2" and name == "step":
+            # the free-length shot sees no jump of the light, only its slope
+            raise ValidationError("profile.kind", "op2 cannot solve a step light; "
+                                  "use mollified-step")
     for section in cp.sections():
         if section not in read:
             _read(cp, section, {})   # rejects the section's first key

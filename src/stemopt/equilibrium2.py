@@ -2,8 +2,8 @@
 
 Two independent constructions of the same object: damped fixed-point
 iteration of the best-response/shading composition, and direct shooting of
-the coupled costate-plus-intensity system.  The two must agree, which is the
-main consistency check of the whole pipeline.
+the coupled costate system, whose light is the stems' own shade.  The two
+must agree, which is the main consistency check of the whole pipeline.
 """
 
 from __future__ import annotations
@@ -97,7 +97,8 @@ def verify_equilibrium(result: Equilibrium2Result,
 
     refit: fresh best response under the stored profile, compared to the
     stored stem controls in sup norm (angles everywhere; leaf density away
-    from the ground where it is log-divergent).
+    from the ground where it is log-divergent), each stem interpolated in
+    its own stretched height.
     """
     cfg = Op2Config(h_bracket=(max(1e-6, result.h * 0.9), result.h * 1.1))
     fresh = model2.shoot_op2(result.I_star, params, cfg)
@@ -195,13 +196,15 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
 
 def solve_equilibrium_direct(params: ModelParams,
                              verify: bool = True) -> Equilibrium2Result:
-    """Shoot the coupled (p, q, z, I) system backward from the stem tip.
+    """Shoot the coupled (p, q, z) system backward from the stem tip.
 
-    Terminal values p=0, q=I=1 hold at the unknown height h; the ground
+    Terminal values p=0, q=1, z=0 hold at the unknown height h; the ground
     residual is again the mass costate.  The stem is `model2.shoot_op2`
-    under the stems' own shade (`profile=None`).  The equilibrium profile is
-    the shade cast by the solved stem; the map residual compares it against
-    the integrated intensity column at the stem's nodes.
+    under the stems' own shade (`profile=None`), I = exp(-d0 z) of the
+    integrated tail mass.  The equilibrium profile is the shade cast by the
+    solved stem, rebuilt by `shade_map` from the quadrature of its
+    u / sin(theta); the map residual compares it against exp(-d0 z) at the
+    stem's nodes.
     """
     stem = model2.shoot_op2(None, params)
     roots = stem.h_candidates

@@ -10,8 +10,10 @@ blows up there; the shot runs in the stretched height
 sigma = ((h - y)/h)^beta, in which the solution is regular, from the exact
 tip state at sigma = 0 to the ground at sigma = 1, and the tip height is
 found by root-finding on the ground residual.  The same shot solves the
-coupled equilibrium system, where the light is the stems' own shade,
-integrated as a fourth state from full light at the tip (`profile=None`).
+coupled equilibrium system, where the light is the stems' own shade
+(`profile=None`).  That shade is a first integral of the tail mass,
+I = exp(-d0 z) with d0 = rho0 / cos theta0, so both shots carry the three
+states (p, q, z) and read the light from one hook, `_light`.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .params import ModelParams, Op2Config
 _Q_FLOOR = -0.9         # reduced system extended to slightly negative mass costate
 _W_CAP = 1e12
 _SCAN_RTOL = 1e-7       # warm-bracket end points only locate a sign change
-_I_FLOOR = 1e-12        # floor of the stems' own shade carried as a state
+_I_FLOOR = 1e-12        # floor of the stems' own shade
 # batched-scan mesh in sigma, dense toward the ground (sigma = 1)
 _SCAN_SIGMA = np.sqrt(np.linspace(0.0, 1.0, 448))
 
@@ -53,7 +55,7 @@ def G2(theta, u, params: ModelParams):
 # the numpy names the costate kernel uses, on plain floats, so that one state
 # of the adaptive shot keeps scalar arithmetic; `where` takes both values
 _Floats = SimpleNamespace(maximum=max, minimum=min, abs=abs, log=math.log,
-                          where=lambda cond, a, b: a if cond else b)
+                          exp=math.exp, where=lambda cond, a, b: a if cond else b)
 
 
 def _one_minus_r(r, xp):
@@ -128,24 +130,30 @@ def _rhs_terms(I, p, q, params: ModelParams, xp):
     return f1, f2, z_slope
 
 
+def _light(y, z, profile: LightProfile | None, params: ModelParams, xp):
+    """Light I and its partial slopes (dI/dy, dI/dz) at height y and tail
+    mass z, in the arithmetic of `xp`.  A profile answers from the height.
+    `profile=None`, the shade the stems cast on themselves at density
+    `params.rho0`, answers from the tail mass: I = exp(-d0 z) with
+    d0 = rho0 / cos theta0, floored at `_I_FLOOR`."""
+    if profile is None:
+        d0 = params.rho0 / math.cos(params.theta0)
+        I = xp.maximum(xp.exp(-d0 * z), _I_FLOOR)
+        return I, 0.0, -d0 * I
+    return profile.eval(y), profile.derivative(y), 0.0
+
+
 def _costate_rhs(y, S, profile: LightProfile | None, params: ModelParams, xp):
     """Height-parameterized slopes (p', q', z') of the state S = (p, q, z)
     at height y, with `xp` = `_Floats`; or, with `xp` = numpy, of a batch of
     states, one per row of S at its height in y, returned one slope
-    component per row (the transpose of the layout of S).
-
-    With `profile=None` the light is the stems' own shade at `params.rho0`,
-    carried as a fourth state I and floored at `_I_FLOOR`; the slopes are
-    then (p', q', z', I').
+    component per row (the transpose of the layout of S).  The light along
+    the stem changes at the rate dI/dy + dI/dz z'.
     """
     s = S.T
-    I = xp.maximum(s[3], _I_FLOOR) if profile is None else profile.eval(y)
+    I, I_y, I_z = _light(y, s[2], profile, params, xp)
     f1, f2, zs = _rhs_terms(I, s[0], s[1], params, xp)
-    if profile is None:
-        # dI/dy of the light the stems cast on themselves at density rho0
-        dI = -params.rho0 / math.cos(params.theta0) * I * zs
-        return np.array([-dI * f1, f2, zs, dI])
-    return np.array([-profile.derivative(y) * f1, f2, zs])
+    return np.array([-(I_y + I_z * zs) * f1, f2, zs])
 
 
 # ---------------------------------------------------------------------------
@@ -173,21 +181,16 @@ def _unstretch(sig, h, beta):
 
 
 def _tip(hs, profile: LightProfile | None, params: ModelParams):
-    """Exact state (p, q, z[, I]) = (0, I_h, 0[, 1]) at the tip sigma = 0 of
-    each height in `hs`, one row each, and its sigma-slope
-    (0, -I_h K h^beta, 0[, 0]), the limit of the right side there.
-    `profile=None` stands for the stems' own shade, which is 1 at the tip."""
+    """Exact state (p, q, z) = (0, I_h, 0) at the tip sigma = 0 of each
+    height in `hs`, one row each, and its sigma-slope (0, -I_h K h^beta, 0),
+    the limit of the right side there."""
     hs = np.atleast_1d(hs)
     zero = np.zeros_like(hs)
-    I_h = np.ones_like(hs) if profile is None else np.atleast_1d(profile.eval(hs))
+    I_h = _light(hs, zero, profile, params, np)[0]
     if np.any(I_h <= 0.0):
         raise DomainError("tip light must be positive")
     dq = -I_h * layer_constant(params, I_h) * hs ** _stretch(params)
-    state, slope = [zero, I_h, zero], [zero, dq, zero]
-    if profile is None:
-        state.append(I_h)
-        slope.append(zero)
-    return np.stack(state, axis=1), np.stack(slope, axis=1)
+    return np.stack([zero, I_h, zero], axis=1), np.stack([zero, dq, zero], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -196,10 +199,13 @@ def _tip(hs, profile: LightProfile | None, params: ModelParams):
 
 @dataclass
 class StemState2:
-    """Optimality-system trajectory sampled over height, plus summary scalars."""
+    """Optimality-system trajectory sampled over height, plus summary scalars.
+    `sigma` holds the stretched height ((h - y)/h)^beta of each sample."""
 
     h: float
+    beta: float
     y: np.ndarray
+    sigma: np.ndarray
     p: np.ndarray
     q: np.ndarray
     I: np.ndarray
@@ -215,7 +221,10 @@ class StemState2:
     h_candidates: list[float] = field(default_factory=list)
 
     def interp(self, name: str, yq):
-        return np.interp(np.asarray(yq, dtype=float), self.y, getattr(self, name))
+        """A sampled column at heights yq, linear in the stretched height."""
+        tau = np.maximum(self.h - np.asarray(yq, dtype=float), 0.0) / self.h
+        return np.interp(tau ** self.beta, self.sigma[::-1],
+                         getattr(self, name)[::-1])
 
 
 def _sigma_problem(h, profile, params):
@@ -254,8 +263,7 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
 
     Fixed-step RK4 in sigma on `_SCAN_SIGMA`; accuracy is ample for locating
     sign changes, which Brent then refines with the adaptive integrator.
-    With `profile=None` the light is the stems' own shade, carried as a
-    fourth state column started at 1 and floored at `_I_FLOOR` (the coupled
+    With `profile=None` the light is the stems' own shade (the coupled
     equilibrium system).
     """
     Y, rhs = _sigma_problem(np.asarray(hs, dtype=float), profile, params)
@@ -276,7 +284,7 @@ def shoot_op2(profile: LightProfile | None, params: ModelParams,
 
     `profile=None` solves the coupled equilibrium system instead: the light
     is the shade the stems cast on themselves at density `params.rho0`,
-    integrated along with the costates from full light at the tip.
+    exp(-d0 z) of the integrated tail mass z, with d0 = rho0 / cos theta0.
 
     The stages of `numerics.find_roots` are the warm bracket `cfg.h_bracket`,
     evaluated at the scan tolerance, then the batched RK4 scan on
@@ -304,58 +312,43 @@ def shoot_op2(profile: LightProfile | None, params: ModelParams,
     return best
 
 
-def output_mesh(nodes: np.ndarray, h: float, beta: float, n_out: int):
-    """Ascending sample heights and their sigma: the integrator nodes,
-    n_out + 1 uniform heights, and 321 uniform sigma, which grade the
-    samples toward the tip where the costate curvature blows up (linear
-    interpolation between plain uniform heights would lose five digits
-    there).  Distinct small sigma that map to the same height in floating
-    point keep only the smallest."""
-    uniform = np.linspace(1.0, 0.0, n_out + 1) ** beta
-    sigma = sorted_unique(np.concatenate([nodes, uniform, np.linspace(0.0, 1.0, 321)]))
+def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
+    """The stem of tip height h, with controls, curve and diagnostics
+    reconstructed from the final shot.  Its samples are the integrator nodes,
+    n_out + 1 uniform heights, and 321 uniform sigma, which grade them toward
+    the tip where the costate curvature blows up; distinct small sigma that
+    map to the same height in floating point keep only the smallest."""
+    traj = _shoot_once(h, profile, params, cfg, rtol=cfg.rtol)
+    beta = _stretch(params)
+    uniform = np.linspace(1.0, 0.0, cfg.n_out + 1) ** beta
+    sigma = sorted_unique(np.concatenate([traj.t, uniform, np.linspace(0.0, 1.0, 321)]))
     y = _unstretch(sigma, h, beta)[0]
     keep = np.concatenate([[True], y[1:] < y[:-1]])
-    return y[keep][::-1], sigma[keep][::-1]
-
-
-def assemble_state(h, y_all, p, q, z, I, params: ModelParams,
-                   residual: float) -> StemState2:
-    """Reconstruct controls, curve and diagnostics from sampled costates."""
+    y, sigma = y[keep][::-1], sigma[keep][::-1]
+    p, q, z = traj.sample(sigma).T
+    p, z = np.maximum(p, 0.0), np.maximum(z, 0.0)
+    I = _light(y, z, profile, params, np)[0]
     # the ground node carries the shooting residual; floor it so the
     # reconstructed leaf density stays a finite, plottable value there
     q_floor = np.maximum(q, 1e-15 * I)
-    theta, u, w = feedback_TU(I, np.maximum(p, 0.0), q_floor, params)
+    theta, u, w = feedback_TU(I, p, q_floor, params)
 
     sin_t = np.sin(theta)
-    T = float(np.trapezoid(1.0 / sin_t, y_all))
     capture = I * G2(theta, u, params)
-    cost_density = params.c * np.maximum(z, 0.0) ** params.alpha
-    payoff = float(np.trapezoid((capture - cost_density) / sin_t, y_all))
-    transport = float(np.trapezoid(cost_density / sin_t, y_all))
-    x = trapezoid_cumulative(y_all, np.cos(theta) / sin_t)
+    cost_density = params.c * z ** params.alpha
 
     # Hamiltonian along the integrated (not first-integral) tail mass
     t0 = params.theta0
     D = I * _one_minus_r(q_floor / I, np)
     S = np.sqrt(math.cos(t0) ** 2 + (w + math.sin(t0)) ** 2)
-    H = np.maximum(p, 0.0) * (math.sin(t0) + w) / S \
-        + D * (1.0 + w * math.sin(t0)) / S - cost_density
-    ham_max = float(np.max(np.abs(H)))
+    H = p * (math.sin(t0) + w) / S + D * (1.0 + w * math.sin(t0)) / S - cost_density
 
     return StemState2(
-        h=float(h), y=y_all, p=np.maximum(p, 0.0), q=q, I=I,
-        theta=theta, u=u, z=np.maximum(z, 0.0), x=x,
-        T=T, payoff=payoff, transport_cost=transport,
-        hamiltonian_max_abs=ham_max,
-        residual_q0=float(residual),
+        h=float(h), beta=beta, y=y, sigma=sigma, p=p, q=q, I=I, theta=theta, u=u,
+        z=z, x=trapezoid_cumulative(y, np.cos(theta) / sin_t),
+        T=float(np.trapezoid(1.0 / sin_t, y)),
+        payoff=float(np.trapezoid((capture - cost_density) / sin_t, y)),
+        transport_cost=float(np.trapezoid(cost_density / sin_t, y)),
+        hamiltonian_max_abs=float(np.max(np.abs(H))),
+        residual_q0=float(traj.y[-1, 1]),
     )
-
-
-def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
-    traj = _shoot_once(h, profile, params, cfg, rtol=cfg.rtol)
-    y_all, sigma = output_mesh(traj.t, h, _stretch(params), cfg.n_out)
-    samp = traj.sample(sigma)
-    I = (np.clip(samp[:, 3], _I_FLOOR, 1.0) if profile is None
-         else np.atleast_1d(profile.eval(y_all)))
-    return assemble_state(h, y_all, samp[:, 0], samp[:, 1], samp[:, 2], I,
-                          params, float(traj.y[-1, 1]))

@@ -191,11 +191,7 @@ class Trajectory:
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        out = h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
-        # h00 + h01 == 1 holds only to rounding; keep constant components exact
-        const = np.all(y == y[0], axis=0) & np.all(dy == 0.0, axis=0)
-        out[:, const] = y[0, const]
-        return out
+        return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 
 
 # Dormand-Prince 5(4) tableau

@@ -253,6 +253,21 @@ def test_costate_kernels_have_one_caller_each():
     assert named == set(), sorted(named)
 
 
+def test_model2_reads_the_light_through_one_hook():
+    # a given profile and the stems' own shade (profile=None) differ only
+    # inside model2._light; a comparison of `profile` with None anywhere
+    # else in model2 would be a second light path through the shot
+    tree = ast.parse((SRC / "model2.py").read_text())
+    where = sorted(
+        top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Compare)
+        and "profile" in map(_name, [node.left, *node.comparators])
+        and any(isinstance(side, ast.Constant) and side.value is None
+                for side in [node.left, *node.comparators]))
+    assert where == ["_light"], where
+
+
 def test_shooting_config_fields_set_by_callers():
     # a shooting option earns its field only where a solver sets it: every
     # Op2Config field is passed by keyword to Op2Config(...) or replace(...)

@@ -240,6 +240,22 @@ def test_one_row_csv_profile_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_step_light_rejected_for_op2(tmp_path, capsys):
+    # the free-length shot reads only the light's slope, which is zero on
+    # both sides of a jump, so op2 would return the stem under the dim
+    # light below it; op1 splits its scan at the jump and keeps the step
+    step = {"kind": "step", "epsilon": "0.5", "y_jump": "0.2"}
+    out = tmp_path / "out"
+    code = cli.main(["--scenario", str(_write(tmp_path, _scenario("op2", {"profile": step}))),
+                     "--out", str(out), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: profile.kind: op2 cannot solve a step light" in err
+    assert not out.exists()
+    op1 = cli.parse_scenario(_write(tmp_path, _scenario("op1", {"profile": step}), "op1.ini"))
+    assert op1.profile.kind == "step"
+
+
 def test_parse_rejects_wrong_schema(tmp_path):
     bad = OP1_SCENARIO.replace("schema_version = 1", "schema_version = 99")
     with pytest.raises(ValidationError):

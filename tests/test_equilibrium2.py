@@ -89,8 +89,12 @@ def test_ground_intensity_decreasing_in_density(direct_sweep, pair_001):
 # ---------------------------------------------------------------------------
 
 def test_direct_zero_density_reduces_to_flat(stem_flat):
+    # at rho0 = 0 the stems' own shade exp(-0 z) is exactly 1, so the
+    # coupled stem is the full-light stem bit for bit
     res = e2.solve_equilibrium_direct(_params(0.0))
-    assert abs(res.h - stem_flat.h) < 1e-8
+    for f in dataclasses.fields(res.stem):
+        got, want = getattr(res.stem, f.name), getattr(stem_flat, f.name)
+        assert np.array_equal(got, want), f.name
     ys = np.linspace(0.0, res.h, 300)
     assert np.max(np.abs(res.I_star.eval(ys) - 1.0)) < 1e-12
     # degenerate equilibrium: shading map returns full light exactly; the
@@ -170,15 +174,20 @@ def test_verify_detects_perturbation(pair_001):
     assert e2.verify_equilibrium(fake, params).residual_refit > 1e-3
 
 
-def test_direct_map_residual_detects_a_perturbed_shade(pair_001, monkeypatch):
-    # the shade the stems cast, one percent denser than the coupled system's
-    # own intensity column: the direct solve's map residual must see it
+@pytest.mark.parametrize("rate_scale,u_scale", [(1.01, 1.0), (1.0, 1.001)],
+                         ids=["denser-shade", "denser-leaves"])
+def test_direct_map_residual_detects_a_perturbed_shade(pair_001, monkeypatch,
+                                                       rate_scale, u_scale):
+    # the map residual sets exp(-d0 z), z from the coupled ODE, against the
+    # shade that shade_map rebuilds from the stem's u / sin(theta): a shade
+    # one percent denser, or one rebuilt from leaves one part in a thousand
+    # denser, must show in it
     direct, _, params = pair_001
     shade = e2.shade_map
 
     def denser(stem, params):
-        prof = shade(stem, params)
-        return LightProfile.exponential_canopy(prof.rate_y, 1.01 * prof.rate_v,
+        prof = shade(dataclasses.replace(stem, u=u_scale * stem.u), params)
+        return LightProfile.exponential_canopy(prof.rate_y, rate_scale * prof.rate_v,
                                                prof.top)
 
     monkeypatch.setattr(e2, "shade_map", denser)

@@ -121,7 +121,7 @@ def test_tail_mass_matches_flat_light_closed_form(params2):
 # ---------------------------------------------------------------------------
 
 def test_rhs_flat_light(params2, const_profile):
-    dp, dq, _ = m2._costate_rhs(0.2, np.array([0.0, 0.4]), const_profile, params2,
+    dp, dq, _ = m2._costate_rhs(0.2, np.array([0.0, 0.4, 0.0]), const_profile, params2,
                                 m2._Floats)
     assert dp == 0.0
     expect = 0.5 / math.sin(math.pi / 4) / (1.0 + 0.4 * math.log(0.4) - 0.4)
@@ -131,7 +131,7 @@ def test_rhs_flat_light(params2, const_profile):
 def test_rhs_zero_height_costate_factor(params2, canopy_profile):
     y, q = 0.3, 0.5
     I = canopy_profile.eval(y)
-    dp, _, _ = m2._costate_rhs(y, np.array([0.0, q * I]), canopy_profile, params2,
+    dp, _, _ = m2._costate_rhs(y, np.array([0.0, q * I, 0.0]), canopy_profile, params2,
                                m2._Floats)
     f1 = (1.0 - q) / math.sin(params2.theta0)
     assert abs(dp + canopy_profile.derivative(y) * f1) < 1e-12
@@ -144,7 +144,7 @@ def test_rhs_mass_slope_positive(params2, canopy_profile):
         I = canopy_profile.eval(y)
         q = rng.uniform(0.05, 0.95) * I
         p = rng.uniform(0.0, 0.2)
-        _, dq, _ = m2._costate_rhs(y, np.array([p, q]), canopy_profile, params2,
+        _, dq, _ = m2._costate_rhs(y, np.array([p, q, 0.0]), canopy_profile, params2,
                                    m2._Floats)
         assert dq > 0.0
 
@@ -159,14 +159,16 @@ def test_costate_rhs_batch_rows_are_float_calls(self_shade, params2, canopy_prof
     ratio = np.array([1.0 - 5e-4, 1.0 + 2e-4, 1.0, 0.3, 0.9, 1.4, -0.5, -2.0])
     p = np.array([0.1, 0.0, 0.05, 0.2, 0.0, 0.1, 0.3, 0.1])
     y = np.linspace(0.05, 0.8, len(ratio))
+    # the stems' own shade exp(-d0 z) is exactly 1 at z = 0 in both
+    # arithmetics, so the three ratios next to 1 stay exact there
+    z = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5])
     if self_shade:
         params, profile = replace(params2, rho0=0.3), None
-        I = np.linspace(1.0, 0.4, len(ratio))
+        I = np.exp(-0.3 / math.cos(params2.theta0) * z)
     else:
         params, profile = params2, canopy_profile
         I = canopy_profile.eval(y)
-    z = np.linspace(0.0, 0.5, len(ratio))
-    S = np.stack([p, ratio * I, z] + ([I] if self_shade else []), axis=1)
+    S = np.stack([p, ratio * I, z], axis=1)
     batch = m2._costate_rhs(y, S, profile, params, np).T
     rows = np.array([m2._costate_rhs(yi, si, profile, params, m2._Floats)
                      for yi, si in zip(y, S)])
@@ -255,6 +257,15 @@ def test_shoot_flat_light_implicit_relation(stem_flat, params2):
     q = stem_flat.interp("q", ys)
     q_true = oracles.closed_form_q(ys, stem_flat.h, params2)
     assert np.max(np.abs(q - q_true)) < 1e-6
+
+
+def test_interp_resolves_the_tip_layer(stem_flat, params2):
+    # interpolation in the stretched height, in which the tip layer is
+    # regular, keeps the closed-form mass costate up to the tip
+    ys = np.linspace(0.98 * stem_flat.h, 0.9999 * stem_flat.h, 500)
+    q = stem_flat.interp("q", ys)
+    q_true = oracles.closed_form_q(ys, stem_flat.h, params2)
+    assert np.max(np.abs(q - q_true)) <= 1e-6
 
 
 def test_shoot_hamiltonian_conservation(stem_flat, stem_canopy):
