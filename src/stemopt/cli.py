@@ -248,7 +248,7 @@ _KINDS = {
                  model1, _run_op1),
     "eq1": _Kind(("theta0", "kappa", "ell", "rho"), False, {}, equilibrium1, _run_eq1),
     "op2": _Kind(("theta0", "alpha", "c"), True,
-                 {"solver": {"tol": _Range(Op2Config.rtol, "[0, inf["),
+                 {"solver": {"tol": _Range(Op2Config.rtol, "]0, inf["),
                              "scan_samples": _Range(Op2Config.scan_samples, "[2, inf["),
                              "h_lo": _Range(None, "]0, inf["),
                              "h_hi": _Range(None, "]0, inf[")}}, model2, _run_op2),

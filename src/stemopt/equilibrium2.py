@@ -128,9 +128,9 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in ]0, 1]")
-    # inner iterates run at relaxed accuracy; the returned stem and the
-    # residual verification are recomputed at full accuracy below
-    inner = Op2Config(rtol=1e-9, atol=1e-12, root_tol=1e-10, n_out=1024)
+    # inner iterates shoot, and stop Brent, at relaxed accuracy; the returned
+    # stem and the residual verification are recomputed at full accuracy below
+    inner = Op2Config(rtol=1e-9, atol=1e-12, n_out=1024)
     h0 = model2.estimate_h0(params)
     # shading-rate grid, graded toward the ground where the rate is log-divergent
     y_grid = sorted_unique(np.concatenate([

@@ -1,9 +1,11 @@
 """Height-dependent light intensity profiles I(y).
 
 A profile maps height y >= 0 to an intensity in [0, 1], is non-decreasing,
-and equals 1 above the surrounding canopy.  Step profiles (admitted only for
-the non-uniqueness reproduction) are the single discontinuous kind; every
-other kind is absolutely continuous with an almost-everywhere derivative.
+and equals 1 above the surrounding canopy.  Step profiles are the single
+discontinuous kind; every other kind is absolutely continuous with an
+almost-everywhere derivative.  The fixed-length solver splits its height scan
+at a step's jump and the planar field samples it, but the free-length shot,
+which reads only the slope, rejects it.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -285,15 +286,22 @@ def shoot_op2(profile: LightProfile | None, params: ModelParams,
     `profile=None` solves the coupled equilibrium system instead: the light
     is the shade the stems cast on themselves at density `params.rho0`,
     exp(-d0 z) of the integrated tail mass z, with d0 = rho0 / cos theta0.
+    A profile with jumps raises DomainError: the shot reads only the light's
+    slope, which is zero on both sides of a jump.
 
     The stages of `numerics.find_roots` are the warm bracket `cfg.h_bracket`,
     evaluated at the scan tolerance, then the batched RK4 scan on
-    [1e-3, 3] times the full-light height.  Brent refines every bracket at
-    `cfg.rtol`, and the trajectory of the best-payoff root (the first one on
-    ties) is returned with reconstruction of controls, tail mass, curve and
-    invariant diagnostics; `h_candidates` holds every root.
+    [1e-3, 3] times the full-light height.  Brent refines every bracket with
+    DP45 shots at `cfg.rtol` and stops once the residual or the bracket is
+    within `cfg.rtol`, the accuracy those shots deliver.  Each root's stem is
+    reconstructed from the shot Brent took there; `h_candidates` holds every
+    root and the stem of the best-payoff one (the first one on ties) is
+    returned.
     """
     cfg = config or Op2Config()
+    if profile and profile.discontinuities:
+        raise DomainError("the free-length shot cannot follow the light's jumps at "
+                          f"y = {list(profile.discontinuities)}; use a mollified step")
 
     def stages():
         if cfg.h_bracket is not None:
@@ -304,21 +312,24 @@ def shoot_op2(profile: LightProfile | None, params: ModelParams,
         hs = np.linspace(max(1e-3 * h0, 1e-9), 3.0 * h0, cfg.scan_samples)
         yield [(hs, residual_batch(hs, profile, params))]
 
-    roots = find_roots(lambda h: shoot_residual(h, profile, params, cfg, cfg.rtol),
-                       cfg.root_tol, stages())
-    best = max((_finalize(h, profile, params, cfg) for h in roots),
+    @cache   # each tip height is shot once per call: a root's stem is Brent's shot
+    def shot(h):
+        return _shoot_once(h, profile, params, cfg, cfg.rtol)
+
+    roots = find_roots(lambda h: float(shot(h).y[-1, 1]), cfg.rtol, stages())
+    best = max((_finalize(h, shot(h), profile, params, cfg) for h in roots),
                key=lambda s: s.payoff)
     best.h_candidates = roots
     return best
 
 
-def _finalize(h, profile, params, cfg: Op2Config) -> StemState2:
+def _finalize(h, traj, profile, params, cfg: Op2Config) -> StemState2:
     """The stem of tip height h, with controls, curve and diagnostics
-    reconstructed from the final shot.  Its samples are the integrator nodes,
-    n_out + 1 uniform heights, and 321 uniform sigma, which grade them toward
-    the tip where the costate curvature blows up; distinct small sigma that
-    map to the same height in floating point keep only the smallest."""
-    traj = _shoot_once(h, profile, params, cfg, rtol=cfg.rtol)
+    reconstructed from `traj`, the DP45 shot at that height.  Its samples are
+    the integrator nodes, n_out + 1 uniform heights, and 321 uniform sigma,
+    which grade them toward the tip where the costate curvature blows up;
+    distinct small sigma that map to the same height in floating point keep
+    only the smallest."""
     beta = _stretch(params)
     uniform = np.linspace(1.0, 0.0, cfg.n_out + 1) ** beta
     sigma = sorted_unique(np.concatenate([traj.t, uniform, np.linspace(0.0, 1.0, 321)]))

@@ -52,11 +52,13 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Op2Config:
-    """Options of the free-length shooting, `model2.shoot_op2`."""
+    """Options of the free-length shooting, `model2.shoot_op2`.  `rtol` is
+    the relative tolerance of the DP45 shots and also Brent's stop on the
+    ground residual and the tip-height bracket, the accuracy those shots
+    deliver."""
 
     h_bracket: tuple[float, float] | None = None
     scan_samples: int = 200
     rtol: float = 1e-11
     atol: float = 1e-13
-    root_tol: float = 1e-12
     n_out: int = 4096                  # uniform output resolution

@@ -268,6 +268,17 @@ def test_model2_reads_the_light_through_one_hook():
     assert where == ["_light"], where
 
 
+def test_model2_finalize_integrates_nothing():
+    # a stem is reconstructed from the shot Brent took at its root, which
+    # shoot_op2 hands over; _finalize shooting again would integrate the
+    # same stem twice
+    tree = ast.parse((SRC / "model2.py").read_text())
+    finalize = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_finalize")
+    named = {_name(node) for node in ast.walk(finalize)}
+    assert named & {"_shoot_once", "shoot_residual", "integrate"} == set()
+
+
 def test_shooting_config_fields_set_by_callers():
     # a shooting option earns its field only where a solver sets it: every
     # Op2Config field is passed by keyword to Op2Config(...) or replace(...)

@@ -1,4 +1,5 @@
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -304,6 +305,62 @@ def test_residual_decreasing_near_root(params2, const_profile):
     resid = [m2.shoot_residual(float(h), const_profile, params2, cfg, rtol=1e-9)
              for h in hs]
     assert np.all(np.diff(resid) < 0.0)
+
+
+def test_step_light_is_rejected(params2):
+    # the shot reads only the light's slope, zero on both sides of a jump;
+    # it would return the stem under the dim light below it (h0/4 here),
+    # where mollified steps converge to a stem about 0.389 tall
+    with pytest.raises(DomainError, match=r"jumps at y = \[0\.2\]"):
+        m2.shoot_op2(LightProfile.step(0.5, 0.2), params2)
+
+
+def _shots_of(monkeypatch, profile, params, cfg=None):
+    """The (h, rtol) of every DP45 shot of one `shoot_op2` call, weak
+    references to those shots, and its stem."""
+    calls, refs = [], []
+
+    def recorded(h, profile, params, cfg, rtol):
+        traj = shoot(h, profile, params, cfg, rtol)
+        calls.append((h, rtol))
+        refs.append(weakref.ref(traj))
+        return traj
+    shoot = m2._shoot_once
+    monkeypatch.setattr(m2, "_shoot_once", recorded)
+    stem = m2.shoot_op2(profile, params, cfg)
+    monkeypatch.undo()
+    return calls, refs, stem
+
+
+_SHOT_INPUTS = {
+    "canopy": (LightProfile.constant_rate_canopy(1.0, 1.0), {}),
+    "flat": (LightProfile.constant(1.0), {}),
+    "coupled": (None, {"rho0": 0.01}),
+}
+
+
+@pytest.mark.parametrize("name", list(_SHOT_INPUTS))
+def test_shoot_op2_integrates_each_height_once(monkeypatch, name):
+    # each stem is the shot Brent took at its root: no (h, rtol) is shot
+    # twice, and no shot outlives the call
+    profile, extra = _SHOT_INPUTS[name]
+    params = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, **extra)
+    calls, refs, stem = _shots_of(monkeypatch, profile, params)
+    assert len(set(calls)) == len(calls), calls
+    assert (stem.h, m2.Op2Config.rtol) in calls
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("name", ["canopy", "coupled"])
+def test_brent_stops_at_the_shot_rtol(monkeypatch, name):
+    # Brent stops once the residual or the bracket is within the shot's
+    # rtol, so a coarser shot takes fewer of them and still meets it
+    profile, extra = _SHOT_INPUTS[name]
+    params = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, **extra)
+    fine = _shots_of(monkeypatch, profile, params)[0]
+    coarse, _, stem = _shots_of(monkeypatch, profile, params, m2.Op2Config(rtol=1e-8))
+    assert len(coarse) < len(fine)
+    assert abs(stem.residual_q0) <= 1e-8
 
 
 def test_small_alpha_layer_offset(const_profile):
