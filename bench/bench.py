@@ -1,0 +1,275 @@
+"""Paired solve-cost benchmark of two checkouts of stemopt.
+
+    python bench/bench.py --parent PARENT_ROOT --change CHANGE_ROOT \
+        --runs 5 --out BENCH.json [--tier1]
+
+A root is a checkout holding `src/stemopt` (and `tests/`, for `--tier1`).
+Each run of a side is a fresh interpreter that imports stemopt from that
+root, measures every entry below and prints one JSON object; the two sides
+alternate, the parent first on even runs.  The JSON file records each run,
+and per side the median and quartiles of every timing.
+
+Kernel layer, microseconds per call (the best of 5 timeit repeats):
+- `eval` plus `derivative` of one float, and `eval_and_slope` on one float
+  where the checkout has it, for each profile kind;
+- `model2._costate_rhs` on one state under a canopy;
+- one DP45 shot under the canopy at its root height, per rhs evaluation.
+
+Solver layer, seconds of one call per run.  The first run of each side also
+counts, for each solver entry, the rhs evaluations and accepted steps of
+every `numerics.integrate` call, by wrapping the `OdeProblem` it is handed;
+the counts are deterministic, so the timed runs run unwrapped.
+
+`--tier1` also runs each side's test suite once and records its wall time.
+Nothing here is a dependency of the package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import json
+import math
+import os
+import platform
+import subprocess
+import sys
+import time
+import timeit
+
+THETA0 = math.pi / 4
+KNOTS = 2864   # knots of the sampled canopy and tabulated light
+
+
+def _per_call_us(fn, number):
+    return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+
+
+def _profiles(LightProfile, np):
+    y = np.linspace(0.0, 1.0, KNOTS)
+    return {
+        "constant": LightProfile.constant(0.8),
+        "step": LightProfile.step(0.5, 0.9),
+        "mollified-step": LightProfile.mollified_step(0.5, 0.2, 0.01),
+        "tabulated": LightProfile.tabulated(y, 0.3 + 0.7 * y ** 2),
+        "exponential-canopy": LightProfile.exponential_canopy(
+            y, 2.0 * (1.0 - y) ** 2, 1.0),
+    }
+
+
+def _solver_entries(stemopt):
+    from stemopt import equilibrium1, equilibrium2, model1, model2, spatial
+    LightProfile, ModelParams = stemopt.LightProfile, stemopt.ModelParams
+    free = ModelParams(theta0=THETA0, alpha=0.5, c=1.0)
+    return {
+        "shoot_op2.mollified_step": lambda: model2.shoot_op2(
+            LightProfile.mollified_step(0.5, 0.2, 0.01), free),
+        "shoot_op2.canopy": lambda: model2.shoot_op2(
+            LightProfile.constant_rate_canopy(1.0, 1.0), free),
+        "solve_equilibrium_direct.rho0_0.05": lambda: equilibrium2.solve_equilibrium_direct(
+            dataclasses.replace(free, rho0=0.05)),
+        "solve_equilibrium_fixed_point.rho0_0.01":
+            lambda: equilibrium2.solve_equilibrium_fixed_point(
+                dataclasses.replace(free, rho0=0.01)),
+        "solve_equilibrium1.rho_0.05": lambda: equilibrium1.solve_equilibrium1(
+            ModelParams(theta0=THETA0, kappa=1.0, ell=1.0, rho=0.05)),
+        "solve_op1.canopy": lambda: model1.solve_op1(
+            LightProfile.constant_rate_canopy(1.0, 1.0),
+            ModelParams(theta0=THETA0, kappa=1.0, ell=1.0)),
+        "halfline_relaxation.3": lambda: spatial.halfline_relaxation(
+            ModelParams(theta0=THETA0, kappa=1.0, ell=1.0), iterations=3),
+    }
+
+
+def _summary(result):
+    """The outputs an entry is compared on, as plain floats."""
+    out = {}
+    for name in ("h", "payoff", "residual_q0", "residual_map", "residual_refit",
+                 "iterations"):
+        if hasattr(result, name):
+            out[name] = float(getattr(result, name))
+    if isinstance(result, list):   # solve_op1: shapes, best first
+        out["h"] = float(result[0].h)
+        out["payoff"] = float(result[0].payoff)
+    return out
+
+
+class _Counter:
+    """Wraps `numerics.integrate` where the solvers imported it, counting
+    the rhs evaluations and accepted steps of each call."""
+
+    def __init__(self, modules):
+        self.shots: list[tuple[int, int]] = []   # (rhs evaluations, steps)
+        self._undo = []
+        original = modules[0].integrate
+
+        def integrate(problem, span, initial, **kwargs):
+            evals = [0]
+            rhs = problem.rhs
+
+            def counted(t, y):
+                evals[0] += 1
+                return rhs(t, y)
+            traj = original(dataclasses.replace(problem, rhs=counted), span, initial,
+                            **kwargs)
+            self.shots.append((evals[0], len(traj.t) - 1))
+            return traj
+        for mod in modules:
+            if hasattr(mod, "integrate"):
+                self._undo.append((mod, mod.integrate))
+                mod.integrate = integrate
+
+    def close(self):
+        for mod, fn in self._undo:
+            mod.integrate = fn
+
+
+def measure_side(count: bool) -> dict:
+    """Every entry, in this interpreter, on the stemopt it imports."""
+    import numpy as np
+
+    import stemopt
+    from stemopt import equilibrium1, kernels, model2, numerics
+    from stemopt.params import Op2Config
+    floats = getattr(kernels, "FLOATS", None) or getattr(model2, "_Floats")
+    y = np.float64(0.3771)   # DP45 hands the light a float64 height
+
+    kernel = {}
+    profiles = _profiles(stemopt.LightProfile, np)
+    for kind, prof in profiles.items():
+        row = {"eval_derivative_us": _per_call_us(
+            lambda: (prof.eval(y), prof.derivative(y)), 2000)}
+        if hasattr(prof, "eval_and_slope"):
+            row["eval_and_slope_us"] = _per_call_us(
+                lambda: prof.eval_and_slope(y, floats), 2000)
+        kernel[kind] = row
+    free = stemopt.ModelParams(theta0=THETA0, alpha=0.5, c=1.0)
+    canopy = stemopt.LightProfile.constant_rate_canopy(1.0, 1.0)
+    state = np.array([0.02, 0.4, 0.1])
+    kernel["costate_rhs_us"] = _per_call_us(
+        lambda: model2._costate_rhs(y, state, canopy, free, floats), 2000)
+
+    solver, outputs = {}, {}
+    for name, call in _solver_entries(stemopt).items():
+        t0 = time.perf_counter()
+        result = call()
+        solver[name] = time.perf_counter() - t0
+        outputs[name] = _summary(result)
+
+    # one DP45 shot under the canopy at its root, timed and then counted
+    cfg = Op2Config()
+    h = outputs["shoot_op2.canopy"]["h"]
+    shot = lambda: model2.shoot_residual(h, canopy, free, cfg, cfg.rtol)  # noqa: E731
+    shot_s = min(timeit.repeat(shot, number=1, repeat=5))
+    counter = _Counter([numerics, model2, equilibrium1])
+    try:
+        shot()
+    finally:
+        counter.close()
+    (evals, steps), = counter.shots
+    kernel["canopy_shot_us_per_rhs"] = shot_s / evals * 1e6
+    out = {"kernel_us": kernel, "solver_s": solver, "outputs": outputs,
+           "canopy_shot": {"rhs_evals": evals, "steps": steps}}
+
+    if count:
+        counts = {}
+        for name, call in _solver_entries(stemopt).items():
+            counter = _Counter([numerics, model2, equilibrium1])
+            try:
+                call()
+            finally:
+                counter.close()
+            counts[name] = {"integrate_calls": len(counter.shots),
+                            "rhs_evals": sum(e for e, _ in counter.shots),
+                            "steps_accepted": sum(s for _, s in counter.shots)}
+            if name == "shoot_op2.canopy":
+                counts[name]["steps_per_shot"] = [s for _, s in counter.shots]
+        out["counts"] = counts
+    out["versions"] = {"python": platform.python_version(), "numpy": np.__version__}
+    return out
+
+
+def _run_side(root: str, count: bool) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    cmd = [sys.executable, os.path.abspath(__file__), "--side"]
+    if count:
+        cmd.append("--count")
+    done = subprocess.run(cmd, env=env, cwd=root, check=True, capture_output=True,
+                          text=True)
+    return json.loads(done.stdout)
+
+
+def _quartiles(values):
+    values = sorted(values)
+
+    def at(q):
+        pos = q * (len(values) - 1)
+        lo = math.floor(pos)
+        hi = min(lo + 1, len(values) - 1)
+        return values[lo] + (values[hi] - values[lo]) * (pos - lo)
+    return {"q1": at(0.25), "median": at(0.5), "q3": at(0.75)}
+
+
+def _leaves(tree, prefix=""):
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _tier1_seconds(root: str) -> float:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    t0 = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                   env=env, cwd=root, check=False, capture_output=True)
+    return time.perf_counter() - t0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--side", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--parent")
+    ap.add_argument("--change")
+    ap.add_argument("--runs", type=int, default=5)
+    ap.add_argument("--out", default="BENCH.json")
+    ap.add_argument("--tier1", action="store_true")
+    args = ap.parse_args(argv)
+    if args.side:
+        json.dump(measure_side(args.count), sys.stdout)
+        return 0
+    if not (args.parent and args.change):
+        ap.error("--parent and --change are required")
+    sides = {"parent": args.parent, "change": args.change}
+    runs = {"parent": [], "change": []}
+    for i in range(args.runs):
+        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            runs[side].append(_run_side(sides[side], count=i == 0))
+            print(f"run {i + 1}/{args.runs} {side} done", file=sys.stderr)
+    report = {"versions": runs["parent"][0]["versions"], "cpus": os.cpu_count(),
+              "runs": args.runs, "order": "alternating, parent first on even runs"}
+    for side, results in runs.items():
+        timed = {}
+        for key, _ in _leaves({k: results[0][k] for k in ("kernel_us", "solver_s")}):
+            values = [dict(_leaves({k: r[k] for k in ("kernel_us", "solver_s")}))[key]
+                      for r in results]
+            timed[key] = {**_quartiles(values), "runs": values}
+        counted = next(r["counts"] for r in results if "counts" in r)
+        report[side] = {"timings": timed, "counts": counted,
+                        "canopy_shot": results[0]["canopy_shot"],
+                        "outputs": results[0]["outputs"]}
+    report["median_ratio"] = {
+        key: report["change"]["timings"][key]["median"] / value["median"]
+        for key, value in report["parent"]["timings"].items()
+        if key in report["change"]["timings"]}
+    if args.tier1:
+        report["tier1_s"] = {side: _tier1_seconds(root) for side, root in sides.items()}
+    with open(args.out, "w") as fh:
+        json.dump(report, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,18 +1,24 @@
-"""Array kernels that more than one solver layer shares: the leaf-capture law,
-the cumulative trapezoid along an array's last axis and a sorted unique.
-
-The module imports nothing but numpy, so a layer that needs only these
-kernels does not execute the fixed-length stem model or the shared numerics.
-"""
+"""Kernels that more than one solver layer shares: the leaf-capture law, the
+cumulative trapezoid along an array's last axis, a sorted unique, and `FLOATS`.
+The module imports only numpy, `math` and `types`, so a layer that needs only
+these kernels does not execute the fixed-length stem model or the numerics."""
 
 from __future__ import annotations
 
+import math
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:
     from .params import ModelParams
+
+
+# the numpy names the light and costate kernels use, on one float of the
+# adaptive shot; `where` takes both values; np.interp keeps its array bits
+FLOATS = SimpleNamespace(maximum=max, minimum=min, abs=abs, log=math.log, exp=math.exp,
+                         interp=np.interp, where=lambda cond, a, b: a if cond else b)
 
 
 def capture_transverse(theta, params: ModelParams):

@@ -36,15 +36,17 @@ class LightProfile:
     tabulated           piecewise-linear through strictly increasing knots,
                         flat extension at the last knot value
     exponential-canopy  I(y) = exp(-R(y)), R(y) = integral of a piecewise-
-                        linear shading rate from y up to the canopy height
+                        linear shading rate from y up to the canopy height,
+                        exact at the rate knots and linear in between; I' =
+                        rate * I is the slope of the exact integral, not of I
 
-    Each kind's constructor validates its inputs and fixes the evaluators
-    of that kind, so evaluating a profile does no per-call dispatch.
+    Each kind's constructor validates its inputs and fixes its one kernel,
+    light(y, xp) -> (I, I'), in the arithmetic of `xp`: numpy for arrays,
+    `kernels.FLOATS` for one float.  No call dispatches on the kind.
     """
 
     kind: str
-    _intensity: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    _slope: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    _light: Callable[[object, object], tuple] = field(repr=False)
     top: float                   # height above which the profile is constant
     discontinuities: tuple[float, ...] = ()
     breakpoints: tuple | np.ndarray = ()   # knots the checks add to their grid
@@ -57,19 +59,17 @@ class LightProfile:
     def constant(level: float = 1.0) -> "LightProfile":
         if not 0.0 <= level <= 1.0:
             raise ValueError("constant level must lie in [0, 1]")
-        return LightProfile("constant", lambda y: np.full_like(y, level),
-                            np.zeros_like, top=0.0)
+        return LightProfile("constant", lambda y, xp: (
+            level + 0.0 * xp.abs(y), 0.0 * xp.abs(y)), top=0.0)
 
     @staticmethod
     def step(eps: float, y_jump: float = 1.0) -> "LightProfile":
         _check_step(eps, y_jump)
 
-        def slope(y):
-            if np.any(np.abs(y - y_jump) < 1e-12):
-                raise NotDifferentiableError(f"step profile has a jump at y={y_jump}")
-            return np.zeros_like(y)
-        return LightProfile("step", lambda y: np.where(y <= y_jump, eps, 1.0), slope,
-                            top=y_jump, discontinuities=(y_jump,),
+        def light(y, xp):   # the slope is NaN at the jump
+            return (xp.where(y <= y_jump, eps, 1.0),
+                    xp.where(xp.abs(y - y_jump) < 1e-12, math.nan, 0.0))
+        return LightProfile("step", light, top=y_jump, discontinuities=(y_jump,),
                             breakpoints=(y_jump,))
 
     @staticmethod
@@ -80,16 +80,13 @@ class LightProfile:
         half = 0.75 * width
         start, span, rise = y_jump - half, 2.0 * half, 1.0 - eps
 
-        def intensity(y):
-            t = np.clip((y - start) / span, 0.0, 1.0)
-            return eps + rise * t * t * (3.0 - 2.0 * t)
-
-        def slope(y):
+        def light(y, xp):
             t = (y - start) / span
-            tt = np.clip(t, 0.0, 1.0)
-            return np.where((t > 0.0) & (t < 1.0),
-                            rise * 6.0 * tt * (1.0 - tt) / span, 0.0)
-        return LightProfile("mollified-step", intensity, slope, top=y_jump + half,
+            tt = xp.minimum(xp.maximum(t, 0.0), 1.0)
+            return (eps + rise * tt * tt * (3.0 - 2.0 * tt),
+                    xp.where((t > 0.0) & (t < 1.0),
+                             rise * 6.0 * tt * (1.0 - tt) / span, 0.0))
+        return LightProfile("mollified-step", light, top=y_jump + half,
                             breakpoints=(y_jump, start, y_jump + half))
 
     @staticmethod
@@ -107,16 +104,12 @@ class LightProfile:
             raise ValueError("tabulated intensities must be non-decreasing")
         if ki.min() < 0.0 or ki.max() > 1.0:
             raise ValueError("intensities must lie in [0, 1]")
-        slopes = np.diff(ki) / np.diff(ky)
+        slopes = np.concatenate([[0.0], np.diff(ki) / np.diff(ky), [0.0]])  # 0 outside
 
-        def intensity(y):
-            return np.interp(y, ky, ki, left=ki[0], right=ki[-1])
-
-        def slope(y):
-            idx = np.clip(np.searchsorted(ky, y, side="right") - 1, 0, len(ky) - 2)
-            return np.where((y >= ky[0]) & (y < ky[-1]), slopes[idx], 0.0)
-        return LightProfile("tabulated", intensity, slope, top=float(ky[-1]),
-                            breakpoints=ky)
+        def light(y, xp):   # np.searchsorted takes a float as it takes an array
+            return (xp.interp(y, ky, ki),
+                    slopes[np.searchsorted(ky, y, side="right")])
+        return LightProfile("tabulated", light, top=float(ky[-1]), breakpoints=ky)
 
     @staticmethod
     def exponential_canopy(rate_y, rate_v, height: float) -> "LightProfile":
@@ -128,16 +121,13 @@ class LightProfile:
             raise ValueError("shading rate must be non-negative")
         if height <= 0.0:
             raise ValueError("canopy height must be positive")
-        cum = trapezoid_cumulative(ry, rv)   # of the piecewise-linear rate, exact
+        cum = trapezoid_cumulative(ry, rv)   # exact at the knots only
+        total = float(cum[-1])
 
-        def intensity(y):
-            below = np.interp(y, ry, cum, left=cum[0], right=cum[-1])
-            return np.where(y >= height, 1.0, np.exp(-(cum[-1] - below)))
-
-        def slope(y):   # I' = rate * I below the canopy
-            rate = np.interp(y, ry, rv, left=rv[0], right=rv[-1])
-            return np.where(y < height, rate * intensity(y), 0.0)
-        return LightProfile("exponential-canopy", intensity, slope, top=height,
+        def light(y, xp):   # I' = rate * I below the canopy
+            I = xp.where(y >= height, 1.0, xp.exp(xp.interp(y, ry, cum) - total))
+            return I, xp.where(y < height, xp.interp(y, ry, rv) * I, 0.0)
+        return LightProfile("exponential-canopy", light, top=height,
                             breakpoints=ry, rate_y=ry, rate_v=rv)
 
     @staticmethod
@@ -149,14 +139,21 @@ class LightProfile:
     def eval(self, y):
         """Intensity at height(s) y >= 0; vectorized."""
         y_arr = np.asarray(y, dtype=float)
-        out = self._intensity(np.atleast_1d(y_arr))
+        out = self._light(np.atleast_1d(y_arr), np)[0]
         return float(out[0]) if y_arr.ndim == 0 else out
 
     def derivative(self, y):
-        """Almost-everywhere derivative I'(y) >= 0; vectorized."""
+        """Almost-everywhere derivative I'(y) >= 0; vectorized; raises at a jump."""
         y_arr = np.asarray(y, dtype=float)
-        out = self._slope(np.atleast_1d(y_arr))
+        out = self._light(np.atleast_1d(y_arr), np)[1]
+        if self.discontinuities and np.isnan(out).any():
+            raise NotDifferentiableError(f"profile jumps at y={self.discontinuities}")
         return float(out[0]) if y_arr.ndim == 0 else out
+
+    def eval_and_slope(self, y, xp):
+        """(I, I') at y in the arithmetic of `xp` (numpy, or `kernels.FLOATS`
+        for one float); the slope is NaN within 1e-12 of a jump."""
+        return self._light(y, xp)
 
 
 def _check_step(eps: float, y_jump: float):

@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
-from types import SimpleNamespace
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError
-from .kernels import sorted_unique, trapezoid_cumulative
+from .kernels import FLOATS, sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
 from .numerics import OdeProblem, find_roots, integrate, quad, rk4_mesh
 from .params import ModelParams, Op2Config
@@ -53,15 +52,9 @@ def G2(theta, u, params: ModelParams):
     return float(val) if (np.isscalar(theta) and np.isscalar(u)) else val
 
 
-# the numpy names the costate kernel uses, on plain floats, so that one state
-# of the adaptive shot keeps scalar arithmetic; `where` takes both values
-_Floats = SimpleNamespace(maximum=max, minimum=min, abs=abs, log=math.log,
-                          exp=math.exp, where=lambda cond, a, b: a if cond else b)
-
-
 def _one_minus_r(r, xp):
     """Stable 1 - r + r ln r, extended by ln|r| for the negative-r guard,
-    in the arithmetic of `xp` (numpy for arrays, `_Floats` for a float)."""
+    in the arithmetic of `xp` (numpy for arrays, `FLOATS` for a float)."""
     e = 1.0 - r
     series = e * e / 2 + e ** 3 / 6 + e ** 4 / 12 + e ** 5 / 20 + e ** 6 / 30
     return xp.where(xp.abs(e) < 1e-3, series,
@@ -133,20 +126,20 @@ def _rhs_terms(I, p, q, params: ModelParams, xp):
 
 def _light(y, z, profile: LightProfile | None, params: ModelParams, xp):
     """Light I and its partial slopes (dI/dy, dI/dz) at height y and tail
-    mass z, in the arithmetic of `xp`.  A profile answers from the height.
-    `profile=None`, the shade the stems cast on themselves at density
-    `params.rho0`, answers from the tail mass: I = exp(-d0 z) with
-    d0 = rho0 / cos theta0, floored at `_I_FLOOR`."""
+    mass z, in the arithmetic of `xp`.  A profile answers from the height
+    through its one kernel, `eval_and_slope`.  `profile=None`, the shade the
+    stems cast on themselves at density `params.rho0`, answers from the tail
+    mass: I = exp(-d0 z) with d0 = rho0 / cos theta0, floored at `_I_FLOOR`."""
     if profile is None:
         d0 = params.rho0 / math.cos(params.theta0)
         I = xp.maximum(xp.exp(-d0 * z), _I_FLOOR)
         return I, 0.0, -d0 * I
-    return profile.eval(y), profile.derivative(y), 0.0
+    return (*profile.eval_and_slope(y, xp), 0.0)
 
 
 def _costate_rhs(y, S, profile: LightProfile | None, params: ModelParams, xp):
     """Height-parameterized slopes (p', q', z') of the state S = (p, q, z)
-    at height y, with `xp` = `_Floats`; or, with `xp` = numpy, of a batch of
+    at height y, with `xp` = `FLOATS`; or, with `xp` = numpy, of a batch of
     states, one per row of S at its height in y, returned one slope
     component per row (the transpose of the layout of S).  The light along
     the stem changes at the rate dI/dy + dI/dz z'.
@@ -234,8 +227,8 @@ def _sigma_problem(h, profile, params):
     one state per row for an array of tip heights."""
     beta = _stretch(params)
     state0, tip_slope = _tip(h, profile, params)
-    xp = np if np.ndim(h) else _Floats
-    if xp is _Floats:
+    xp = np if np.ndim(h) else FLOATS
+    if xp is FLOATS:
         state0, tip_slope = state0[0], tip_slope[0]
 
     def rhs(sig, s):   # a closure here, so that perfbench names it model2.rhs
@@ -271,12 +264,15 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
     return rk4_mesh(rhs, _SCAN_SIGMA, Y)[:, 1].copy()
 
 
+@lru_cache(maxsize=16)   # depends on alpha alone; a solve reads it more than once
+def _full_light_integral(a: float) -> float:
+    return quad(lambda s: _one_minus_r(s, FLOATS) ** ((1.0 - a) / a), 0.0, 1.0, 1e-12)
+
+
 def estimate_h0(params: ModelParams) -> float:
     """Tip height of the full-light closed form, used to size scan ranges."""
     a, c, t0 = params.alpha, params.c, params.theta0
-    val = quad(lambda s: _one_minus_r(s, _Floats) ** ((1.0 - a) / a),
-               0.0, 1.0, 1e-12)
-    return math.sin(t0) / (a * c ** (1.0 / a)) * val
+    return math.sin(t0) / (a * c ** (1.0 / a)) * _full_light_integral(a)
 
 
 def shoot_op2(profile: LightProfile | None, params: ModelParams,

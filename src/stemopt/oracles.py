@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceededError, DomainError
-from .kernels import capture_transverse, sorted_unique, trapezoid_cumulative
+from .kernels import FLOATS, capture_transverse, sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
 from .model1 import g_profile
-from .model2 import G2, _Floats, _one_minus_r, estimate_h0
+from .model2 import G2, _one_minus_r, estimate_h0
 from .numerics import Bracket, find_root, quad
 from .params import ModelParams
 
@@ -203,7 +203,7 @@ def closed_form_q(y, h: float, params: ModelParams):
     scale = math.sin(t0) / (a * c ** (1.0 / a))
 
     def depth(qv):
-        return scale * quad(lambda s: _one_minus_r(s, _Floats) ** ((1.0 - a) / a),
+        return scale * quad(lambda s: _one_minus_r(s, FLOATS) ** ((1.0 - a) / a),
                             qv, 1.0, _CLOSED_FORM_TOL)
 
     full = depth(0.0)   # the full-light height, where q reaches 0
@@ -230,7 +230,7 @@ def closed_form_payoff(params: ModelParams) -> float:
 
     def f(qv):
         return ((-qv * math.log(qv) if qv > 0.0 else 0.0)
-                * _one_minus_r(qv, _Floats) ** ((1.0 - a) / a))
+                * _one_minus_r(qv, FLOATS) ** ((1.0 - a) / a))
 
     return quad(lambda s: 2.0 * s * f(s * s), 0.0, 1.0,
                 _CLOSED_FORM_TOL) / (a * c ** (1.0 / a))

@@ -268,6 +268,32 @@ def test_model2_reads_the_light_through_one_hook():
     assert where == ["_light"], where
 
 
+def test_model2_reads_a_profile_only_through_its_kernel():
+    # a profile gives the shot I and I' from one kernel call: model2 calls
+    # neither `eval` nor `derivative`, and `eval_and_slope` only in _light
+    tree = ast.parse((SRC / "model2.py").read_text())
+    calls = sorted(
+        (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>",
+         node.func.attr)
+        for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("eval", "derivative", "eval_and_slope"))
+    assert calls == [("_light", "eval_and_slope")], calls
+
+
+def test_one_float_namespace():
+    # the light and costate kernels run on one float through kernels.FLOATS;
+    # a second namespace would be a second copy of the float arithmetic
+    built = []
+    for path, tree in _trees(SRC).items():
+        named = {id(node.value): target.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Assign)
+                 for target in node.targets if isinstance(target, ast.Name)}
+        built += [(path.stem, named.get(id(node))) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _name(node.func) == "SimpleNamespace"]
+    assert built == [("kernels", "FLOATS")], built
+
+
 def test_model2_finalize_integrates_nothing():
     # a stem is reconstructed from the shot Brent took at its root, which
     # shoot_op2 hands over; _finalize shooting again would integrate the

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stemopt import LightProfile, ModelParams
+from stemopt import LightProfile, ModelParams, cli
 from stemopt import equilibrium2 as e2
 from stemopt import model2 as m2
 from stemopt.errors import NoBracketError, NotConvergedError
@@ -232,3 +232,20 @@ def test_fixed_point_failure_carries_its_context(monkeypatch):
     assert len(history) == 2
     assert all(change > 1e-8 for change in history)
     assert f"{history[-1]:.2e}" in message
+
+
+def test_full_light_integral_is_computed_once_per_alpha(tmp_path, monkeypatch):
+    # estimate_h0 sizes every coupled scan and the class-F check of the
+    # direct solve; its quadrature depends on alpha alone, so a verified
+    # solve and a three-value sweep at one alpha make one quad call
+    calls, quad = [], m2.quad
+    monkeypatch.setattr(m2, "quad", lambda *args: calls.append(args) or quad(*args))
+    m2._full_light_integral.cache_clear()
+    e2.solve_equilibrium_direct(_params(0.001))
+    scenario = tmp_path / "sweep.ini"
+    scenario.write_text("[scenario]\nschema_version = 1\nkind = sweep\n\n"
+                        "[params]\ntheta0 = 0.7853981633974483\nalpha = 0.5\nc = 1.0\n\n"
+                        "[sweep]\nparameter = rho0\nvalues = 0.001 0.002 0.005\n")
+    assert cli.main(["--scenario", str(scenario), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+    assert len(calls) == 1

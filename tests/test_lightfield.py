@@ -5,6 +5,7 @@ import pytest
 
 from stemopt import LightProfile, ModelParams, check_class_F, check_uniqueness_condition
 from stemopt.errors import NotDifferentiableError
+from stemopt.kernels import FLOATS
 from stemopt.lightfield import load_tabulated_csv
 
 
@@ -49,6 +50,49 @@ def test_derivative_step_raises():
     prof = LightProfile.step(0.1, 1.0)
     with pytest.raises(NotDifferentiableError):
         prof.derivative(1.0)
+    with pytest.raises(NotDifferentiableError):
+        prof.derivative(np.array([0.5, 1.0 + 1e-13, 1.5]))
+    # the intensity is defined at the jump, on both paths
+    assert prof.eval(1.0) == 0.1
+    assert np.array_equal(prof.eval(np.array([1.0, 1.5])), [0.1, 1.0])
+    intensity, slope = prof.eval_and_slope(1.0, FLOATS)
+    assert intensity == 0.1 and math.isnan(slope)
+
+
+_KINDS = {
+    "constant": (LightProfile.constant(0.7), 0),
+    "step": (LightProfile.step(0.3, 1.0), 0),
+    "mollified-step": (LightProfile.mollified_step(0.5, 0.2, 0.01), 0),
+    "tabulated": (LightProfile.tabulated([0.0, 0.4, 1.1, 2.0],
+                                         [0.5, 0.8, 0.95, 1.0]), 0),
+    "exponential-canopy": (LightProfile.exponential_canopy(
+        [0.0, 0.1, 0.35, 0.8, 1.3], [2.0, 1.4, 0.9, 0.3, 0.0], 1.3), 2),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_float_kernel_matches_the_array_path(kind):
+    # the shot reads (I, I') on one float through kernels.FLOATS; every
+    # other caller reads eval/derivative on numpy.  The two agree bit for
+    # bit, except that math.exp may round the canopy's exponential unlike
+    # numpy's vectorized exp, by a few ulp at most
+    prof, ulps = _KINDS[kind]
+    assert prof.kind == kind
+    rng = np.random.default_rng(8)
+    knots = np.asarray(prof.breakpoints, float)
+    top = prof.top
+    ys = np.concatenate([[0.0, top, top + 1e-9, top + 0.5, 3.0], knots,
+                         rng.uniform(0.0, max(top, 1.0) * 1.2, 400)])
+    if prof.discontinuities:   # the step's slope is checked away from its jump
+        ys = ys[np.abs(ys - prof.discontinuities[0]) >= 1e-12]
+    pairs = [prof.eval_and_slope(y, FLOATS) for y in ys]
+    got = np.array([[float(i), float(d)] for i, d in pairs])
+    want = np.stack([prof.eval(ys), prof.derivative(ys)], axis=1)
+    assert np.all(np.isfinite(got))
+    if ulps:
+        assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+    else:
+        assert got.tobytes() == want.tobytes()
 
 
 def test_eval_monotone_random_pairs():

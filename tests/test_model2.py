@@ -9,6 +9,7 @@ from stemopt import LightProfile, ModelParams
 from stemopt import model2 as m2
 from stemopt import oracles
 from stemopt.errors import DomainError
+from stemopt.kernels import FLOATS
 from stemopt.numerics import quad
 
 
@@ -123,7 +124,7 @@ def test_tail_mass_matches_flat_light_closed_form(params2):
 
 def test_rhs_flat_light(params2, const_profile):
     dp, dq, _ = m2._costate_rhs(0.2, np.array([0.0, 0.4, 0.0]), const_profile, params2,
-                                m2._Floats)
+                                FLOATS)
     assert dp == 0.0
     expect = 0.5 / math.sin(math.pi / 4) / (1.0 + 0.4 * math.log(0.4) - 0.4)
     assert abs(dq - expect) < 1e-12
@@ -133,7 +134,7 @@ def test_rhs_zero_height_costate_factor(params2, canopy_profile):
     y, q = 0.3, 0.5
     I = canopy_profile.eval(y)
     dp, _, _ = m2._costate_rhs(y, np.array([0.0, q * I, 0.0]), canopy_profile, params2,
-                               m2._Floats)
+                               FLOATS)
     f1 = (1.0 - q) / math.sin(params2.theta0)
     assert abs(dp + canopy_profile.derivative(y) * f1) < 1e-12
 
@@ -146,7 +147,7 @@ def test_rhs_mass_slope_positive(params2, canopy_profile):
         q = rng.uniform(0.05, 0.95) * I
         p = rng.uniform(0.0, 0.2)
         _, dq, _ = m2._costate_rhs(y, np.array([p, q, 0.0]), canopy_profile, params2,
-                                   m2._Floats)
+                                   FLOATS)
         assert dq > 0.0
 
 
@@ -171,7 +172,7 @@ def test_costate_rhs_batch_rows_are_float_calls(self_shade, params2, canopy_prof
         I = canopy_profile.eval(y)
     S = np.stack([p, ratio * I, z], axis=1)
     batch = m2._costate_rhs(y, S, profile, params, np).T
-    rows = np.array([m2._costate_rhs(yi, si, profile, params, m2._Floats)
+    rows = np.array([m2._costate_rhs(yi, si, profile, params, FLOATS)
                      for yi, si in zip(y, S)])
     assert np.all(np.isfinite(batch))
     np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0.0)
