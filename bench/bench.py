@@ -12,8 +12,12 @@ and per side the median and quartiles of every timing.
 Kernel layer, microseconds per call (the best of 5 timeit repeats):
 - `eval` plus `derivative` of one float, and `eval_and_slope` on one float
   where the checkout has it, for each profile kind;
-- `model2._costate_rhs` on one state under a canopy;
-- one DP45 shot under the canopy at its root height, per rhs evaluation.
+- `model2._costate_rhs` on one state under a canopy, as a numpy float64
+  height and state, and as Python floats where the checkout takes them;
+- one DP45 shot under the canopy at its root height, per rhs evaluation;
+- the DP45 loop alone on a trivial linear 3-state right side, per accepted
+  step and per rhs evaluation;
+- one Brent iteration of `numerics.find_root` on a cubic, per evaluation.
 
 Solver layer, seconds of one call per run.  The first run of each side also
 counts, for each solver entry, the rhs evaluations and accepted steps of
@@ -148,6 +152,36 @@ def measure_side(count: bool) -> dict:
     state = np.array([0.02, 0.4, 0.1])
     kernel["costate_rhs_us"] = _per_call_us(
         lambda: model2._costate_rhs(y, state, canopy, free, floats), 2000)
+    floats_rhs = lambda: model2._costate_rhs(  # noqa: E731
+        float(y), state.tolist(), canopy, free, floats)
+    try:   # where the checkout's kernel takes a list of floats
+        floats_rhs()
+        kernel["costate_rhs_floats_us"] = _per_call_us(floats_rhs, 2000)
+    except AttributeError:
+        pass
+
+    # the DP45 loop alone: a damped oscillator driving a unit-rate decay
+    calls = [0]
+
+    def linear(t, s):
+        calls[0] += 1
+        p, q, r = s
+        return q, -p - 0.1 * q, p - r
+    loop = lambda: numerics.integrate(  # noqa: E731
+        numerics.OdeProblem(3, linear), (0.0, 50.0), [1.0, 0.0, 0.5], rtol=1e-12, atol=1e-12)
+    loop_steps = len(loop().t) - 1
+    loop_evals = calls[0]
+    loop_s = min(timeit.repeat(loop, number=1, repeat=5))
+    kernel["dp45_loop_us_per_step"] = loop_s / loop_steps * 1e6
+    kernel["dp45_loop_us_per_rhs"] = loop_s / loop_evals * 1e6
+
+    # one Brent iteration: each one evaluates the function once
+    cubic = lambda x: (x * x - 2.0) * x - 5.0  # noqa: E731
+    brk = numerics.bracket(cubic, 2.0, 3.0)
+    iters = []
+    numerics.find_root(lambda x: iters.append(x) or cubic(x), brk, tol=1e-15)
+    kernel["brent_us_per_iter"] = _per_call_us(
+        lambda: numerics.find_root(cubic, brk, tol=1e-15), 2000) / len(iters)
 
     solver, outputs = {}, {}
     for name, call in _solver_entries(stemopt).items():
@@ -169,7 +203,9 @@ def measure_side(count: bool) -> dict:
     (evals, steps), = counter.shots
     kernel["canopy_shot_us_per_rhs"] = shot_s / evals * 1e6
     out = {"kernel_us": kernel, "solver_s": solver, "outputs": outputs,
-           "canopy_shot": {"rhs_evals": evals, "steps": steps}}
+           "canopy_shot": {"rhs_evals": evals, "steps": steps},
+           "dp45_loop": {"rhs_evals": loop_evals, "steps": loop_steps},
+           "brent_iters": len(iters)}
 
     if count:
         counts = {}
@@ -258,6 +294,8 @@ def main(argv=None) -> int:
         counted = next(r["counts"] for r in results if "counts" in r)
         report[side] = {"timings": timed, "counts": counted,
                         "canopy_shot": results[0]["canopy_shot"],
+                        "dp45_loop": results[0]["dp45_loop"],
+                        "brent_iters": results[0]["brent_iters"],
                         "outputs": results[0]["outputs"]}
     report["median_ratio"] = {
         key: report["change"]["timings"][key]["median"] / value["median"]

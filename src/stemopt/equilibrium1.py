@@ -51,7 +51,7 @@ def solve_bcp(params: ModelParams) -> Trajectory:
     z_top = math.exp(-params.kappa) - 1.0
 
     def rhs(s, state):
-        return np.array([math.sin(phi_inverse(z_top * math.exp(rk * s), params))])
+        return [math.sin(phi_inverse(z_top * math.exp(rk * s), params))]
 
     return integrate(OdeProblem(1, rhs), (0.0, params.ell), [0.0],
                      rtol=1e-11, atol=1e-13)

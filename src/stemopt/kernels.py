@@ -16,9 +16,10 @@ if TYPE_CHECKING:
 
 
 # the numpy names the light and costate kernels use, on one float of the
-# adaptive shot; `where` takes both values; np.interp keeps its array bits
+# adaptive shot, each giving a Python float; `where` takes both values
 FLOATS = SimpleNamespace(maximum=max, minimum=min, abs=abs, log=math.log, exp=math.exp,
-                         interp=np.interp, where=lambda cond, a, b: a if cond else b)
+                         interp=lambda x, xp, fp: np.interp(x, xp, fp).item(),
+                         take=np.ndarray.item, where=lambda cond, a, b: a if cond else b)
 
 
 def capture_transverse(theta, params: ModelParams):

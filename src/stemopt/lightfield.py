@@ -108,7 +108,7 @@ class LightProfile:
 
         def light(y, xp):   # np.searchsorted takes a float as it takes an array
             return (xp.interp(y, ky, ki),
-                    slopes[np.searchsorted(ky, y, side="right")])
+                    xp.take(slopes, np.searchsorted(ky, y, side="right")))
         return LightProfile("tabulated", light, top=float(ky[-1]), breakpoints=ky)
 
     @staticmethod

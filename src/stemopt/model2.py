@@ -139,15 +139,15 @@ def _light(y, z, profile: LightProfile | None, params: ModelParams, xp):
 
 def _costate_rhs(y, S, profile: LightProfile | None, params: ModelParams, xp):
     """Height-parameterized slopes (p', q', z') of the state S = (p, q, z)
-    at height y, with `xp` = `FLOATS`; or, with `xp` = numpy, of a batch of
-    states, one per row of S at its height in y, returned one slope
-    component per row (the transpose of the layout of S).  The light along
-    the stem changes at the rate dI/dy + dI/dz z'.
+    at height y, as a tuple: of one state of floats with `xp` = `FLOATS`, or
+    with `xp` = numpy of a batch of states stored component by component,
+    one row of S each, at their heights in y.  The light along the stem
+    changes at the rate dI/dy + dI/dz z'.
     """
-    s = S.T
-    I, I_y, I_z = _light(y, s[2], profile, params, xp)
-    f1, f2, zs = _rhs_terms(I, s[0], s[1], params, xp)
-    return np.array([-(I_y + I_z * zs) * f1, f2, zs])
+    p, q, z = S
+    I, I_y, I_z = _light(y, z, profile, params, xp)
+    f1, f2, zs = _rhs_terms(I, p, q, params, xp)
+    return -(I_y + I_z * zs) * f1, f2, zs
 
 
 # ---------------------------------------------------------------------------
@@ -223,19 +223,17 @@ class StemState2:
 
 def _sigma_problem(h, profile, params):
     """Tip state and right side in sigma of the shot from the tip (sigma = 0)
-    to the ground (sigma = 1): of one state for a float tip height h, or of
-    one state per row for an array of tip heights."""
+    to the ground (sigma = 1): of one state of floats for a float tip height
+    h, or of a batch, one row per component, for an array of tip heights."""
     beta = _stretch(params)
-    state0, tip_slope = _tip(h, profile, params)
     xp = np if np.ndim(h) else FLOATS
-    if xp is FLOATS:
-        state0, tip_slope = state0[0], tip_slope[0]
+    state0, tip_slope = (v.T if xp is np else v[0].tolist() for v in _tip(h, profile, params))
 
     def rhs(sig, s):   # a closure here, so that perfbench names it model2.rhs
         if sig == 0.0:
             return tip_slope
         y, dy = _unstretch(sig, h, beta)
-        return (dy * _costate_rhs(y, s, profile, params, xp)).T
+        return [dy * v for v in _costate_rhs(y, s, profile, params, xp)]
 
     return state0, rhs
 
@@ -261,7 +259,7 @@ def residual_batch(hs, profile: LightProfile | None, params: ModelParams) -> np.
     equilibrium system).
     """
     Y, rhs = _sigma_problem(np.asarray(hs, dtype=float), profile, params)
-    return rk4_mesh(rhs, _SCAN_SIGMA, Y)[:, 1].copy()
+    return rk4_mesh(rhs, _SCAN_SIGMA, Y)[1].copy()
 
 
 @lru_cache(maxsize=16)   # depends on alpha alone; a solve reads it more than once

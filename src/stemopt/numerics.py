@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +23,7 @@ from .errors import (
     StepUnderflowError,
 )
 
-_EPS = np.finfo(float).eps
+_EPS = 2.0 ** -52   # float64 machine epsilon
 
 _MAX_STEPS = 200_000
 _BRENT_MAX_ITER = 200
@@ -158,10 +159,11 @@ def find_roots(refine: Callable[[float], float], tol: float, stages) -> list[flo
 
 @dataclass(frozen=True)
 class OdeProblem:
-    """First-order ODE system y' = rhs(t, y) with a deterministic right side."""
+    """First-order ODE system y' = rhs(t, y); rhs takes the state as a list
+    of floats and returns its slopes as a sequence of floats."""
 
     dimension: int
-    rhs: Callable[[float, np.ndarray], np.ndarray]
+    rhs: Callable[[float, list], Sequence[float]]
 
 
 @dataclass
@@ -183,8 +185,7 @@ class Trajectory:
         t0, t1 = t[idx], t[idx + 1]
         h = t1 - t0
         s = np.where(h > 0, (ts - t0) / np.where(h == 0, 1.0, h), 0.0)
-        s = np.clip(s, 0.0, 1.0)[:, None]
-        h = h[:, None]
+        s, h = np.clip(s, 0.0, 1.0)[:, None], h[:, None]
         y0, y1 = y[idx], y[idx + 1]
         d0, d1 = dy[idx], dy[idx + 1]
         h00 = (1 + 2 * s) * (1 - s) ** 2
@@ -194,21 +195,28 @@ class Trajectory:
         return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
 
 
-# Dormand-Prince 5(4) tableau
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_B4 = np.array(
-    [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+# Dormand-Prince 5(4) tableau; the fifth-order weights are the last stage's
+# row (FSAL), so that stage's slope starts the next step
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
+_DP_B5 = _DP_A[-1] + (0.0,)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _advance(y, h, weights, ks):
+    """y + h * sum_m weights[m] * ks[m], component by component."""
+    return [yj + h * sum(map(mul, weights, col)) for yj, col in zip(y, zip(*ks))]
+
+
+def _rms(v) -> float:
+    return math.sqrt(sum(e * e for e in v) / len(v))
 
 
 def integrate(
@@ -222,63 +230,55 @@ def integrate(
     """Integrate an ODE system over span=(a, b), which must increase: a < b.
 
     Embedded Dormand-Prince 5(4) pair with per-step error control at
-    (rtol, atol).
+    (rtol, atol), on Python floats: the state is a list, and `problem.rhs`
+    returns each stage's slopes as a sequence of floats.  A stage that raises
+    ArithmeticError or returns a non-finite slope rejects the step, which is
+    retried at a quarter of its length; any other exception propagates.
     """
     a, b = float(span[0]), float(span[1])
     if not a < b:
         raise ValueError(f"span must increase, got ({a}, {b})")
-    y = np.asarray(initial, dtype=float)
-    if y.shape != (problem.dimension,):
+    y = list(map(float, initial))
+    if len(y) != problem.dimension:
         raise ValueError(f"initial state must have shape ({problem.dimension},)")
-    if not np.all(np.isfinite(y)):
+    if not all(map(math.isfinite, y)):
         raise ValueError("initial state must be finite")
-    f = problem.rhs
-    t = a
-    k0 = np.asarray(f(t, y))
-    scale = atol + rtol * np.abs(y)
-    d0 = np.sqrt(np.mean((y / scale) ** 2)) if y.size else 0.0
-    d1 = np.sqrt(np.mean((k0 / scale) ** 2))
+    f, t = problem.rhs, a
+    k0 = f(t, y)
+    d0, d1 = (_rms([v / (atol + rtol * abs(yj)) for v, yj in zip(w, y)]) for w in (y, k0))
     h = 0.01 * d0 / d1 if (d0 > 1e-5 and d1 > 1e-5) else 1e-6 * (b - a)
     h = min(h, 0.1 * (b - a))
 
-    ts, ys, dys = [t], [y.copy()], [k0.copy()]
+    ts, ys, dys = [t], [y], [k0]
     floor = 16.0 * _EPS * max(abs(a), abs(b))
-    ks = np.empty((7, problem.dimension))
     for _ in range(_MAX_STEPS):
         if t + h > b:
             h = b - t
         if h < floor:
-            raise StepUnderflowError(
-                f"step {h:.3e} below floor {floor:.3e} at t={t!r}"
-            )
-        ks[0] = k0
-        failed = False
-        for i in range(1, 7):
-            yi = y + h * (ks[:i].T @ _DP_A[i])
-            ki = np.asarray(f(t + _DP_C[i] * h, yi))
-            if not np.all(np.isfinite(ki)):
-                failed = True
-                break
-            ks[i] = ki
-        if not failed:
-            y5 = y + h * (ks.T @ _DP_B5)
-            y4 = y + h * (ks.T @ _DP_B4)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-            err = np.sqrt(np.mean(((y5 - y4) / scale) ** 2))
-        if failed or not np.isfinite(err):
+            raise StepUnderflowError(f"step {h:.3e} below floor {floor:.3e} at t={t!r}")
+        ks, err = [k0], math.nan
+        try:
+            for c, row in zip(_DP_C, _DP_A):
+                ki = f(t + c * h, _advance(y, h, row, ks))
+                if not all(map(math.isfinite, ki)):
+                    break
+                ks.append(ki)
+            else:
+                y5 = _advance(y, h, _DP_B5, ks)
+                err = _rms([(u - v) / (atol + rtol * max(abs(yj), abs(u)))
+                            for yj, u, v in zip(y, y5, _advance(y, h, _DP_B4, ks))])
+        except ArithmeticError:
+            pass
+        if not math.isfinite(err):
             h *= 0.25
-            continue
-        if err <= 1.0:
-            t = t + h
-            y = y5
-            k0 = ks[6].copy()  # FSAL
+        elif err <= 1.0:
+            t, y, k0 = t + h, y5, ks[-1]   # FSAL
             ts.append(t)
-            ys.append(y.copy())
-            dys.append(k0.copy())
+            ys.append(y)
+            dys.append(k0)
             if t == b or b - t <= floor:
                 return Trajectory(np.array(ts), np.array(ys), np.array(dys))
-            factor = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-            h *= factor
+            h *= 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
         else:
             h *= max(0.2, 0.9 * err ** -0.2)
     raise MaxIterationsError(f"adaptive integrator exceeded {_MAX_STEPS} steps")
@@ -286,15 +286,16 @@ def integrate(
 
 def rk4_mesh(slope, mesh: np.ndarray, y0: np.ndarray) -> np.ndarray:
     """Classical fixed-step RK4 over the nodes of `mesh`; returns the state
-    at mesh[-1].  `slope(t, y)` may act on a batch of stacked states."""
+    at mesh[-1].  `slope(t, y)` may act on a batch of states, one row per
+    component, and return a sequence of rows, which are stacked likewise."""
     y = y0
     for k in range(len(mesh) - 1):
         s0, s1 = mesh[k], mesh[k + 1]
         dt = s1 - s0
-        k1 = slope(s0, y)
-        k2 = slope(s0 + dt / 2, y + dt / 2 * k1)
-        k3 = slope(s0 + dt / 2, y + dt / 2 * k2)
-        k4 = slope(s1, y + dt * k3)
+        k1 = np.asarray(slope(s0, y))
+        k2 = np.asarray(slope(s0 + dt / 2, y + dt / 2 * k1))
+        k3 = np.asarray(slope(s0 + dt / 2, y + dt / 2 * k2))
+        k4 = np.asarray(slope(s1, y + dt * k3))
         y = y + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
 

@@ -305,6 +305,52 @@ def test_model2_finalize_integrates_nothing():
     assert named & {"_shoot_once", "shoot_residual", "integrate"} == set()
 
 
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_the_integrator_runs_on_floats():
+    # DP45 keeps its state, stages and tableau in Python floats and tuples:
+    # numpy appears in integrate only where it builds the returned
+    # Trajectory, not in the helpers integrate calls, and the right sides of
+    # both callers build no numpy array
+    from stemopt import numerics
+    tree = ast.parse((SRC / "numerics.py").read_text())
+    integrate = _function(tree, "integrate")
+    built = [node for node in ast.walk(integrate)
+             if isinstance(node, ast.Call) and _name(node.func) == "Trajectory"]
+    inside = {id(node) for call in built for node in ast.walk(call)}
+    np_uses = [node for node in ast.walk(integrate) if _name(node) == "np"]
+    assert len(built) == 1 and np_uses, (built, np_uses)
+    assert all(id(node) in inside for node in np_uses), [n.lineno for n in np_uses]
+    helpers = {_name(node.func) for node in ast.walk(integrate)
+               if isinstance(node, ast.Call)} & {f.name for f in tree.body
+                                                 if isinstance(f, ast.FunctionDef)}
+    assert helpers, "integrate calls no helper of numerics"
+    for name in helpers:
+        assert "np" not in {_name(node) for node in ast.walk(_function(tree, name))}, name
+
+    tableau = [target.id for node in tree.body if isinstance(node, ast.Assign)
+               for target in node.targets
+               if isinstance(target, ast.Name) and target.id.startswith("_DP_")]
+    assert sorted(tableau) == ["_DP_A", "_DP_B4", "_DP_B5", "_DP_C"], tableau
+    for name in tableau:
+        value = getattr(numerics, name)
+        rows = value if name == "_DP_A" else (value,)
+        assert type(value) is tuple and all(type(row) is tuple for row in rows), name
+        assert all(type(w) is float for row in rows for w in row), name
+
+    rhs_of = {"model2": ("_costate_rhs", "_sigma_problem"),
+              "equilibrium1": ("solve_bcp",)}
+    for module, functions in rhs_of.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        for name in functions:
+            fn = _function(tree, name)
+            fn = fn if name == "_costate_rhs" else _function(fn, "rhs")
+            assert "np" not in {_name(node) for node in ast.walk(fn)}, (module, name)
+
+
 def test_shooting_config_fields_set_by_callers():
     # a shooting option earns its field only where a solver sets it: every
     # Op2Config field is passed by keyword to Op2Config(...) or replace(...)

@@ -170,10 +170,10 @@ def test_costate_rhs_batch_rows_are_float_calls(self_shade, params2, canopy_prof
     else:
         params, profile = params2, canopy_profile
         I = canopy_profile.eval(y)
-    S = np.stack([p, ratio * I, z], axis=1)
-    batch = m2._costate_rhs(y, S, profile, params, np).T
+    S = np.stack([p, ratio * I, z])
+    batch = np.array(m2._costate_rhs(y, S, profile, params, np)).T
     rows = np.array([m2._costate_rhs(yi, si, profile, params, FLOATS)
-                     for yi, si in zip(y, S)])
+                     for yi, si in zip(y.tolist(), S.T.tolist())])
     assert np.all(np.isfinite(batch))
     np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=0.0)
 

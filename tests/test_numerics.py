@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from stemopt import equilibrium1, model2
 from stemopt import numerics as nx
-from stemopt.errors import NoBracketError, NoSignChangeError, NonFiniteError
+from stemopt.errors import DomainError, NoBracketError, NoSignChangeError, NonFiniteError
+from stemopt.lightfield import LightProfile
 from stemopt.model1 import F_of
-from stemopt.params import ModelParams
+from stemopt.params import ModelParams, Op2Config
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +153,7 @@ def test_find_roots_reports_last_stage():
 # ---------------------------------------------------------------------------
 
 def test_integrate_exponential_decay():
-    pr = nx.OdeProblem(1, lambda t, y: -y)
+    pr = nx.OdeProblem(1, lambda t, y: [-y[0]])
     traj = nx.integrate(pr, (0.0, 1.0), [1.0], rtol=1e-10, atol=1e-10)
     assert abs(traj.y[-1, 0] - math.exp(-1.0)) < 1e-8
 
@@ -167,7 +169,7 @@ def test_integrate_constant():
 def test_integrate_frozen_shade_forward():
     # frozen-angle version of the equilibrium shade equation, exact linear sol
     rho_kappa, theta0 = 0.1, math.pi / 4
-    pr = nx.OdeProblem(1, lambda t, y: np.array([rho_kappa / math.sin(theta0)]))
+    pr = nx.OdeProblem(1, lambda t, y: [rho_kappa / math.sin(theta0)])
     traj = nx.integrate(pr, (0.0, 1.0), [0.0], rtol=1e-10, atol=1e-10)
     assert abs(traj.y[-1, 0] - 0.1 * math.sqrt(2.0)) < 1e-10
     with pytest.raises(ValueError, match="span must increase"):
@@ -183,7 +185,7 @@ def test_integrate_fourth_order_convergence():
 
 
 def test_trajectory_dense_sampling():
-    pr = nx.OdeProblem(1, lambda t, y: -y)
+    pr = nx.OdeProblem(1, lambda t, y: [-y[0]])
     traj = nx.integrate(pr, (0.0, 1.0), [1.0], rtol=1e-10, atol=1e-12)
     ts = np.linspace(0.0, 1.0, 37)
     vals = traj.sample(ts)[:, 0]
@@ -192,9 +194,94 @@ def test_trajectory_dense_sampling():
 
 def test_integrate_blowup_raises():
     # y' = y^2 from y(0)=1 blows up at t=1; the step controller must give up
-    pr = nx.OdeProblem(1, lambda t, y: y * y)
+    pr = nx.OdeProblem(1, lambda t, y: [y[0] * y[0]])
     with pytest.raises((nx.StepUnderflowError, nx.MaxIterationsError)):
         nx.integrate(pr, (0.0, 2.0), [1.0], rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("k, tol, steps, evals", [(1.0, 1e-12, 2353, 14119),
+                                                   (50.0, 1e-6, 772, 4753)])
+def test_integrate_step_control_is_pinned(k, tol, steps, evals):
+    # a damped oscillator driving a decay of rate k: at k = 1 every step is
+    # accepted, at k = 50 and tol 1e-6 the step sits at the stability limit
+    # of the decay and 20 steps are rejected.  The counts are those of the
+    # numpy DP45 loop that the float loop replaced, so the initial step,
+    # step control, error norm and FSAL are unchanged
+    calls = [0]
+
+    def rhs(t, y):
+        calls[0] += 1
+        p, q, r = y
+        return q, -p - 0.1 * q, p - k * r
+    traj = nx.integrate(nx.OdeProblem(3, rhs), (0.0, 50.0), [1.0, 0.0, 0.5],
+                        rtol=tol, atol=tol)
+    assert (len(traj.t) - 1, calls[0]) == (steps, evals)
+
+
+@pytest.mark.parametrize("light", ["canopy", "tabulated", "coupled"])
+def test_right_sides_see_python_floats(light, monkeypatch):
+    # the shot of model2 and the depth of equilibrium1 hand the integrator
+    # a state of Python floats and get one back from each stage, so no
+    # numpy scalar arithmetic runs inside the step loop
+    seen = set()
+    original = nx.integrate
+
+    def integrate(problem, span, initial, **kwargs):
+        def rhs(t, y):
+            out = problem.rhs(t, y)
+            seen.update(type(v) for v in (t, *y, *out))
+            return out
+        return original(nx.OdeProblem(problem.dimension, rhs), span, initial, **kwargs)
+    monkeypatch.setattr(model2, "integrate", integrate)
+    monkeypatch.setattr(equilibrium1, "integrate", integrate)
+    ys = np.linspace(0.0, 1.0, 50)
+    profile = {"canopy": LightProfile.constant_rate_canopy(1.0, 1.0),
+               "tabulated": LightProfile.tabulated(ys, 0.3 + 0.7 * ys ** 2),
+               "coupled": None}[light]
+    free = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, rho0=0.05)
+    model2.shoot_residual(0.05, profile, free, Op2Config(), 1e-10)
+    equilibrium1.solve_bcp(ModelParams(theta0=math.pi / 4, kappa=1.0, ell=1.0, rho=0.05))
+    assert seen == {float}, seen
+
+
+def test_integrate_retries_an_overflowing_stage_at_a_quarter_step():
+    # y' = 1 - e^y from y = -30 climbs at unit slope, so the step grows
+    # fivefold per step until a trial step overshoots the equilibrium y = 0
+    # and math.exp overflows in a stage; that step is retried at a quarter
+    # of its length, and the integration completes on the exact solution
+    times, overflowed = [], []
+
+    def rhs(t, y):
+        times.append(t)
+        try:
+            return [1.0 - math.exp(y[0])]
+        except OverflowError:
+            overflowed.append(len(times) - 1)
+            raise
+    traj = nx.integrate(nx.OdeProblem(1, rhs), (0.0, 60.0), [-30.0], rtol=1e-8, atol=1e-8)
+    assert overflowed
+    j = overflowed[0]
+    t0 = traj.t[traj.t < times[j + 1]][-1]   # where the failed step started
+    # the retry's first stage sits at (h/4)/5 past t0, the failed one's at h/5
+    assert any(math.isclose(t - t0, 4.0 * (times[j + 1] - t0), rel_tol=1e-12)
+               for t in times[j - 5:j + 1])
+    exact = -np.log1p(math.expm1(30.0) * np.exp(-traj.t))
+    assert np.max(np.abs(traj.y[:, 0] - exact)) < 1e-6
+
+
+def test_integrate_propagates_a_domain_error():
+    # DomainError subclasses ValueError: the step loop takes only an
+    # ArithmeticError or a non-finite slope for a failed stage, so a right
+    # side that leaves the model's domain stops the integration
+    err = DomainError("outside the model's domain")
+
+    def rhs(t, y):
+        if t > 0.5:
+            raise err
+        return [-y[0]]
+    with pytest.raises(DomainError) as raised:
+        nx.integrate(nx.OdeProblem(1, rhs), (0.0, 1.0), [1.0], rtol=1e-8, atol=1e-8)
+    assert raised.value is err
 
 
 # ---------------------------------------------------------------------------
