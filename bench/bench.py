@@ -75,6 +75,9 @@ def _solver_entries(stemopt):
         "solve_equilibrium_fixed_point.rho0_0.01":
             lambda: equilibrium2.solve_equilibrium_fixed_point(
                 dataclasses.replace(free, rho0=0.01)),
+        "solve_equilibrium_fixed_point.rho0_0.001":
+            lambda: equilibrium2.solve_equilibrium_fixed_point(
+                dataclasses.replace(free, rho0=0.001)),
         "solve_equilibrium1.rho_0.05": lambda: equilibrium1.solve_equilibrium1(
             ModelParams(theta0=THETA0, kappa=1.0, ell=1.0, rho=0.05)),
         "solve_op1.canopy": lambda: model1.solve_op1(

@@ -95,13 +95,13 @@ def verify_equilibrium(result: Equilibrium2Result,
     """The result with its refit residual measured; the map residual is the
     one the solve set.
 
-    refit: fresh best response under the stored profile, compared to the
+    refit: fresh best response under the stored profile, its height
+    bracketed by the scan and not around the stored height, compared to the
     stored stem controls in sup norm (angles everywhere; leaf density away
     from the ground where it is log-divergent), each stem interpolated in
     its own stretched height.
     """
-    cfg = Op2Config(h_bracket=(max(1e-6, result.h * 0.9), result.h * 1.1))
-    fresh = model2.shoot_op2(result.I_star, params, cfg)
+    fresh = model2.shoot_op2(result.I_star, params)
     ys = np.linspace(0.0, min(fresh.h, result.h) * 0.999, 800)
     d_theta = np.max(np.abs(fresh.interp("theta", ys)
                             - result.stem.interp("theta", ys)))
@@ -123,8 +123,10 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
 
     I_{k+1} = (1 - damping) I_k + damping * shade(best_response(I_k)),
     mixed pointwise on a fixed grid, until the sup-norm change drops below
-    1e-8 (at most 40 iterations).  Profiles failing the regularity-family
-    check are flagged but the iteration continues.
+    1e-8 (at most 40 iterations).  The first two best responses scan for
+    their height; the later ones and the final stem bracket it at four times
+    the last height change around the last height.  Profiles failing the
+    regularity-family check are flagged but the iteration continues.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in ]0, 1]")
@@ -139,20 +141,19 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
     rate_vals = np.zeros_like(y_grid)
     profile: LightProfile = LightProfile.constant(1.0)
 
-    h_prev = None
-    class_f_ok = True
+    h_last = warm = None
+    class_f_ok, multiroot = True, False
     history: list[float] = []
-    multiroot = False
-    h_roots: list[float] = []
-    for k in range(_FP_MAX_ITER):
-        width = 0.1 if k < 2 else 0.02
-        warm = None if h_prev is None else ((1.0 - width) * h_prev,
-                                            (1.0 + width) * h_prev)
+    for _ in range(_FP_MAX_ITER):
         stem = model2.shoot_op2(profile, params, replace(inner, h_bracket=warm))
-        h_prev = stem.h
+        if h_last is not None:
+            # no narrower than 1e-7 h: the warm ends are shot at
+            # model2._SCAN_RTOL = 1e-7, below which their signs may be rounding
+            width = max(4.0 * abs(stem.h - h_last), 1e-7 * stem.h)
+            warm = (stem.h - width, stem.h + width)
+        h_last = stem.h
         h_roots = stem.h_candidates
-        if len(h_roots) > 1:
-            multiroot = True  # selection rule: best payoff, flagged
+        multiroot |= len(h_roots) > 1   # selection rule: best payoff, flagged
         shade = shade_map(stem, params)
         shade_rate = np.interp(y_grid, shade.rate_y, shade.rate_v,
                                left=shade.rate_v[0], right=0.0)
@@ -178,8 +179,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         raise exc
 
     # full-accuracy stem under the converged profile
-    final_cfg = Op2Config(h_bracket=(0.98 * h_prev, 1.02 * h_prev))
-    stem = model2.shoot_op2(profile, params, final_cfg)
+    stem = model2.shoot_op2(profile, params, Op2Config(h_bracket=warm))
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="fixed_point", iterations=len(history),
         residual_map=profile_gap(profile, shade_map(stem, params), stem.h),

@@ -43,13 +43,37 @@ def stem_canopy(params2, canopy_profile):
 
 
 @pytest.fixture(scope="session")
-def pair_001():
+def pair_001_shots():
+    """Filled by `pair_001`: per method, the count of its DP45 shots
+    (`model2._shoot_once` calls) and the `residual_q0` of every stem
+    `model2.shoot_op2` returned."""
+    return {}
+
+
+@pytest.fixture(scope="session")
+def pair_001(pair_001_shots):
     """Verified direct and fixed-point equilibria at rho0 = 0.01, with their
     parameters; shared so the suite solves this fixed point once."""
     params = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, rho0=0.01)
-    return (equilibrium2.solve_equilibrium_direct(params),
-            equilibrium2.solve_equilibrium_fixed_point(params),
-            params)
+    shoot_once, shoot_op2 = model2._shoot_once, model2.shoot_op2
+    solved = []
+    for method in ("direct", "fixed_point"):
+        record = pair_001_shots[method] = {"shots": 0, "residual_q0": []}
+
+        def counted(*args, record=record, **kwargs):
+            record["shots"] += 1
+            return shoot_once(*args, **kwargs)
+
+        def stem(*args, record=record):
+            solved_stem = shoot_op2(*args)
+            record["residual_q0"].append(solved_stem.residual_q0)
+            return solved_stem
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model2, "_shoot_once", counted)
+            mp.setattr(model2, "shoot_op2", stem)
+            solved.append(getattr(equilibrium2, f"solve_equilibrium_{method}")(params))
+    return (*solved, params)
 
 
 @pytest.fixture(scope="session")

@@ -157,6 +157,21 @@ def test_verify_residuals_small(pair_001):
     assert direct.residual_map > 1e-12
 
 
+def test_shot_counts_of_verified_solves(pair_001, pair_001_shots):
+    # the refit brackets from the scan and the fixed point from its last
+    # height change: 10 and 126 shots with the former fixed warm brackets
+    assert pair_001_shots["direct"]["shots"] <= 7
+    assert pair_001_shots["fixed_point"]["shots"] <= 105
+
+
+def test_fixed_point_warm_brackets_hold_their_root(pair_001, pair_001_shots):
+    # a warm bracket without the root would leave Brent at an end, far from
+    # a zero ground residual; the refit shares no bracket with the stem
+    residuals = pair_001_shots["fixed_point"]["residual_q0"]
+    assert max(map(abs, residuals)) <= 1e-8, residuals
+    assert pair_001[1].residual_refit > 0.0
+
+
 def test_verify_detects_perturbation(pair_001):
     direct, _, params = pair_001
     prof = direct.I_star

@@ -364,6 +364,33 @@ def test_brent_stops_at_the_shot_rtol(monkeypatch, name):
     assert abs(stem.residual_q0) <= 1e-8
 
 
+def _scans_of(monkeypatch, cfg, params, profile):
+    """The stem of one `shoot_op2` call and its count of batched scans."""
+    scans = []
+    scan = m2.residual_batch
+    monkeypatch.setattr(m2, "residual_batch", lambda *args: scans.append(args) or scan(*args))
+    stem = m2.shoot_op2(profile, params, cfg)
+    monkeypatch.undo()
+    return stem, len(scans)
+
+
+def test_warm_bracket_without_a_sign_change_falls_through_to_the_scan(
+        monkeypatch, params2, const_profile, stem_flat):
+    # both ends lie above the root, so their residuals share a sign and the
+    # lazy stages of find_roots evaluate the scan, as if no bracket were given
+    cfg = m2.Op2Config(h_bracket=(1.5 * H0_EXACT, 2.0 * H0_EXACT))
+    stem, scans = _scans_of(monkeypatch, cfg, params2, const_profile)
+    assert stem.h == stem_flat.h
+    assert scans == 1
+
+
+def test_warm_bracket_around_the_root_skips_the_scan(monkeypatch, params2, const_profile):
+    cfg = m2.Op2Config(h_bracket=(0.9 * H0_EXACT, 1.1 * H0_EXACT))
+    stem, scans = _scans_of(monkeypatch, cfg, params2, const_profile)
+    assert abs(stem.h - H0_EXACT) / H0_EXACT <= 1e-9
+    assert scans == 0
+
+
 def test_small_alpha_layer_offset(const_profile):
     params = ModelParams(theta0=math.pi / 4, alpha=0.11, c=1.0)
     assert m2.shoot_op2(const_profile, params).h > 0.0
