@@ -492,7 +492,7 @@ def main(argv=None) -> int:
         if code == 0 and args.plotdata:
             emit_plotdata(args.out)
     except StemOptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}", *getattr(exc, "__notes__", ()), sep="\n", file=sys.stderr)
         return 1
     return code
 

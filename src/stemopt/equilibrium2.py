@@ -98,8 +98,8 @@ def verify_equilibrium(result: Equilibrium2Result,
     refit: fresh best response under the stored profile, its height
     bracketed by the scan and not around the stored height, compared to the
     stored stem controls in sup norm (angles everywhere; leaf density away
-    from the ground where it is log-divergent), each stem interpolated in
-    its own stretched height.
+    from the ground where it is log-divergent), each stem read between its
+    nodes through its own DP45 shot.
     """
     fresh = model2.shoot_op2(result.I_star, params)
     ys = np.linspace(0.0, min(fresh.h, result.h) * 0.999, 800)
@@ -152,8 +152,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
             width = max(4.0 * abs(stem.h - h_last), 1e-7 * stem.h)
             warm = (stem.h - width, stem.h + width)
         h_last = stem.h
-        h_roots = stem.h_candidates
-        multiroot |= len(h_roots) > 1   # selection rule: best payoff, flagged
+        multiroot |= len(stem.h_candidates) > 1   # selection rule: best payoff, flagged
         shade = shade_map(stem, params)
         shade_rate = np.interp(y_grid, shade.rate_y, shade.rate_v,
                                left=shade.rate_v[0], right=0.0)
@@ -180,11 +179,12 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
 
     # full-accuracy stem under the converged profile
     stem = model2.shoot_op2(profile, params, Op2Config(h_bracket=warm))
+    multiroot |= len(stem.h_candidates) > 1
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="fixed_point", iterations=len(history),
         residual_map=profile_gap(profile, shade_map(stem, params), stem.h),
         residual_refit=math.nan, h=stem.h,
-        h_roots=h_roots, class_f_ok=class_f_ok, multiroot_flag=multiroot,
+        h_roots=stem.h_candidates, class_f_ok=class_f_ok, multiroot_flag=multiroot,
         history=history,
     )
     return verify_equilibrium(result, params) if verify else result

@@ -1,6 +1,13 @@
 """Exception types shared across the solver modules."""
 
 
+def add_note(exc: BaseException, note: str) -> None:
+    """`exc.add_note(note)` of PEP 678, also on Python 3.10, which lacks the
+    method: the note joins `exc.__notes__`, which tracebacks print from 3.11
+    on and the CLI prints below its error line."""
+    exc.__notes__ = [*getattr(exc, "__notes__", ()), note]
+
+
 class StemOptError(Exception):
     """Base class for all stemopt errors."""
 

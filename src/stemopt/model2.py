@@ -21,10 +21,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, DomainError
+from .errors import DegenerateDenominatorError, DomainError, add_note
 from .kernels import FLOATS, sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
 from .numerics import OdeProblem, find_roots, integrate, quad, rk4_mesh
@@ -194,12 +195,11 @@ def _tip(hs, profile: LightProfile | None, params: ModelParams):
 @dataclass
 class StemState2:
     """Optimality-system trajectory sampled over height, plus summary scalars.
-    `sigma` holds the stretched height ((h - y)/h)^beta of each sample."""
+    `read` rebuilds the columns at any heights from the stem's own DP45
+    shot; the sampled columns are its reading on the output mesh `y`."""
 
     h: float
-    beta: float
     y: np.ndarray
-    sigma: np.ndarray
     p: np.ndarray
     q: np.ndarray
     I: np.ndarray
@@ -212,13 +212,12 @@ class StemState2:
     transport_cost: float
     hamiltonian_max_abs: float
     residual_q0: float
+    read: Callable[..., dict]
     h_candidates: list[float] = field(default_factory=list)
 
     def interp(self, name: str, yq):
-        """A sampled column at heights yq, linear in the stretched height."""
-        tau = np.maximum(self.h - np.asarray(yq, dtype=float), 0.0) / self.h
-        return np.interp(tau ** self.beta, self.sigma[::-1],
-                         getattr(self, name)[::-1])
+        """A column at heights yq, read through the stem's shot."""
+        return self.read(np.asarray(yq, dtype=float))[name]
 
 
 def _sigma_problem(h, profile, params):
@@ -239,10 +238,15 @@ def _sigma_problem(h, profile, params):
 
 
 def _shoot_once(h, profile, params, cfg: Op2Config, rtol):
-    """DP45 shot in sigma from the tip (sigma = 0) to the ground (sigma = 1)."""
-    state0, rhs = _sigma_problem(h, profile, params)
-    problem = OdeProblem(len(state0), rhs)
-    return integrate(problem, (0.0, 1.0), state0, rtol=rtol, atol=cfg.atol)
+    """DP45 shot in sigma from the tip (sigma = 0) to the ground (sigma = 1);
+    an error raised in it gets a note that names the tip height."""
+    try:
+        state0, rhs = _sigma_problem(h, profile, params)
+        problem = OdeProblem(len(state0), rhs)
+        return integrate(problem, (0.0, 1.0), state0, rtol=rtol, atol=cfg.atol)
+    except Exception as exc:
+        add_note(exc, f"in the shot at tip height h={h!r}, rtol {rtol:g}")
+        raise
 
 
 def shoot_residual(h, profile, params, cfg: Op2Config, rtol) -> float:
@@ -318,25 +322,31 @@ def shoot_op2(profile: LightProfile | None, params: ModelParams,
 
 
 def _finalize(h, traj, profile, params, cfg: Op2Config) -> StemState2:
-    """The stem of tip height h, with controls, curve and diagnostics
-    reconstructed from `traj`, the DP45 shot at that height.  Its samples are
-    the integrator nodes, n_out + 1 uniform heights, and 321 uniform sigma,
-    which grade them toward the tip where the costate curvature blows up;
-    distinct small sigma that map to the same height in floating point keep
-    only the smallest."""
+    """The stem of tip height h, with controls, curve and diagnostics read
+    from `traj`, the DP45 shot at that height, by `read`, which the stem
+    keeps.  Its samples are the integrator nodes, n_out + 1 uniform heights,
+    and 321 uniform sigma, which grade them toward the tip where the costate
+    curvature blows up; distinct small sigma that map to the same height in
+    floating point keep only the smallest."""
     beta = _stretch(params)
+
+    def read(y, sigma=None):
+        """Columns p, q, z, I, theta, u and w at heights y, from the shot's
+        Hermite dense output at their stretched heights; q is floored at 1e-15 I
+        in the feedback, so u stays finite at the ground, where q is residual."""
+        sigma = (np.maximum(h - y, 0.0) / h) ** beta if sigma is None else sigma
+        p, q, z = traj.sample(sigma).T
+        p, z = np.maximum(p, 0.0), np.maximum(z, 0.0)
+        I = _light(y, z, profile, params, np)[0]
+        theta, u, w = feedback_TU(I, p, np.maximum(q, 1e-15 * I), params)
+        return {"p": p, "q": q, "z": z, "I": I, "theta": theta, "u": u, "w": w}
+
     uniform = np.linspace(1.0, 0.0, cfg.n_out + 1) ** beta
     sigma = sorted_unique(np.concatenate([traj.t, uniform, np.linspace(0.0, 1.0, 321)]))
     y = _unstretch(sigma, h, beta)[0]
     keep = np.concatenate([[True], y[1:] < y[:-1]])
     y, sigma = y[keep][::-1], sigma[keep][::-1]
-    p, q, z = traj.sample(sigma).T
-    p, z = np.maximum(p, 0.0), np.maximum(z, 0.0)
-    I = _light(y, z, profile, params, np)[0]
-    # the ground node carries the shooting residual; floor it so the
-    # reconstructed leaf density stays a finite, plottable value there
-    q_floor = np.maximum(q, 1e-15 * I)
-    theta, u, w = feedback_TU(I, p, q_floor, params)
+    p, q, z, I, theta, u, w = read(y, sigma).values()
 
     sin_t = np.sin(theta)
     capture = I * G2(theta, u, params)
@@ -344,16 +354,17 @@ def _finalize(h, traj, profile, params, cfg: Op2Config) -> StemState2:
 
     # Hamiltonian along the integrated (not first-integral) tail mass
     t0 = params.theta0
-    D = I * _one_minus_r(q_floor / I, np)
+    D = I * _one_minus_r(np.maximum(q, 1e-15 * I) / I, np)
     S = np.sqrt(math.cos(t0) ** 2 + (w + math.sin(t0)) ** 2)
     H = p * (math.sin(t0) + w) / S + D * (1.0 + w * math.sin(t0)) / S - cost_density
 
     return StemState2(
-        h=float(h), beta=beta, y=y, sigma=sigma, p=p, q=q, I=I, theta=theta, u=u,
-        z=z, x=trapezoid_cumulative(y, np.cos(theta) / sin_t),
+        h=float(h), y=y, p=p, q=q, I=I, theta=theta, u=u, z=z,
+        x=trapezoid_cumulative(y, np.cos(theta) / sin_t),
         T=float(np.trapezoid(1.0 / sin_t, y)),
         payoff=float(np.trapezoid((capture - cost_density) / sin_t, y)),
         transport_cost=float(np.trapezoid(cost_density / sin_t, y)),
         hamiltonian_max_abs=float(np.max(np.abs(H))),
         residual_q0=float(traj.y[-1, 1]),
+        read=read,
     )

@@ -21,6 +21,7 @@ from .errors import (
     NonFiniteError,
     NoSignChangeError,
     StepUnderflowError,
+    add_note,
 )
 
 _EPS = 2.0 ** -52   # float64 machine epsilon
@@ -139,13 +140,23 @@ def find_roots(refine: Callable[[float], float], tol: float, stages) -> list[flo
     `stages` is a lazy iterable of stages, each a list of sampled pieces
     (xs, fs), bracketed piece by piece so that no bracket spans a jump; later
     stages are not evaluated.  Brent refines each bracket on `refine` at
-    `tol`.  Returns the roots in ascending order, or raises NoBracketError
-    with the last stage's range, sample count and sampled values.
+    `tol`; an error raised there gets a note that names the bracket and its
+    end values.  Returns the roots in ascending order, or raises
+    NoBracketError with the last stage's range, sample count and sampled
+    values.
     """
     for stage in stages:
         brackets = [brk for xs, fs in stage for brk in sign_change_brackets(xs, fs)]
-        if brackets:
-            return sorted(find_root(refine, brk, tol=tol) for brk in brackets)
+        roots = []
+        for brk in brackets:
+            try:
+                roots.append(find_root(refine, brk, tol=tol))
+            except Exception as exc:
+                add_note(exc, f"while refining the bracket [{brk.lo!r}, {brk.hi!r}], "
+                              f"f(lo)={brk.f_lo:.6e}, f(hi)={brk.f_hi:.6e}")
+                raise
+        if roots:
+            return sorted(roots)
         xs, fs = (np.concatenate(part) for part in zip(*stage))
     raise NoBracketError(
         f"residual has no sign change on [{xs[0]:.6g}, {xs[-1]:.6g}] "

@@ -305,6 +305,19 @@ def test_model2_finalize_integrates_nothing():
     assert named & {"_shoot_once", "shoot_residual", "integrate"} == set()
 
 
+def test_a_free_length_stem_has_one_interpolant():
+    # a stem is read between its nodes only through its own DP45 shot:
+    # model2 interpolates no sampled column linearly, and StemState2 keeps no
+    # stretched-height samples for such an interpolant
+    tree = ast.parse((SRC / "model2.py").read_text())
+    interp = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "interp"
+              and _name(node.value) == "np"]
+    assert interp == [], interp
+    fields = {f.name for f in dataclasses.fields(stemopt.model2.StemState2)}
+    assert fields & {"sigma", "beta"} == set(), fields
+
+
 def _function(tree, name):
     return next(node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name == name)

@@ -11,7 +11,8 @@ import pytest
 
 import stemopt
 from stemopt import cli
-from stemopt.errors import NoArtifactsError, NotConvergedError, ValidationError
+from stemopt.errors import (NoArtifactsError, NotConvergedError, StepUnderflowError,
+                            ValidationError, add_note)
 from stemopt.params import ModelParams
 
 
@@ -432,6 +433,21 @@ def test_failed_run_removes_only_the_directory_it_made(
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
     else:
         assert not (tmp_path / "runs").exists()
+
+
+def test_solver_error_prints_its_notes(tmp_path, monkeypatch, capsys):
+    # a note says where a solver error happened, e.g. the bracket Brent was
+    # refining; the CLI prints each note below the error line
+    def fail(scenario):
+        exc = StepUnderflowError("step below floor")
+        add_note(exc, "while refining the bracket [1.0, 2.0]")
+        raise exc
+
+    monkeypatch.setitem(cli._KINDS, "op1", cli._KINDS["op1"]._replace(runner=fail))
+    assert cli.main(["--scenario", str(_write(tmp_path, OP1_SCENARIO)),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "error: step below floor\nwhile refining the bracket [1.0, 2.0]\n")
 
 
 OP3_SCENARIO = _scenario("op3", {"profile": {"kind": "exponential-canopy", "rate": "0.1",

@@ -343,13 +343,14 @@ _SHOT_INPUTS = {
 @pytest.mark.parametrize("name", list(_SHOT_INPUTS))
 def test_shoot_op2_integrates_each_height_once(monkeypatch, name):
     # each stem is the shot Brent took at its root: no (h, rtol) is shot
-    # twice, and no shot outlives the call
+    # twice, and no shot outlives the call but the one the returned stem
+    # reads through
     profile, extra = _SHOT_INPUTS[name]
     params = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, **extra)
     calls, refs, stem = _shots_of(monkeypatch, profile, params)
     assert len(set(calls)) == len(calls), calls
-    assert (stem.h, m2.Op2Config.rtol) in calls
-    assert all(ref() is None for ref in refs)
+    kept = calls.index((stem.h, m2.Op2Config.rtol))
+    assert [i for i, ref in enumerate(refs) if ref() is not None] == [kept]
 
 
 @pytest.mark.parametrize("name", ["canopy", "coupled"])

@@ -5,7 +5,8 @@ import pytest
 
 from stemopt import equilibrium1, model2
 from stemopt import numerics as nx
-from stemopt.errors import DomainError, NoBracketError, NoSignChangeError, NonFiniteError
+from stemopt.errors import (DomainError, NoBracketError, NoSignChangeError, NonFiniteError,
+                            StepUnderflowError)
 from stemopt.lightfield import LightProfile
 from stemopt.model1 import F_of
 from stemopt.params import ModelParams, Op2Config
@@ -146,6 +147,36 @@ def test_find_roots_reports_last_stage():
     assert "(10 samples)" in msg
     assert f"f(lo)={2.0:.3e}" in msg and f"f(hi)={5.0:.3e}" in msg
     assert f"min {1.0:.3e}" in msg and f"max {5.0:.3e}" in msg
+
+
+def test_find_roots_notes_the_bracket_of_an_error():
+    # an error raised while Brent refines a bracket keeps its type and
+    # message, and a note names the bracket and its end values
+    def refine(x):
+        if x > 0.5:
+            raise StepUnderflowError("step below floor")
+        return x - 0.7
+
+    with pytest.raises(StepUnderflowError, match="step below floor") as err:
+        nx.find_roots(refine, 1e-12, [[(np.array([0.0, 0.2, 1.0]),
+                                         np.array([-0.7, -0.5, 0.3]))]])
+    assert err.value.__notes__ == [
+        f"while refining the bracket [0.2, 1.0], f(lo)={-0.5:.6e}, f(hi)={0.3:.6e}"]
+
+
+def test_shot_errors_name_their_tip_height(monkeypatch):
+    # under the bracket's note, an error of a free-length shot names its
+    # tip height
+    def fail(*args, **kwargs):
+        raise StepUnderflowError("step below floor")
+
+    monkeypatch.setattr(model2, "integrate", fail)
+    free = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0)
+    with pytest.raises(StepUnderflowError) as err:
+        model2.shoot_op2(LightProfile.constant(1.0), free)
+    shot, brk = err.value.__notes__
+    assert shot.startswith("in the shot at tip height h=")
+    assert brk.startswith("while refining the bracket [")
 
 
 # ---------------------------------------------------------------------------
