@@ -21,8 +21,9 @@ Kernel layer, microseconds per call (the best of 5 timeit repeats):
 
 Solver layer, seconds of one call per run.  The first run of each side also
 counts, for each solver entry, the rhs evaluations and accepted steps of
-every `numerics.integrate` call, by wrapping the `OdeProblem` it is handed;
-the counts are deterministic, so the timed runs run unwrapped.
+every `numerics.integrate` call, by wrapping the `OdeProblem` it is handed,
+and the calls and elements of the feedback inverse `phi_inverse`; the counts
+are deterministic, so the timed runs run unwrapped.
 
 `--tier1` also runs each side's test suite once and records its wall time.
 Nothing here is a dependency of the package.
@@ -102,13 +103,16 @@ def _summary(result):
 
 
 class _Counter:
-    """Wraps `numerics.integrate` where the solvers imported it, counting
-    the rhs evaluations and accepted steps of each call."""
+    """Wraps `numerics.integrate` and `model1.phi_inverse` where the solvers
+    imported them, counting the rhs evaluations and accepted steps of each
+    integration, and the calls and elements of the feedback inverse."""
 
     def __init__(self, modules):
         self.shots: list[tuple[int, int]] = []   # (rhs evaluations, steps)
+        self.phi = {"calls": 0, "elements": 0}
         self._undo = []
         original = modules[0].integrate
+        phi = next(m.phi_inverse for m in modules if hasattr(m, "phi_inverse"))
 
         def integrate(problem, span, initial, **kwargs):
             evals = [0]
@@ -121,14 +125,20 @@ class _Counter:
                             **kwargs)
             self.shots.append((evals[0], len(traj.t) - 1))
             return traj
+
+        def phi_inverse(z, params):
+            self.phi["calls"] += 1
+            self.phi["elements"] += getattr(z, "size", 1)
+            return phi(z, params)
         for mod in modules:
-            if hasattr(mod, "integrate"):
-                self._undo.append((mod, mod.integrate))
-                mod.integrate = integrate
+            for name, fn in (("integrate", integrate), ("phi_inverse", phi_inverse)):
+                if hasattr(mod, name):
+                    self._undo.append((mod, name, getattr(mod, name)))
+                    setattr(mod, name, fn)
 
     def close(self):
-        for mod, fn in self._undo:
-            mod.integrate = fn
+        for mod, name, fn in self._undo:
+            setattr(mod, name, fn)
 
 
 def measure_side(count: bool) -> dict:
@@ -136,7 +146,7 @@ def measure_side(count: bool) -> dict:
     import numpy as np
 
     import stemopt
-    from stemopt import equilibrium1, kernels, model2, numerics
+    from stemopt import equilibrium1, kernels, model1, model2, numerics
     from stemopt.params import Op2Config
     floats = getattr(kernels, "FLOATS", None) or getattr(model2, "_Floats")
     y = np.float64(0.3771)   # DP45 hands the light a float64 height
@@ -198,7 +208,7 @@ def measure_side(count: bool) -> dict:
     h = outputs["shoot_op2.canopy"]["h"]
     shot = lambda: model2.shoot_residual(h, canopy, free, cfg, cfg.rtol)  # noqa: E731
     shot_s = min(timeit.repeat(shot, number=1, repeat=5))
-    counter = _Counter([numerics, model2, equilibrium1])
+    counter = _Counter([numerics, model1, model2, equilibrium1])
     try:
         shot()
     finally:
@@ -213,14 +223,16 @@ def measure_side(count: bool) -> dict:
     if count:
         counts = {}
         for name, call in _solver_entries(stemopt).items():
-            counter = _Counter([numerics, model2, equilibrium1])
+            counter = _Counter([numerics, model1, model2, equilibrium1])
             try:
                 call()
             finally:
                 counter.close()
             counts[name] = {"integrate_calls": len(counter.shots),
                             "rhs_evals": sum(e for e, _ in counter.shots),
-                            "steps_accepted": sum(s for _, s in counter.shots)}
+                            "steps_accepted": sum(s for _, s in counter.shots),
+                            "phi_inverse_calls": counter.phi["calls"],
+                            "phi_inverse_elements": counter.phi["elements"]}
             if name == "shoot_op2.canopy":
                 counts[name]["steps_per_shot"] = [s for _, s in counter.shots]
         out["counts"] = counts

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import numerics
 from .errors import DomainError, NoCrossingError
 from .kernels import _G_parts, capture_transverse, trapezoid_cumulative
 from .lightfield import LightProfile
@@ -133,7 +134,7 @@ def _pieces(profile: LightProfile, lo: float, hi: float):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _theta_star(y, h: float, profile: LightProfile, params: ModelParams):
+def _theta_star(y, h, profile: LightProfile, params: ModelParams):
     # where the light is zero z is -inf, and the angle is capped below pi/2
     with np.errstate(divide="ignore"):
         z = (math.exp(-params.kappa) - 1.0) * profile.eval(h) / profile.eval(y)
@@ -147,21 +148,27 @@ def _simpson_piece(a: float, b: float, n_min: int, density: float):
     return ys, _simpson_weights(n) * (b - a) / (3.0 * n)
 
 
-def _feedback_nodes(h: float, profile: LightProfile, params: ModelParams,
+def _feedback_nodes(hs, profile: LightProfile, params: ModelParams,
                     density: float):
-    """Simpson nodes, weights and feedback angles of each continuity piece
-    of the shape stopping at height h."""
-    eps_edge = 1e-13 * max(1.0, h)
-    for (a, b) in _pieces(profile, 0.0, h):
-        ys, wts = _simpson_piece(a + eps_edge, b - eps_edge, 32, density)
-        yield ys, wts, _theta_star(ys, h, profile, params)
-
-
-def _arc_length(nodes) -> float:
-    L = 0.0   # summed piece by piece, in order (sum() compensates on 3.12+)
-    for _, wts, th in nodes:
-        L += float(np.sum(wts / np.sin(th)))
-    return L
+    """(index into hs, ys, wts, theta): Simpson nodes, weights and feedback
+    angles of each continuity piece of the shape stopping at each height of
+    hs, in order.  Consecutive heights share one `phi_inverse` call per block
+    of about `numerics._BLOCK` nodes, with one top height per node, which
+    gives each angle the bits of a call for its height alone."""
+    block, size = [], 0
+    for i, h in enumerate(map(float, hs)):
+        eps_edge = 1e-13 * max(1.0, h)
+        for (a, b) in _pieces(profile, 0.0, h):
+            block.append((i, h, *_simpson_piece(a + eps_edge, b - eps_edge, 32, density)))
+            size += len(block[-1][2])
+        if size >= numerics._BLOCK or i == len(hs) - 1:
+            idx, tops, ys, wts = zip(*block)
+            th = _theta_star(np.concatenate(ys), np.repeat(tops, [len(y) for y in ys]),
+                             profile, params)
+            for j, y, w in zip(idx, ys, wts):
+                yield j, y, w, th[:len(y)]
+                th = th[len(y):]
+            block, size = [], 0
 
 
 def solve_op1(profile: LightProfile, params: ModelParams,
@@ -171,9 +178,10 @@ def solve_op1(profile: LightProfile, params: ModelParams,
     Scans the height equation L(h) = ell for sign changes on each continuity
     piece of the profile (steep or discontinuous profiles admit several
     roots), refines each by Brent, and evaluates payoffs to order the
-    candidates.  Ties are returned in ascending height order for the caller
-    to break.  Raises DomainError when the light is zero along the whole
-    stem, and NoBracketError when no piece changes sign.
+    candidates; all of them read L(h) through `_feedback_nodes`.  Ties are
+    returned in ascending height order for the caller to break.  Raises
+    DomainError when the light is zero along the whole stem, and
+    NoBracketError when no piece changes sign.
     """
     ell = params.ell
     # profiles are non-decreasing: dark at the top means dark all along
@@ -182,8 +190,11 @@ def solve_op1(profile: LightProfile, params: ModelParams,
     scan_density = max(256.0 / ell, scan_samples / ell * 0.25)
     fine_density = max(float(n_grid) / ell, scan_density)
 
-    def resid(h, density=scan_density):
-        return _arc_length(_feedback_nodes(h, profile, params, density)) - ell
+    def resid(hs, density):
+        L = np.zeros(len(hs))   # piece by piece, in order (sum() compensates on 3.12+)
+        for i, _, wts, th in _feedback_nodes(hs, profile, params, density):
+            L[i] += float(np.sum(wts / np.sin(th)))
+        return L - ell
 
     pieces = []
     for (a, b) in _pieces(profile, 1e-9 * ell, ell):
@@ -193,22 +204,23 @@ def solve_op1(profile: LightProfile, params: ModelParams,
             continue
         n_samp = max(64, int(scan_samples * (b_in - a_in) / ell))
         hs = np.linspace(a_in, b_in, n_samp)
-        pieces.append((hs, np.array([resid(float(h)) for h in hs])))
-    roots = find_roots(lambda h: resid(h, fine_density), 1e-13 * max(1.0, ell), [pieces])
+        pieces.append((hs, resid(hs, scan_density)))
+    roots = find_roots(lambda h: float(resid([h], fine_density)[0]),
+                       1e-13 * max(1.0, ell), [pieces])
 
+    L, P = np.zeros(len(roots)), np.zeros(len(roots))
+    for i, ys, wts, th in _feedback_nodes(roots, profile, params, fine_density):
+        L[i] += float(np.sum(wts / np.sin(th)))
+        P[i] += float(np.sum(wts * profile.eval(ys) * g_profile(th, params)))
     shapes: list[StemShape1] = []
-    for h in roots:
-        nodes = list(_feedback_nodes(h, profile, params, fine_density))
-        P = 0.0
-        for ys, wts, th in nodes:
-            P += float(np.sum(wts * profile.eval(ys) * g_profile(th, params)))
+    for h, length, payoff in zip(roots, L, P):
         y = np.linspace(0.0, h, n_grid + 1)
         th = _theta_star(y, h, profile, params)
         x = trapezoid_cumulative(y, np.cos(th) / np.sin(th))
         lam = (1.0 - math.exp(-params.kappa)) * profile.eval(h)
         shapes.append(StemShape1(h=float(h), y=y, theta=th, x=x,
-                                 payoff=float(P), lam=float(lam),
-                                 length_error=float(_arc_length(nodes) - ell)))
+                                 payoff=float(payoff), lam=float(lam),
+                                 length_error=float(length - ell)))
     shapes.sort(key=lambda s: (-s.payoff, s.h))
     return shapes
 

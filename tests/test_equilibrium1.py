@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from stemopt import ModelParams
+from stemopt import LightProfile, ModelParams
 from stemopt import equilibrium1 as e1
 from stemopt import lightfield
 from stemopt import model1 as m1
@@ -254,3 +254,14 @@ def test_eq1_bounded_memory(eq_draw, traced_peak):
     assert traced_peak(lambda: e1.solve_equilibrium1(_DRAW)) <= 0.75 * 2 ** 20
     assert traced_peak(lambda: lightfield.check_uniqueness_condition(
         eq_draw.I_star, _DRAW, eq_draw.h_star)) <= 0.6 * 2 ** 20
+
+
+@pytest.mark.parametrize("light", ["step", "I_star"])
+def test_op1_bounded_memory(light, eq_draw, traced_peak):
+    # the blocked height scan holds about one block of nodes at a time, not
+    # the scan's 139k nodes
+    profile, params = {
+        "step": (LightProfile.step(0.7, 1.0),   # two pieces above the jump
+                 ModelParams(theta0=math.pi / 4, kappa=1.0, ell=1.2)),
+        "I_star": (eq_draw.I_star, _DRAW)}[light]
+    assert traced_peak(lambda: m1.solve_op1(profile, params)) <= 0.75 * 2 ** 20

@@ -233,6 +233,58 @@ def test_solve_dark_ground_has_no_warning(params45):
     assert best.theta[0] == math.pi / 2 - m1._THETA_CAP
 
 
+def test_solve_batches_the_feedback_inverse(params45, monkeypatch):
+    # the scan reads L(h) for many heights per `phi_inverse` call: one call
+    # per sample would be about 1,000 calls on the same elements
+    calls, elements = [], []
+    phi_inverse = m1.phi_inverse
+
+    def counted(z, params):
+        calls.append(1)
+        elements.append(np.size(z))
+        return phi_inverse(z, params)
+    monkeypatch.setattr(m1, "phi_inverse", counted)
+    m1.solve_op1(LightProfile.constant_rate_canopy(1.0, 1.0), params45)
+    assert len(calls) <= 100
+    assert sum(elements) == 139_435
+
+
+_LIGHTS = {
+    "constant": LightProfile.constant(0.8),
+    "step": LightProfile.step(0.7, 1.0),   # two pieces above the jump
+    "mollified-step": LightProfile.mollified_step(0.5, 0.6, 0.05),
+    "tabulated": LightProfile.tabulated([0.0, 0.5, 1.0], [0.2, 0.5, 1.0]),
+    "canopy": LightProfile.constant_rate_canopy(1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LIGHTS))
+def test_feedback_blocks_are_invisible(kind, params45, monkeypatch):
+    # heights spread over several blocks get the nodes, angles and arc
+    # length of a pass over each height alone, bit for bit
+    profile, hs = _LIGHTS[kind], np.linspace(0.05, 1.2, 97)
+
+    def passes(heights):
+        """Per height: its pieces (ys, wts, theta) and its arc length."""
+        out = [([], 0.0) for _ in heights]
+        for i, ys, wts, th in m1._feedback_nodes(heights, profile, params45, 256.0):
+            pieces, L = out[i]
+            out[i] = (pieces + [(ys, wts, th)], L + float(np.sum(wts / np.sin(th))))
+        return out
+
+    calls, phi_inverse = [], m1.phi_inverse
+    monkeypatch.setattr(m1, "phi_inverse",
+                        lambda z, params: calls.append(1) or phi_inverse(z, params))
+    blocked = passes(hs)
+    assert 3 <= len(calls) < len(hs)
+    for h, (pieces, L) in zip(hs, blocked):
+        (alone, L_alone), = passes([h])
+        assert L == L_alone
+        assert len(pieces) == len(alone) == (2 if kind == "step" and h > 1.0 else 1)
+        for got, want in zip(pieces, alone):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------
