@@ -22,7 +22,8 @@ Kernel layer, microseconds per call (the best of 5 timeit repeats):
 Solver layer, seconds of one call per run.  The first run of each side also
 counts, for each solver entry, the rhs evaluations and accepted steps of
 every `numerics.integrate` call, by wrapping the `OdeProblem` it is handed,
-and the calls and elements of the feedback inverse `phi_inverse`; the counts
+the calls and elements of the feedback inverse `phi_inverse`, and the calls
+and summed sweeps of the planar solve `spatial.solve_op3_single`; the counts
 are deterministic, so the timed runs run unwrapped.
 
 `--tier1` also runs each side's test suite once and records its wall time.
@@ -103,16 +104,21 @@ def _summary(result):
 
 
 class _Counter:
-    """Wraps `numerics.integrate` and `model1.phi_inverse` where the solvers
-    imported them, counting the rhs evaluations and accepted steps of each
-    integration, and the calls and elements of the feedback inverse."""
+    """Wraps `numerics.integrate`, `model1.phi_inverse` and
+    `spatial.solve_op3_single` where the solvers imported them, counting the
+    rhs evaluations and accepted steps of each integration, the calls and
+    elements of the feedback inverse, and the calls and summed sweeps of the
+    planar solve."""
 
     def __init__(self, modules):
         self.shots: list[tuple[int, int]] = []   # (rhs evaluations, steps)
         self.phi = {"calls": 0, "elements": 0}
+        self.op3 = {"calls": 0, "sweeps": 0}
         self._undo = []
         original = modules[0].integrate
         phi = next(m.phi_inverse for m in modules if hasattr(m, "phi_inverse"))
+        op3 = next((m.solve_op3_single for m in modules if hasattr(m, "solve_op3_single")),
+                   None)
 
         def integrate(problem, span, initial, **kwargs):
             evals = [0]
@@ -130,8 +136,15 @@ class _Counter:
             self.phi["calls"] += 1
             self.phi["elements"] += getattr(z, "size", 1)
             return phi(z, params)
+
+        def solve_op3_single(*args, **kwargs):
+            result = op3(*args, **kwargs)
+            self.op3["calls"] += 1
+            self.op3["sweeps"] += result.sweeps
+            return result
         for mod in modules:
-            for name, fn in (("integrate", integrate), ("phi_inverse", phi_inverse)):
+            for name, fn in (("integrate", integrate), ("phi_inverse", phi_inverse),
+                             ("solve_op3_single", solve_op3_single)):
                 if hasattr(mod, name):
                     self._undo.append((mod, name, getattr(mod, name)))
                     setattr(mod, name, fn)
@@ -146,7 +159,7 @@ def measure_side(count: bool) -> dict:
     import numpy as np
 
     import stemopt
-    from stemopt import equilibrium1, kernels, model1, model2, numerics
+    from stemopt import equilibrium1, kernels, model1, model2, numerics, spatial
     from stemopt.params import Op2Config
     floats = getattr(kernels, "FLOATS", None) or getattr(model2, "_Floats")
     y = np.float64(0.3771)   # DP45 hands the light a float64 height
@@ -223,7 +236,7 @@ def measure_side(count: bool) -> dict:
     if count:
         counts = {}
         for name, call in _solver_entries(stemopt).items():
-            counter = _Counter([numerics, model1, model2, equilibrium1])
+            counter = _Counter([numerics, model1, model2, equilibrium1, spatial])
             try:
                 call()
             finally:
@@ -235,6 +248,9 @@ def measure_side(count: bool) -> dict:
                             "phi_inverse_elements": counter.phi["elements"]}
             if name == "shoot_op2.canopy":
                 counts[name]["steps_per_shot"] = [s for _, s in counter.shots]
+            if name == "halfline_relaxation.3":
+                counts[name]["op3_calls"] = counter.op3["calls"]
+                counts[name]["op3_sweeps"] = counter.op3["sweeps"]
         out["counts"] = counts
     out["versions"] = {"python": platform.python_version(), "numpy": np.__version__}
     return out

@@ -100,6 +100,7 @@ def verify_fixed_point(result: Equilibrium1Result,
     sup norm.
     """
     refit = solve_op1(result.I_star, params)[0]
-    theta = _theta_star(np.minimum(result.y, refit.h), refit.h, result.I_star, params)
+    theta = _theta_star(np.minimum(result.y, refit.h), result.I_star.eval(refit.h),
+                        result.I_star, params)
     return replace(result, residual_refit=float(
         np.max(np.abs(theta - result.theta_star))))

@@ -134,10 +134,10 @@ def _pieces(profile: LightProfile, lo: float, hi: float):
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _theta_star(y, h, profile: LightProfile, params: ModelParams):
-    # where the light is zero z is -inf, and the angle is capped below pi/2
+def _theta_star(y, i_top, profile: LightProfile, params: ModelParams):
+    # i_top = I(h); z is -inf where the light is zero, and the angle capped below pi/2
     with np.errstate(divide="ignore"):
-        z = (math.exp(-params.kappa) - 1.0) * profile.eval(h) / profile.eval(y)
+        z = (math.exp(-params.kappa) - 1.0) * i_top / profile.eval(y)
     return phi_inverse(z, params)
 
 
@@ -153,8 +153,8 @@ def _feedback_nodes(hs, profile: LightProfile, params: ModelParams,
     """(index into hs, ys, wts, theta): Simpson nodes, weights and feedback
     angles of each continuity piece of the shape stopping at each height of
     hs, in order.  Consecutive heights share one `phi_inverse` call per block
-    of about `numerics._BLOCK` nodes, with one top height per node, which
-    gives each angle the bits of a call for its height alone."""
+    of about `numerics._BLOCK` nodes and one read of each top light I(h),
+    which gives each angle the bits of a call for its height alone."""
     block, size = [], 0
     for i, h in enumerate(map(float, hs)):
         eps_edge = 1e-13 * max(1.0, h)
@@ -163,8 +163,8 @@ def _feedback_nodes(hs, profile: LightProfile, params: ModelParams,
             size += len(block[-1][2])
         if size >= numerics._BLOCK or i == len(hs) - 1:
             idx, tops, ys, wts = zip(*block)
-            th = _theta_star(np.concatenate(ys), np.repeat(tops, [len(y) for y in ys]),
-                             profile, params)
+            i_top = np.repeat(profile.eval(tops), [len(y) for y in ys])
+            th = _theta_star(np.concatenate(ys), i_top, profile, params)
             for j, y, w in zip(idx, ys, wts):
                 yield j, y, w, th[:len(y)]
                 th = th[len(y):]
@@ -215,7 +215,7 @@ def solve_op1(profile: LightProfile, params: ModelParams,
     shapes: list[StemShape1] = []
     for h, length, payoff in zip(roots, L, P):
         y = np.linspace(0.0, h, n_grid + 1)
-        th = _theta_star(y, h, profile, params)
+        th = _theta_star(y, profile.eval(h), profile, params)
         x = trapezoid_cumulative(y, np.cos(th) / np.sin(th))
         lam = (1.0 - math.exp(-params.kappa)) * profile.eval(h)
         shapes.append(StemShape1(h=float(h), y=y, theta=th, x=x,

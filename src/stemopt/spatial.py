@@ -113,7 +113,9 @@ def _capture_slopes(theta, params: ModelParams):
 
 @dataclass
 class Op3Result:
-    """Single stem in a planar light field, from the forward-backward sweep."""
+    """Stems in a planar light field, from the forward-backward sweep.  For a
+    family of m stems every field but `s` leads with an axis of m (`p` is
+    (m, n, 2), the scalars (m,) arrays); `sweeps` is their sum."""
 
     s: np.ndarray
     x: np.ndarray
@@ -127,63 +129,71 @@ class Op3Result:
     theta_left_range: bool      # optimum left [theta0, pi/2] somewhere
 
 
-def solve_op3_single(fld: LightField2D, root_x: float, params: ModelParams,
+def solve_op3_single(fld: LightField2D, root_x, params: ModelParams,
                      n_s: int = 400, max_sweeps: int = 500, tol: float = 1e-9,
                      theta_init: np.ndarray | None = None) -> Op3Result:
-    """Optimal fixed-length stem rooted at (root_x, 0) under a planar field.
+    """Optimal fixed-length stem rooted at (root_x, 0) under a planar field,
+    or the m stems of a family for an array of m roots, with `theta_init`
+    of shape (m, n_s + 1).
 
     Sweeps: integrate the curve forward with the current angles, the costate
     backward from a free tip, re-maximize the pointwise Hamiltonian over the
     full angle range, and relax.  Stationarity of the capture-plus-costate
-    expression is the convergence certificate.
+    expression is the convergence certificate.  A family's stems sweep
+    together, each stopping at its own convergence and keeping its angles
+    from then on, so each row has the bits of a lone call.
     """
     ell, t0 = params.ell, params.theta0
+    roots = np.reshape(np.asarray(root_x, dtype=float), (-1, 1))
     s = np.linspace(0.0, ell, n_s + 1)
-    theta = np.full(n_s + 1, t0) if theta_init is None else theta_init.copy()
+    theta = np.full((len(roots), n_s + 1), t0) if theta_init is None \
+        else np.array(theta_init, dtype=float).reshape(len(roots), n_s + 1)
     th_grid = np.linspace(1e-3, math.pi, 721)
     cos_g, sin_g = np.cos(th_grid), np.sin(th_grid)
     G_g = capture_transverse(th_grid, params)
-    # the Hamiltonian on (node, angle) is formed and maximized in row blocks
-    H = np.empty((min(_H_ROWS, n_s + 1), len(th_grid)))
+    # the Hamiltonian on (node, angle) is maximized in row blocks of all stems' nodes
+    H = np.empty((min(_H_ROWS, theta.size), len(th_grid)))
     term = np.empty_like(H)
-    best = np.empty(n_s + 1, dtype=np.intp)
+    best = np.empty(theta.size, dtype=np.intp)
 
-    converged = False
-    sweeps = 0
-    while True:
-        x, y = _curve(s, theta, root_x)
+    converged = np.zeros(len(roots), dtype=bool)
+    sweeps = np.zeros(len(roots), dtype=int)
+    for sweep in range(max_sweeps + 1):
+        x, y = _curve(s, theta, roots)
         I_s = fld.eval(x, y)
         G_s = capture_transverse(theta, params)
         # p(s) = integral_s^ell grad(I) G ds, backward from p(ell) = 0
         total = trapezoid_cumulative(s, np.stack(fld.grad(x, y)) * G_s)
-        p1, p2 = total[:, -1:] - total
-        if converged or sweeps == max_sweeps:
+        p1, p2 = total[..., -1:] - total
+        if converged.all() or sweep == max_sweeps:
             break
 
-        sweeps += 1
-        for a in range(0, n_s + 1, _H_ROWS):
-            b = min(a + _H_ROWS, n_s + 1)
+        sweeps += ~converged
+        for a in range(0, theta.size, _H_ROWS):
+            b = min(a + _H_ROWS, theta.size)
             h, w = H[:b - a], term[:b - a]
-            np.multiply(p1[a:b, None], cos_g, out=h)
-            h += np.multiply(p2[a:b, None], sin_g, out=w)
-            h += np.multiply(I_s[a:b, None], G_g, out=w)
+            np.multiply(p1.ravel()[a:b, None], cos_g, out=h)
+            h += np.multiply(p2.ravel()[a:b, None], sin_g, out=w)
+            h += np.multiply(I_s.ravel()[a:b, None], G_g, out=w)
             best[a:b] = np.argmax(h, axis=1)
-        th_new = th_grid[best]
+        th_new = th_grid[best.reshape(theta.shape)]
         th_new = _polish(th_new, p1, p2, I_s, params)
 
-        delta = float(np.max(np.abs(th_new - theta)))
-        theta = (1.0 - _OP3_RELAX) * theta + _OP3_RELAX * th_new
-        converged = delta <= tol
+        delta = np.max(np.abs(th_new - theta), axis=-1)
+        theta = np.where(converged[:, None], theta,
+                         (1.0 - _OP3_RELAX) * theta + _OP3_RELAX * th_new)
+        converged |= delta <= tol
 
     station = I_s * _capture_slopes(theta, params)[0] \
         - p1 * np.sin(theta) + p2 * np.cos(theta)
-    payoff = float(np.trapezoid(I_s * G_s, s))
-    left = bool(np.any(theta < t0 - 1e-6) or np.any(theta > math.pi / 2 + 1e-6))
-    return Op3Result(
-        s=s, x=x, y=y, theta=theta, p=np.stack([p1, p2], axis=1),
-        payoff=payoff, stationarity_residual=float(np.max(np.abs(station))),
-        converged=converged, sweeps=sweeps, theta_left_range=left,
-    )
+    left = (theta < t0 - 1e-6) | (theta > math.pi / 2 + 1e-6)
+    fields = dict(x=x, y=y, theta=theta, p=np.stack([p1, p2], axis=-1),
+                  payoff=np.trapezoid(I_s * G_s, s), converged=converged,
+                  stationarity_residual=np.max(np.abs(station), axis=-1),
+                  theta_left_range=np.any(left, axis=-1))
+    if np.ndim(root_x) == 0:   # a lone stem: its row, with Python scalars
+        fields = {k: v[0] if v.ndim > 1 else v[0].item() for k, v in fields.items()}
+    return Op3Result(s=s, sweeps=int(sweeps.sum()), **fields)
 
 
 def _curve(s, theta, root_x):
@@ -359,7 +369,7 @@ def halfline_relaxation(params: ModelParams, rho_scale: float = 0.01,
                         b: float = 1.0, n_stems: int = 9, iterations: int = 10,
                         relax: float = 0.3, grid: int = 160,
                         n_s: int = 200) -> HalflineResult:
-    """Alternate light rebuilds and per-root stem solves on the half line.
+    """Alternate light rebuilds and family sweeps of the stems on the half line.
 
     This reproduces the conjectured boundary-layer picture: roots near the
     origin receive nearly full light and stay perpendicular to the rays,
@@ -377,12 +387,8 @@ def halfline_relaxation(params: ModelParams, rho_scale: float = 0.01,
     converged = False
     report = light_from_family(family, window, grid, grid, params=params)
     for it in range(iterations):
-        new_theta = family.theta.copy()
-        for i in range(len(xi)):
-            res = solve_op3_single(report.field, float(xi[i]), params,
-                                   n_s=n_s, max_sweeps=120, tol=1e-8,
-                                   theta_init=family.theta[i])
-            new_theta[i] = res.theta
+        new_theta = solve_op3_single(report.field, xi, params, n_s=n_s, max_sweeps=120,
+                                     tol=1e-8, theta_init=family.theta).theta
         delta = float(np.max(np.abs(new_theta - family.theta)))
         changes.append(delta)
         family = replace(family, theta=(1.0 - relax) * family.theta

@@ -108,6 +108,36 @@ rho = 0.05
     assert not (tmp_path / "out").exists()
 
 
+def test_grid_override_sets_the_op1_shape_rows(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main(["--scenario", str(_write(tmp_path, OP1_SCENARIO)),
+                     "--out", str(out), "--quiet", "--grid", "64"]) == 0
+    rows = (out / "shape.csv").read_text().splitlines()
+    assert rows[0] == "y,theta,x,I"
+    assert len(rows) - 1 == 65
+
+
+def test_grid_override_out_of_range_rejected(tmp_path, capsys):
+    code = cli.main(["--scenario", str(_write(tmp_path, OP1_SCENARIO)),
+                     "--out", str(tmp_path / "out"), "--quiet", "--grid", "0"])
+    assert code == 1
+    assert "--grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tol_override_reaches_the_op2_shot(tmp_path, monkeypatch):
+    rtols, shoot = [], cli.model2.shoot_op2
+
+    def spy(profile, params, cfg):
+        rtols.append(cfg.rtol)
+        return shoot(profile, params, cfg)
+    monkeypatch.setattr(cli.model2, "shoot_op2", spy)
+    text = _scenario("op2", {"solver": {"h_lo": "0.3", "h_hi": "0.4"}})
+    assert cli.main(["--scenario", str(_write(tmp_path, text)),
+                     "--out", str(tmp_path / "out"), "--quiet", "--tol", "1e-9"]) == 0
+    assert rtols == [1e-9]
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ModelParams)])
 def test_model_params_reject_non_finite(name, value):

@@ -249,6 +249,19 @@ def test_solve_batches_the_feedback_inverse(params45, monkeypatch):
     assert sum(elements) == 139_435
 
 
+
+def test_solve_reads_each_top_light_once(params45, monkeypatch):
+    # the feedback reads I(h) once per height and piece: one read per node
+    # would add about 139,000 elements to the nodes' own
+    elements, light = [], LightProfile.eval
+
+    def counted(self, y):
+        elements.append(np.size(y))
+        return light(self, y)
+    monkeypatch.setattr(LightProfile, "eval", counted)
+    m1.solve_op1(LightProfile.constant_rate_canopy(1.0, 1.0), params45)
+    assert sum(elements) <= 150_000
+
 _LIGHTS = {
     "constant": LightProfile.constant(0.8),
     "step": LightProfile.step(0.7, 1.0),   # two pieces above the jump

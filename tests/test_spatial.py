@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -83,6 +84,57 @@ def test_blocked_hamiltonian_matches_one_block(params45, monkeypatch, n_s):
         assert np.array_equal(res.p, one_block.p)
         assert res.payoff == one_block.payoff
         assert res.sweeps == one_block.sweeps
+
+
+def test_lone_stem_fields_are_python_scalars(params45):
+    # the CLI writes them to JSON, which takes no numpy bool
+    fld = sp.LightField2D.from_function(lambda X, Y: np.full_like(X, 0.8),
+                                        (-1.0, 2.0, 0.0, 1.5), 16, 16)
+    res = sp.solve_op3_single(fld, 0.0, params45, n_s=40)
+    for name, kind in (("payoff", float), ("stationarity_residual", float),
+                       ("converged", bool), ("theta_left_range", bool), ("sweeps", int)):
+        assert type(getattr(res, name)) is kind
+    assert res.theta.shape == res.x.shape == (41,)
+    assert res.p.shape == (41, 2)
+    json.dumps({"payoff": res.payoff, "converged": res.converged,
+                "left": res.theta_left_range, "sweeps": res.sweeps})
+
+
+@pytest.fixture(scope="module")
+def family_case(params45):
+    """A field, five roots and their initial angles, whose rows stop at
+    different sweeps: a cold start, random angles, and the angles that a
+    lone solve at root 1.1 ends its 500 sweeps with, still cycling."""
+    fld = sp.LightField2D.from_function(
+        lambda X, Y: np.clip(0.6 + 0.3 * np.sin(2.0 * X) * Y, 0.0, 1.0),
+        (-1.0, 3.0, 0.0, 1.5), 96, 96)
+    rng = np.random.default_rng(30)
+    cycling = sp.solve_op3_single(fld, 1.1, params45, n_s=80).theta
+    init = np.stack([np.full(81, params45.theta0), rng.uniform(0.3, 2.5, 81), cycling,
+                     cycling + 1e-6 * rng.standard_normal(81), rng.uniform(1.0, 1.2, 81)])
+    return fld, np.array([0.0, 0.4, 1.1, 1.7, 2.2]), init
+
+
+@pytest.mark.parametrize("max_sweeps", [0, 8, 500])
+def test_family_rows_are_lone_solves(params45, family_case, max_sweeps):
+    fld, roots, init = family_case
+    fam = sp.solve_op3_single(fld, roots, params45, n_s=80, max_sweeps=max_sweeps,
+                              theta_init=init)
+    lone = [sp.solve_op3_single(fld, float(root), params45, n_s=80,
+                                max_sweeps=max_sweeps, theta_init=theta)
+            for root, theta in zip(roots, init)]
+    assert fam.theta.shape == fam.x.shape == (5, 81)
+    assert fam.p.shape == (5, 81, 2)
+    for i, one in enumerate(lone):
+        for name in ("theta", "p", "x", "y", "payoff", "converged",
+                     "stationarity_residual", "theta_left_range"):
+            assert np.array_equal(getattr(fam, name)[i], getattr(one, name)), name
+    assert type(fam.sweeps) is int
+    assert fam.sweeps == sum(one.sweeps for one in lone)
+    if max_sweeps == 500:
+        # rows converge at different sweeps, and one stops at the cap
+        assert len({one.sweeps for one in lone if one.converged}) >= 2
+        assert any(one.sweeps == max_sweeps and not one.converged for one in lone)
 
 
 # ---------------------------------------------------------------------------
@@ -229,3 +281,16 @@ def test_halfline_small_density_trend(params45):
     interior = th_root[:-2]
     assert np.all(np.diff(interior) >= -5e-3)
     assert interior[-1] > params45.theta0 + 0.05
+
+
+def test_halfline_sweeps_each_family_in_one_call(params45, monkeypatch):
+    calls, solve = [], sp.solve_op3_single
+
+    def counted(fld, root_x, *args, **kwargs):
+        calls.append(np.shape(root_x))
+        return solve(fld, root_x, *args, **kwargs)
+    monkeypatch.setattr(sp, "solve_op3_single", counted)
+    res = sp.halfline_relaxation(params45, rho_scale=0.01, n_stems=5,
+                                 iterations=2, grid=64, n_s=40)
+    assert res.iterations == 2
+    assert calls == [(5,), (5,)]
