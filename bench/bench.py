@@ -9,11 +9,11 @@ root, measures every entry below and prints one JSON object; the two sides
 alternate, the parent first on even runs.  The JSON file records each run,
 and per side the median and quartiles of every timing.
 
-Kernel layer, microseconds per call (the best of 5 timeit repeats):
-- `eval` plus `derivative` of one float, and `eval_and_slope` on one float
-  where the checkout has it, for each profile kind;
-- `model2._costate_rhs` on one state under a canopy, as a numpy float64
-  height and state, and as Python floats where the checkout takes them;
+Kernel layer, microseconds per call (the best of 5 timeit repeats), on the
+Python float heights and states that DP45 hands the light and costate:
+- `eval` plus `derivative`, and `eval_and_slope` in `kernels.FLOATS`, for
+  each profile kind;
+- `model2._costate_rhs` on one state under a canopy;
 - one DP45 shot under the canopy at its root height, per rhs evaluation;
 - the DP45 loop alone on a trivial linear 3-state right side, per accepted
   step and per rhs evaluation;
@@ -24,7 +24,10 @@ counts, for each solver entry, the rhs evaluations and accepted steps of
 every `numerics.integrate` call, by wrapping the `OdeProblem` it is handed,
 the calls and elements of the feedback inverse `phi_inverse`, and the calls
 and summed sweeps of the planar solve `spatial.solve_op3_single`; the counts
-are deterministic, so the timed runs run unwrapped.
+are deterministic, so the timed runs run unwrapped.  It also counts the
+accepted DP45 steps of one shot at the direct solve's root height, under
+that solve's sampled shade `I_star` and under the coupled shade, at
+rho0 = 0.01 and 0.05.
 
 `--tier1` also runs each side's test suite once and records its wall time.
 Nothing here is a dependency of the package.
@@ -161,30 +164,22 @@ def measure_side(count: bool) -> dict:
     import stemopt
     from stemopt import equilibrium1, kernels, model1, model2, numerics, spatial
     from stemopt.params import Op2Config
-    floats = getattr(kernels, "FLOATS", None) or getattr(model2, "_Floats")
-    y = np.float64(0.3771)   # DP45 hands the light a float64 height
+    floats = kernels.FLOATS
+    y = 0.3771   # DP45 hands the light a Python float height
 
     kernel = {}
     profiles = _profiles(stemopt.LightProfile, np)
     for kind, prof in profiles.items():
-        row = {"eval_derivative_us": _per_call_us(
-            lambda: (prof.eval(y), prof.derivative(y)), 2000)}
-        if hasattr(prof, "eval_and_slope"):
-            row["eval_and_slope_us"] = _per_call_us(
-                lambda: prof.eval_and_slope(y, floats), 2000)
-        kernel[kind] = row
+        kernel[kind] = {
+            "eval_derivative_us": _per_call_us(
+                lambda: (prof.eval(y), prof.derivative(y)), 2000),
+            "eval_and_slope_us": _per_call_us(
+                lambda: prof.eval_and_slope(y, floats), 2000)}
     free = stemopt.ModelParams(theta0=THETA0, alpha=0.5, c=1.0)
     canopy = stemopt.LightProfile.constant_rate_canopy(1.0, 1.0)
-    state = np.array([0.02, 0.4, 0.1])
-    kernel["costate_rhs_us"] = _per_call_us(
+    state = [0.02, 0.4, 0.1]
+    kernel["costate_rhs_floats_us"] = _per_call_us(
         lambda: model2._costate_rhs(y, state, canopy, free, floats), 2000)
-    floats_rhs = lambda: model2._costate_rhs(  # noqa: E731
-        float(y), state.tolist(), canopy, free, floats)
-    try:   # where the checkout's kernel takes a list of floats
-        floats_rhs()
-        kernel["costate_rhs_floats_us"] = _per_call_us(floats_rhs, 2000)
-    except AttributeError:
-        pass
 
     # the DP45 loop alone: a damped oscillator driving a unit-rate decay
     calls = [0]
@@ -252,7 +247,23 @@ def measure_side(count: bool) -> dict:
                 counts[name]["op3_calls"] = counter.op3["calls"]
                 counts[name]["op3_sweeps"] = counter.op3["sweeps"]
         out["counts"] = counts
+        out["root_shot_steps"] = _root_shot_steps(free)
     out["versions"] = {"python": platform.python_version(), "numpy": np.__version__}
+    return out
+
+
+def _root_shot_steps(free) -> dict:
+    """Accepted DP45 steps of one shot at the direct solve's root height,
+    under its sampled shade `I_star` and under the coupled shade."""
+    from stemopt import equilibrium2, model2
+    from stemopt.params import Op2Config
+    cfg, out = Op2Config(), {}
+    for rho0 in (0.01, 0.05):
+        params = dataclasses.replace(free, rho0=rho0)
+        direct = equilibrium2.solve_equilibrium_direct(params, verify=False)
+        out[f"rho0_{rho0}"] = {
+            light: len(model2._shoot_once(direct.h, profile, params, cfg, cfg.rtol).t) - 1
+            for light, profile in (("I_star", direct.I_star), ("coupled", None))}
     return out
 
 
@@ -324,6 +335,8 @@ def main(argv=None) -> int:
             timed[key] = {**_quartiles(values), "runs": values}
         counted = next(r["counts"] for r in results if "counts" in r)
         report[side] = {"timings": timed, "counts": counted,
+                        "root_shot_steps": next(r["root_shot_steps"] for r in results
+                                                if "root_shot_steps" in r),
                         "canopy_shot": results[0]["canopy_shot"],
                         "dp45_loop": results[0]["dp45_loop"],
                         "brent_iters": results[0]["brent_iters"],

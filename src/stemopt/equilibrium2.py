@@ -20,7 +20,6 @@ from .lightfield import LightProfile, check_class_F
 from .model2 import StemState2
 from .params import ModelParams, Op2Config
 
-_Q_CUT = 1e-6   # drop nodes where q/I is residual noise when building shade rates
 _FP_MAX_ITER = 40
 
 
@@ -28,39 +27,16 @@ _FP_MAX_ITER = 40
 # Shading map
 # ---------------------------------------------------------------------------
 
-def _thin_nodes(y: np.ndarray, budget: int = 1600) -> np.ndarray:
-    """Index subset keeping every node in the dense end regions (where the
-    rate is curved), thinning only the smooth middle."""
-    n = len(y)
-    if n <= budget:
-        return np.arange(n)
-    lo, hi = 0.1 * y[-1], 0.9 * y[-1]
-    ends = np.flatnonzero((y < lo) | (y > hi))
-    mid = np.flatnonzero((y >= lo) & (y <= hi))
-    k = max(1, len(mid) // budget)
-    return sorted_unique(np.concatenate([ends, mid[::k], [0, n - 1]]))
-
-
 def shade_map(stem: StemState2, params: ModelParams) -> LightProfile:
     """Light profile cast by a uniform field of identical stems.
 
     I(y) = exp( -(rho0 / cos theta0) * integral_y^inf u / sin theta ), built
-    as a canopy profile from the stem's sampled leaf-density rate.  Nodes
-    where the mass costate is residual-level noise are replaced by a flat
-    rate extension toward the ground.
+    as a canopy profile whose rate knots are the stem's nodes, from y = 0 to
+    the tip y = h.
     """
     d0 = params.rho0 / math.cos(params.theta0)
-    keep = (stem.q / stem.I) > _Q_CUT
-    idx = np.flatnonzero(keep)[_thin_nodes(stem.y[keep])]
-    y = stem.y[idx]
-    rate = d0 * stem.u[idx] / np.sin(stem.theta[idx])
-    if y[0] > 0.0:
-        y = np.concatenate([[0.0], y])
-        rate = np.concatenate([[rate[0]], rate])
-    if y[-1] < stem.h:
-        y = np.concatenate([y, [stem.h]])
-        rate = np.concatenate([rate, [0.0]])
-    return LightProfile.exponential_canopy(y, rate, stem.h)
+    return LightProfile.exponential_canopy(
+        stem.y, d0 * stem.u / np.sin(stem.theta), stem.h)
 
 
 # ---------------------------------------------------------------------------
@@ -121,12 +97,13 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
                                   verify: bool = True) -> Equilibrium2Result:
     """Damped iteration of best response followed by shading.
 
-    I_{k+1} = (1 - damping) I_k + damping * shade(best_response(I_k)),
-    mixed pointwise on a fixed grid, until the sup-norm change drops below
-    1e-8 (at most 40 iterations).  The first two best responses scan for
-    their height; the later ones and the final stem bracket it at four times
-    the last height change around the last height.  Profiles failing the
-    regularity-family check are flagged but the iteration continues.
+    r_{k+1} = (1 - damping) r_k + damping * I'/I of shade(best_response(I_k)),
+    shading rates mixed on a fixed grid, I_k the canopy profile of r_k, until
+    the sup-norm change of I drops below 1e-8 (at most 40 iterations).  The
+    first two best responses scan for their height; the later ones and the
+    final stem bracket it at four times the last height change around the
+    last height.  Profiles failing the regularity-family check are flagged
+    but the iteration continues.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in ]0, 1]")
@@ -154,9 +131,9 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         h_last = stem.h
         multiroot |= len(stem.h_candidates) > 1   # selection rule: best payoff, flagged
         shade = shade_map(stem, params)
-        shade_rate = np.interp(y_grid, shade.rate_y, shade.rate_v,
-                               left=shade.rate_v[0], right=0.0)
-        # damped update in rate space keeps the iterate a C1 canopy profile
+        # the shade's own C1 rate, I'/I, read on the grid (0 above its top);
+        # the damped update in rate space keeps the iterate a C1 canopy profile
+        shade_rate = shade.derivative(y_grid) / shade.eval(y_grid)
         new_rate = (1.0 - damping) * rate_vals + damping * shade_rate
         new_profile = LightProfile.exponential_canopy(y_grid, new_rate,
                                                       float(y_grid[-1]))

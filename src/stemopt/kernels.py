@@ -1,5 +1,6 @@
 """Kernels that more than one solver layer shares: the leaf-capture law, the
-cumulative trapezoid along an array's last axis, a sorted unique, and `FLOATS`.
+running sum and the cumulative trapezoid along an array's last axis, a sorted
+unique, and `FLOATS`.
 The module imports only numpy, `math` and `types`, so a layer that needs only
 these kernels does not execute the fixed-length stem model or the numerics."""
 
@@ -16,10 +17,11 @@ if TYPE_CHECKING:
 
 
 # the numpy names the light and costate kernels use, on one float of the
-# adaptive shot, each giving a Python float; `where` takes both values
+# adaptive shot, each giving Python floats; `where` takes both values
 FLOATS = SimpleNamespace(maximum=max, minimum=min, abs=abs, log=math.log, exp=math.exp,
                          interp=lambda x, xp, fp: np.interp(x, xp, fp).item(),
-                         take=np.ndarray.item, where=lambda cond, a, b: a if cond else b)
+                         take=lambda a, i, axis=-1: a[..., i].tolist(),
+                         where=lambda cond, a, b: a if cond else b)
 
 
 def capture_transverse(theta, params: ModelParams):
@@ -47,18 +49,21 @@ def _G_parts(th, t0, k):
     return G, Gp, Gpp
 
 
+def running_sum(area: np.ndarray) -> np.ndarray:
+    """Partial sums of `area` along its last axis, after a leading 0."""
+    out = np.zeros(area.shape[:-1] + (area.shape[-1] + 1,))
+    np.cumsum(area, axis=-1, out=out[..., 1:])
+    return out
+
+
 def trapezoid_cumulative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Cumulative trapezoid of samples y(x) along y's last axis, which
     matches the nodes x; result[..., 0] = 0."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.zeros(y.shape)
-    # 0.5 * (y[1:] + y[:-1]) * diff(x), in two arrays instead of four
-    area = y[..., 1:] + y[..., :-1]
-    area *= 0.5
-    area *= np.subtract(x[1:], x[:-1], out=out[..., 1:])
-    np.cumsum(area, axis=-1, out=out[..., 1:])
-    return out
+    area = y[..., 1:] + y[..., :-1]   # 0.5 * (y[1:] + y[:-1]) * diff(x), in place
+    area *= 0.5 * np.diff(x)   # exact halving: the same bits as two products
+    return running_sum(area)
 
 
 def sorted_unique(a) -> np.ndarray:

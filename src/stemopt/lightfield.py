@@ -19,7 +19,7 @@ import numpy as np
 
 from . import numerics
 from .errors import NotDifferentiableError
-from .kernels import sorted_unique, trapezoid_cumulative
+from .kernels import running_sum, sorted_unique, trapezoid_cumulative
 from .params import ModelParams
 
 _HOLDER_C, _HOLDER_BETA = 1.0, 0.5   # class-F slope bound C * y^(-beta)
@@ -35,10 +35,10 @@ class LightProfile:
                         inverse of the peak steepness: max I' = (1-eps)/width
     tabulated           piecewise-linear through strictly increasing knots,
                         flat extension at the last knot value
-    exponential-canopy  I(y) = exp(-R(y)), R(y) = integral of a piecewise-
-                        linear shading rate from y up to the canopy height,
-                        exact at the rate knots and linear in between; I' =
-                        rate * I is the slope of the exact integral, not of I
+    exponential-canopy  I(y) = exp(-R(y)), R(y) = exact integral from y up
+                        to the canopy height of a C1 shading rate, the
+                        monotone cubic Hermite interpolant of the rate knots;
+                        I' = rate * I is the slope of I
 
     Each kind's constructor validates its inputs and fixes its one kernel,
     light(y, xp) -> (I, I'), in the arithmetic of `xp`: numpy for arrays,
@@ -115,18 +115,35 @@ class LightProfile:
     def exponential_canopy(rate_y, rate_v, height: float) -> "LightProfile":
         ry, rv = np.asarray(rate_y, float), np.asarray(rate_v, float)
         height = float(height)
-        if np.any(np.diff(ry) <= 0.0):
-            raise ValueError("rate knots must have strictly increasing y")
+        if len(ry) < 2 or np.any(np.diff(ry) <= 0.0):
+            raise ValueError("rate knots must be two or more, with strictly increasing y")
         if np.any(rv < 0.0):
             raise ValueError("shading rate must be non-negative")
         if height <= 0.0:
             raise ValueError("canopy height must be positive")
-        cum = trapezoid_cumulative(ry, rv)   # exact at the knots only
+        # Fritsch-Butland knot slopes (weighted harmonic means, 0 at an extremum,
+        # one-sided at the ends) keep each cell's cubic between its end rates
+        h, dv = np.diff(ry), np.diff(rv)
+        s0, s1 = dv[:-1] / h[:-1], dv[1:] / h[1:]
+        w0, w1 = h[:-1] + 2.0 * h[1:], 2.0 * h[:-1] + h[1:]
+        mid = np.divide((w0 + w1) * s0 * s1, w0 * s1 + w1 * s0,
+                        out=np.zeros_like(s0), where=s0 * s1 > 0.0)
+        slope = np.concatenate([dv[:1] / h[:1], mid, dv[-1:] / h[-1:]])
+        b1, b1_end = h * slope[:-1], h * slope[1:]
+        b2, b3 = 3.0 * dv - 2.0 * b1 - b1_end, b1 + b1_end - 2.0 * dv
+        # per cell, t = (y - y_i) / h_i: rate rv_i + t (b1 + t (b2 + t b3)),
+        # and its integral from y_i, a quartic, exact at the knots in `cum`
+        cum = running_sum(h * (rv[:-1] + (0.5 * b1 + (b2 / 3.0 + 0.25 * b3))))
         total = float(cum[-1])
+        cells, inner = np.stack([ry[:-1], h, cum[:-1], rv[:-1], b1, b2, b3]), ry[1:-1]
 
-        def light(y, xp):   # I' = rate * I below the canopy
-            I = xp.where(y >= height, 1.0, xp.exp(xp.interp(y, ry, cum) - total))
-            return I, xp.where(y < height, xp.interp(y, ry, rv) * I, 0.0)
+        def light(y, xp):   # ndarray.searchsorted takes a float as it takes an array
+            y0, dy, c, v, b1, b2, b3 = xp.take(cells, inner.searchsorted(y, "right"), -1)
+            d = xp.minimum(xp.maximum(y - y0, 0.0), dy)
+            t = d / dy
+            R = c + d * (v + t * (0.5 * b1 + t * (b2 / 3.0 + 0.25 * t * b3)))
+            I = xp.where(y >= height, 1.0, xp.exp(R - total))
+            return I, xp.where(y < height, (v + t * (b1 + t * (b2 + t * b3))) * I, 0.0)
         return LightProfile("exponential-canopy", light, top=height,
                             breakpoints=ry, rate_y=ry, rate_v=rv)
 

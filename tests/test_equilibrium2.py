@@ -35,17 +35,21 @@ def test_shade_zero_density(stem_flat):
 
 
 def test_shade_flat_stem_two_quadratures(stem_flat):
-    # canopy-profile integral against a direct trapezoid of the same rate
-    params = _params(0.02)
-    prof = e2.shade_map(stem_flat, params)
-    d0 = params.rho0 / math.cos(params.theta0)
-    mask = (stem_flat.q / stem_flat.I) > 1e-6
-    y = stem_flat.y[mask]
-    rate = d0 * stem_flat.u[mask] / np.sin(stem_flat.theta[mask])
-    expo = np.concatenate([[0.0], np.cumsum(0.5 * (rate[1:] + rate[:-1])
-                                            * np.diff(y))])
-    direct = np.exp(expo - expo[-1])
-    assert np.max(np.abs(prof.eval(y) - direct)) < 1e-8
+    # the canopy's exact integral against a midpoint rule of the rate it
+    # reports, I'/I, on 32 subcells of each node cell, from each node to the tip
+    prof = e2.shade_map(stem_flat, _params(0.02))
+    y = stem_flat.y
+    width = np.diff(y)[:, None] / 32.0
+    mid = y[:-1, None] + width * (np.arange(32) + 0.5)
+    cell = np.sum(prof.derivative(mid) / prof.eval(mid) * width, axis=1)
+    tail = np.append(np.cumsum(cell[::-1])[::-1], 0.0)
+    assert np.max(np.abs(prof.eval(y) - np.exp(-tail))) < 1e-8
+
+
+def test_shade_knots_are_the_stem_nodes(stem_flat):
+    prof = e2.shade_map(stem_flat, _params(0.02))
+    assert np.array_equal(prof.rate_y, stem_flat.y)
+    assert prof.rate_y[0] == 0.0 and prof.rate_y[-1] == stem_flat.h == prof.top
 
 
 def test_shade_above_canopy_is_one(stem_flat):

@@ -40,7 +40,7 @@ def test_sorted_unique_is_np_unique_on_the_real_grids(unique_inputs, params45,
         ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, rho0=0.0))
     assert set(unique_inputs) == {"stemopt.lightfield", "stemopt.oracles",
                                   "stemopt.model2", "stemopt.equilibrium2"}
-    assert len(unique_inputs["stemopt.equilibrium2"]) >= 2   # node indices, y grid
+    assert len(unique_inputs["stemopt.equilibrium2"]) == 1   # the fixed point's y grid
     for arrays in unique_inputs.values():
         for a in arrays:
             got, want = kernels.sorted_unique(a), np.unique(a)

@@ -117,6 +117,47 @@ def test_derivative_matches_finite_difference():
     assert np.max(np.abs(fd - prof.derivative(ys))) < 1e-6
 
 
+@pytest.mark.parametrize("prof, ys", [
+    (LightProfile.constant(0.7), np.linspace(0.05, 1.5, 30)),
+    (LightProfile.mollified_step(0.3, 0.6, 0.2), np.linspace(0.355, 0.845, 50)),
+    (LightProfile.tabulated([0.0, 0.4, 1.1, 2.0], [0.5, 0.8, 0.95, 1.0]),
+     np.array([0.1, 0.3, 0.5, 0.9, 1.2, 1.9, 2.5])),   # away from the knots
+    (LightProfile.exponential_canopy([0.0, 0.5, 1.0], [2.0, 1.0, 0.0], 1.0),
+     np.linspace(0.01, 0.99, 99)),
+    (LightProfile.exponential_canopy([0.0, 0.1, 0.35, 0.8, 1.3],
+                                     [2.0, 1.4, 0.9, 0.3, 0.0], 1.3),
+     np.linspace(0.01, 1.29, 129)),
+], ids=["constant", "mollified-step", "tabulated", "canopy-3", "canopy-5"])
+def test_derivative_is_the_slope_of_eval(prof, ys):
+    # central differences of eval against derivative, also across the
+    # canopy's rate knots
+    e = 1e-6
+    fd = (prof.eval(ys + e) - prof.eval(ys - e)) / (2.0 * e)
+    slope = prof.derivative(ys)
+    assert np.max(np.abs(fd - slope)) <= 1e-7 * max(1.0, np.max(np.abs(slope)))
+
+
+def test_constant_rate_canopy_is_the_exponential():
+    rate, top = 0.3, 1.5
+    prof = LightProfile.constant_rate_canopy(rate, top)
+    ys = np.linspace(0.0, top, 301)
+    want = np.exp(-rate * (top - ys))
+    floats = np.array([prof.eval_and_slope(y, FLOATS)[0] for y in ys.tolist()])
+    for got in (prof.eval(ys), floats):
+        assert np.max(np.abs(got - want) / want) <= 2.2e-16
+
+
+def test_canopy_rate_stays_non_negative_between_knots():
+    # a rate that rises and falls on uneven knots: the monotone cubic keeps
+    # each cell between its end rates, so it never dips below the zeros
+    ry, rv = [0.0, 0.05, 0.4, 0.45, 1.0, 1.2], [0.0, 3.0, 0.0, 2.5, 0.0, 0.0]
+    prof = LightProfile.exponential_canopy(ry, rv, 1.2)
+    ys = np.linspace(0.0, 1.2, 4801)[:-1]
+    rate = prof.derivative(ys) / prof.eval(ys)
+    assert np.min(rate) >= 0.0
+    assert np.max(rate) <= 3.0 * (1.0 + 1e-15)
+
+
 def test_uniqueness_constant_true(params45):
     ok, margin = check_uniqueness_condition(LightProfile.constant(1.0), params45, 1.0)
     rhs = math.tan(params45.theta0) ** 2 * math.cos(math.pi / 2 - params45.theta0) \
