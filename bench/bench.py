@@ -88,6 +88,13 @@ def _solver_entries(stemopt):
         "solve_op1.canopy": lambda: model1.solve_op1(
             LightProfile.constant_rate_canopy(1.0, 1.0),
             ModelParams(theta0=THETA0, kappa=1.0, ell=1.0)),
+        # two continuity pieces above the jump, and a root on each side of it
+        "solve_op1.step": lambda: model1.solve_op1(
+            LightProfile.step(0.7, 1.0), ModelParams(theta0=THETA0, kappa=1.0, ell=1.2)),
+        # kinks at the knots
+        "solve_op1.tabulated": lambda: model1.solve_op1(
+            LightProfile.tabulated([0.0, 0.5, 1.0], [0.2, 0.5, 1.0]),
+            ModelParams(theta0=THETA0, kappa=1.0, ell=1.0)),
         "halfline_relaxation.3": lambda: spatial.halfline_relaxation(
             ModelParams(theta0=THETA0, kappa=1.0, ell=1.0), iterations=3),
     }

@@ -109,7 +109,7 @@ def _run_eq1(scn: Scenario):
     return {"equilibrium.csv": {"y": res.y, "theta_star": res.theta_star,
                                 "I_star": res.I_star.eval(res.y), "x": res.x},
             "summary.json": {
-                "h_star": res.h_star, "rho_kappa": res.rho_kappa,
+                "h_star": res.h_star, "rho_kappa": scn.params.rho * scn.params.kappa,
                 "residual_refit": res.residual_refit, "residual_map": res.residual_map,
                 "uniqueness_ok": res.uniqueness_ok,
                 "uniqueness_margin": res.uniqueness_margin,
@@ -205,7 +205,7 @@ def _run_halfline(scn: Scenario):
                            "theta": fam.theta.ravel()},
             "field.csv": {"x": X.ravel(), "y": Y.ravel(), "I": fld.I.ravel()},
             "summary.json": {
-                "converged": res.converged, "iterations": res.iterations,
+                "converged": res.converged, "iterations": len(res.changes),
                 "changes": res.changes,
                 "deposited_mass": res.report.deposited_mass,
                 "capped_cells": res.report.capped_cells,

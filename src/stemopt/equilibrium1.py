@@ -35,7 +35,6 @@ class Equilibrium1Result:
     I_star: LightProfile
     residual_refit: float
     residual_map: float
-    rho_kappa: float
     uniqueness_ok: bool          # constructed profile passes the slope test
     uniqueness_margin: float
 
@@ -85,7 +84,7 @@ def solve_equilibrium1(params: ModelParams,
         h_star=h_star, y=y, theta_star=theta_star, x=x, I_star=I_star,
         residual_refit=math.nan,
         residual_map=float(np.max(np.abs(I_star.eval(y) - np.exp(-rho_kappa * s)))),
-        rho_kappa=rho_kappa, uniqueness_ok=uniq_ok, uniqueness_margin=uniq_margin,
+        uniqueness_ok=uniq_ok, uniqueness_margin=uniq_margin,
     )
     return verify_fixed_point(result, params) if verify else result
 

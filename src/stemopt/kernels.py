@@ -19,7 +19,6 @@ if TYPE_CHECKING:
 # the numpy names the light and costate kernels use, on one float of the
 # adaptive shot, each giving Python floats; `where` takes both values
 FLOATS = SimpleNamespace(maximum=max, minimum=min, abs=abs, log=math.log, exp=math.exp,
-                         interp=lambda x, xp, fp: np.interp(x, xp, fp).item(),
                          take=lambda a, i, axis=-1: a[..., i].tolist(),
                          where=lambda cond, a, b: a if cond else b)
 

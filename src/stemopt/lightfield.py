@@ -104,11 +104,13 @@ class LightProfile:
             raise ValueError("tabulated intensities must be non-decreasing")
         if ki.min() < 0.0 or ki.max() > 1.0:
             raise ValueError("intensities must lie in [0, 1]")
-        slopes = np.concatenate([[0.0], np.diff(ki) / np.diff(ky), [0.0]])  # 0 outside
+        # per cell, its left end, value and slope; flat outside the knots
+        cells = np.stack([np.concatenate([ky[:1], ky]), np.concatenate([ki[:1], ki]),
+                          np.concatenate([[0.0], np.diff(ki) / np.diff(ky), [0.0]])])
 
-        def light(y, xp):   # np.searchsorted takes a float as it takes an array
-            return (xp.interp(y, ky, ki),
-                    xp.take(slopes, np.searchsorted(ky, y, side="right")))
+        def light(y, xp):   # ndarray.searchsorted takes a float as it takes an array
+            y0, i0, slope = xp.take(cells, ky.searchsorted(y, "right"), -1)
+            return i0 + slope * (y - y0), slope
         return LightProfile("tabulated", light, top=float(ky[-1]), breakpoints=ky)
 
     @staticmethod

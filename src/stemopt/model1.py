@@ -25,6 +25,8 @@ from .params import ModelParams
 _THETA_CAP = 1e-9  # feedback angle never reaches pi/2; cap the search there
 _TABLE_NODES = 1025  # nodes of the cached feedback table that seeds Newton
 _MAX_NEWTON = 100  # safeguarded iterations; a table seed needs two or three
+_SCAN_HEIGHTS = 1000  # heights of the L(h) scan over ]0, ell]
+_SCAN_CELLS = 128  # Simpson cells per continuity piece of each scanned height
 
 
 # ---------------------------------------------------------------------------
@@ -141,60 +143,56 @@ def _theta_star(y, i_top, profile: LightProfile, params: ModelParams):
     return phi_inverse(z, params)
 
 
-def _simpson_piece(a: float, b: float, n_min: int, density: float):
-    n = max(n_min, int(math.ceil((b - a) * density)))
-    n += n % 2
-    ys = np.linspace(a, b, n + 1)
-    return ys, _simpson_weights(n) * (b - a) / (3.0 * n)
-
-
-def _feedback_nodes(hs, profile: LightProfile, params: ModelParams,
-                    density: float):
-    """(index into hs, ys, wts, theta): Simpson nodes, weights and feedback
-    angles of each continuity piece of the shape stopping at each height of
-    hs, in order.  Consecutive heights share one `phi_inverse` call per block
-    of about `numerics._BLOCK` nodes and one read of each top light I(h),
-    which gives each angle the bits of a call for its height alone."""
-    block, size = [], 0
+def _integrate(hs, n: int, integrand, profile: LightProfile, params: ModelParams):
+    """Per height h of hs, the integral of integrand(y, theta) along the shape
+    stopping at h: composite Simpson on n (even) cells per continuity piece,
+    the piece's edges moved in by 1e-13*max(1, h).  Each (height, piece) row
+    scales one reference grid; rows share one `phi_inverse` call per block of
+    about `numerics._BLOCK` nodes and one read of their top lights I(h), and
+    a height sums its rows in piece order, so it gets the bits of a call for
+    that height alone."""
+    rows = []
     for i, h in enumerate(map(float, hs)):
         eps_edge = 1e-13 * max(1.0, h)
-        for (a, b) in _pieces(profile, 0.0, h):
-            block.append((i, h, *_simpson_piece(a + eps_edge, b - eps_edge, 32, density)))
-            size += len(block[-1][2])
-        if size >= numerics._BLOCK or i == len(hs) - 1:
-            idx, tops, ys, wts = zip(*block)
-            i_top = np.repeat(profile.eval(tops), [len(y) for y in ys])
-            th = _theta_star(np.concatenate(ys), i_top, profile, params)
-            for j, y, w in zip(idx, ys, wts):
-                yield j, y, w, th[:len(y)]
-                th = th[len(y):]
-            block, size = [], 0
+        rows += [(i, h, a + eps_edge, b - eps_edge) for a, b in _pieces(profile, 0.0, h)]
+    idx, tops, lo, hi = map(np.array, zip(*rows))
+    span = hi - lo
+    t, w = np.linspace(0.0, 1.0, n + 1), _simpson_weights(n) / (3.0 * n)
+    per_block = -(-numerics._BLOCK // (n + 1))
+    sums = np.empty(len(rows))
+    for k in range(0, len(rows), per_block):
+        blk = slice(k, k + per_block)
+        ys = lo[blk, None] + span[blk, None] * t
+        th = _theta_star(ys, profile.eval(tops[blk])[:, None], profile, params)
+        sums[blk] = np.sum(integrand(ys, th) * w, axis=-1) * span[blk]
+    out = np.zeros(len(hs))
+    np.add.at(out, idx, sums)
+    return out
+
+
+def _inv_sin(y, th):   # arc length per unit height
+    return 1.0 / np.sin(th)
 
 
 def solve_op1(profile: LightProfile, params: ModelParams,
-              n_grid: int = 2048, scan_samples: int = 1000) -> list[StemShape1]:
+              n_grid: int = 2048) -> list[StemShape1]:
     """All stationary shapes of the fixed-length problem, best payoff first.
 
-    Scans the height equation L(h) = ell for sign changes on each continuity
-    piece of the profile (steep or discontinuous profiles admit several
-    roots), refines each by Brent, and evaluates payoffs to order the
-    candidates; all of them read L(h) through `_feedback_nodes`.  Ties are
-    returned in ascending height order for the caller to break.  Raises
-    DomainError when the light is zero along the whole stem, and
-    NoBracketError when no piece changes sign.
+    Scans the height equation L(h) = ell at about `_SCAN_HEIGHTS` heights for
+    sign changes on each continuity piece of the profile (steep or discontinuous
+    profiles admit several roots), refines each by Brent, and evaluates
+    payoffs to order the candidates; all of them integrate through
+    `_integrate`, the scan on `_SCAN_CELLS` cells per piece and the rest on
+    max(n_grid, 256) cells rounded up to even.  Ties are returned in
+    ascending height order for the caller to break.  Raises DomainError when
+    the light is zero along the whole stem, and NoBracketError when no piece
+    changes sign.
     """
     ell = params.ell
     # profiles are non-decreasing: dark at the top means dark all along
     if profile.eval(ell) <= 0.0:
         raise DomainError(f"light is zero along the whole stem (I({ell!r}) = 0)")
-    scan_density = max(256.0 / ell, scan_samples / ell * 0.25)
-    fine_density = max(float(n_grid) / ell, scan_density)
-
-    def resid(hs, density):
-        L = np.zeros(len(hs))   # piece by piece, in order (sum() compensates on 3.12+)
-        for i, _, wts, th in _feedback_nodes(hs, profile, params, density):
-            L[i] += float(np.sum(wts / np.sin(th)))
-        return L - ell
+    n_fine = max(n_grid + n_grid % 2, 256)
 
     pieces = []
     for (a, b) in _pieces(profile, 1e-9 * ell, ell):
@@ -202,16 +200,15 @@ def solve_op1(profile: LightProfile, params: ModelParams,
         b_in = b - 1e-9 * ell if b < ell else b
         if b_in <= a_in:
             continue
-        n_samp = max(64, int(scan_samples * (b_in - a_in) / ell))
-        hs = np.linspace(a_in, b_in, n_samp)
-        pieces.append((hs, resid(hs, scan_density)))
-    roots = find_roots(lambda h: float(resid([h], fine_density)[0]),
-                       1e-13 * max(1.0, ell), [pieces])
+        hs = np.linspace(a_in, b_in, max(64, int(_SCAN_HEIGHTS * (b_in - a_in) / ell)))
+        pieces.append((hs, _integrate(hs, _SCAN_CELLS, _inv_sin, profile, params) - ell))
+    roots = find_roots(
+        lambda h: float(_integrate([h], n_fine, _inv_sin, profile, params)[0]) - ell,
+        1e-13 * max(1.0, ell), [pieces])
 
-    L, P = np.zeros(len(roots)), np.zeros(len(roots))
-    for i, ys, wts, th in _feedback_nodes(roots, profile, params, fine_density):
-        L[i] += float(np.sum(wts / np.sin(th)))
-        P[i] += float(np.sum(wts * profile.eval(ys) * g_profile(th, params)))
+    L = _integrate(roots, n_fine, _inv_sin, profile, params)
+    P = _integrate(roots, n_fine, lambda y, th: profile.eval(y) * g_profile(th, params),
+                   profile, params)
     shapes: list[StemShape1] = []
     for h, length, payoff in zip(roots, L, P):
         y = np.linspace(0.0, h, n_grid + 1)

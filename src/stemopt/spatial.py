@@ -362,7 +362,6 @@ class HalflineResult:
     report: FieldBuildReport
     changes: list[float] = field(default_factory=list)
     converged: bool = False
-    iterations: int = 0
 
 
 def halfline_relaxation(params: ModelParams, rho_scale: float = 0.01,
@@ -398,4 +397,4 @@ def halfline_relaxation(params: ModelParams, rho_scale: float = 0.01,
             converged = True
             break
     return HalflineResult(family=family, report=report, changes=changes,
-                          converged=converged, iterations=len(changes))
+                          converged=converged)

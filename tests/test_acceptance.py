@@ -210,7 +210,7 @@ def test_criterion_10_property_suites(params45, params2, stem_flat, stem_canopy)
         rate = rng.uniform(0.02, 0.25)
         top = rng.uniform(0.6, 1.2)
         shape = m1.solve_op1(LightProfile.constant_rate_canopy(rate, top),
-                             params45, n_grid=256, scan_samples=200)[0]
+                             params45, n_grid=256)[0]
         if not np.all(np.diff(shape.theta) <= 1e-10):
             failures += 1
     # costate ratio stays in ]0, 1] along free-length trajectories

@@ -162,7 +162,7 @@ def test_perturbation_detector(eq_01):
     fake = e1.Equilibrium1Result(
         h_star=res.h_star, y=res.y, theta_star=res.theta_star + 0.01,
         x=res.x, I_star=res.I_star, residual_refit=0.0, residual_map=0.0,
-        rho_kappa=res.rho_kappa, uniqueness_ok=True, uniqueness_margin=0.0)
+        uniqueness_ok=True, uniqueness_margin=0.0)
     rep = e1.verify_fixed_point(fake, params)
     assert rep.residual_refit >= 0.005
 

@@ -147,6 +147,23 @@ def test_constant_rate_canopy_is_the_exponential():
         assert np.max(np.abs(got - want) / want) <= 2.2e-16
 
 
+def test_tabulated_is_np_interp():
+    # one cell read, I0 + slope (y - y0), gives np.interp's bits on the
+    # numpy and float paths: at the knots, between them and outside the range
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        n = int(rng.integers(2, 300))
+        ky = rng.uniform(-1.0, 1.0) + np.cumsum(rng.uniform(1e-3, 1.0, n))
+        ki = np.sort(rng.uniform(0.0, 1.0, n))
+        prof = LightProfile.tabulated(ky, ki)
+        ys = np.concatenate([ky, 0.5 * (ky[1:] + ky[:-1]),
+                             rng.uniform(ky[0] - 1.0, ky[-1] + 1.0, 2 * n)])
+        want = np.interp(ys, ky, ki).tobytes()
+        floats = np.array([prof.eval_and_slope(y, FLOATS)[0] for y in ys.tolist()])
+        assert prof.eval(ys).tobytes() == want
+        assert floats.tobytes() == want
+
+
 def test_canopy_rate_stays_non_negative_between_knots():
     # a rate that rises and falls on uneven knots: the monotone cubic keeps
     # each cell between its end rates, so it never dips below the zeros

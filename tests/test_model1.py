@@ -235,7 +235,9 @@ def test_solve_dark_ground_has_no_warning(params45):
 
 def test_solve_batches_the_feedback_inverse(params45, monkeypatch):
     # the scan reads L(h) for many heights per `phi_inverse` call: one call
-    # per sample would be about 1,000 calls on the same elements
+    # per sample would be about 1,000 calls on the same elements.  The
+    # elements: 999 scan heights of 129 nodes, then 6 reads of 2,049 nodes
+    # (Brent's 3 steps, the root's length and payoff, the returned angles)
     calls, elements = [], []
     phi_inverse = m1.phi_inverse
 
@@ -246,13 +248,13 @@ def test_solve_batches_the_feedback_inverse(params45, monkeypatch):
     monkeypatch.setattr(m1, "phi_inverse", counted)
     m1.solve_op1(LightProfile.constant_rate_canopy(1.0, 1.0), params45)
     assert len(calls) <= 100
-    assert sum(elements) == 139_435
+    assert sum(elements) == 141_165
 
 
 
 def test_solve_reads_each_top_light_once(params45, monkeypatch):
     # the feedback reads I(h) once per height and piece: one read per node
-    # would add about 139,000 elements to the nodes' own
+    # would add about 141,000 elements to the nodes' own
     elements, light = [], LightProfile.eval
 
     def counted(self, y):
@@ -273,29 +275,49 @@ _LIGHTS = {
 
 @pytest.mark.parametrize("kind", sorted(_LIGHTS))
 def test_feedback_blocks_are_invisible(kind, params45, monkeypatch):
-    # heights spread over several blocks get the nodes, angles and arc
-    # length of a pass over each height alone, bit for bit
+    # heights spread over several blocks get the arc length and payoff of a
+    # pass over each height alone, bit for bit, on the scan's cells and on
+    # the refine's
     profile, hs = _LIGHTS[kind], np.linspace(0.05, 1.2, 97)
-
-    def passes(heights):
-        """Per height: its pieces (ys, wts, theta) and its arc length."""
-        out = [([], 0.0) for _ in heights]
-        for i, ys, wts, th in m1._feedback_nodes(heights, profile, params45, 256.0):
-            pieces, L = out[i]
-            out[i] = (pieces + [(ys, wts, th)], L + float(np.sum(wts / np.sin(th))))
-        return out
-
+    payoff = lambda y, th: profile.eval(y) * m1.g_profile(th, params45)  # noqa: E731
     calls, phi_inverse = [], m1.phi_inverse
     monkeypatch.setattr(m1, "phi_inverse",
                         lambda z, params: calls.append(1) or phi_inverse(z, params))
-    blocked = passes(hs)
-    assert 3 <= len(calls) < len(hs)
-    for h, (pieces, L) in zip(hs, blocked):
-        (alone, L_alone), = passes([h])
-        assert L == L_alone
-        assert len(pieces) == len(alone) == (2 if kind == "step" and h > 1.0 else 1)
-        for got, want in zip(pieces, alone):
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    for n in (m1._SCAN_CELLS, 256):
+        for integrand in (m1._inv_sin, payoff):
+            calls.clear()
+            blocked = m1._integrate(hs, n, integrand, profile, params45)
+            assert 3 <= len(calls) < len(hs)
+            alone = [float(m1._integrate([h], n, integrand, profile, params45)[0])
+                     for h in hs]
+            assert blocked.tolist() == alone
+
+
+def test_refine_is_never_coarser_than_256_cells():
+    # n_grid below the floor sets only the returned shape's grid
+    for profile, ell in ((LightProfile.constant_rate_canopy(1.0, 1.0), 1.0),
+                         (LightProfile.step(0.7, 1.0), 1.2)):   # two roots
+        params = ModelParams(theta0=math.pi / 4, kappa=1.0, ell=ell)
+        coarse = m1.solve_op1(profile, params, n_grid=64)
+        floor = m1.solve_op1(profile, params, n_grid=256)
+        assert [(s.h, s.payoff, s.length_error) for s in coarse] == \
+            [(s.h, s.payoff, s.length_error) for s in floor]
+        assert len(coarse[0].y) == 65
+
+
+@pytest.mark.parametrize("kind,tol", [("constant", 1e-12), ("step", 1e-12),
+                                      ("canopy", 1e-12), ("mollified-step", 5e-9),
+                                      ("tabulated", 5e-9)])
+def test_roots_meet_a_fine_reference_length(kind, tol):
+    # every root's length on 2^16 cells per piece is ell: Simpson's error on
+    # 2,048 cells is set by the profile's kinks, not by smooth light
+    ell = 1.2 if kind == "step" else 1.0   # a root on each side of the jump
+    params = ModelParams(theta0=math.pi / 4, kappa=1.0, ell=ell)
+    profile = _LIGHTS[kind]
+    hs = [s.h for s in m1.solve_op1(profile, params)]
+    assert len(hs) == (2 if kind == "step" else 1)
+    ref = m1._integrate(hs, 2 ** 16, m1._inv_sin, profile, params)
+    assert np.max(np.abs(ref - ell)) <= tol
 
 
 # ---------------------------------------------------------------------------
