@@ -85,6 +85,10 @@ def _solver_entries(stemopt):
                 dataclasses.replace(free, rho0=0.001)),
         "solve_equilibrium1.rho_0.05": lambda: equilibrium1.solve_equilibrium1(
             ModelParams(theta0=THETA0, kappa=1.0, ell=1.0, rho=0.05)),
+        # the shape, profile and map residual alone: most of the verified
+        # entry's time is the refit's solve_op1
+        "solve_equilibrium1.rho_0.05.unverified": lambda: equilibrium1.solve_equilibrium1(
+            ModelParams(theta0=THETA0, kappa=1.0, ell=1.0, rho=0.05), verify=False),
         "solve_op1.canopy": lambda: model1.solve_op1(
             LightProfile.constant_rate_canopy(1.0, 1.0),
             ModelParams(theta0=THETA0, kappa=1.0, ell=1.0)),

@@ -324,7 +324,7 @@ def parse_scenario(path) -> Scenario:
     """Read a scenario file and type every value against its kind's schema;
     a key the kind does not read, misses or cannot use raises ValidationError."""
     path = Path(path)
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh)

@@ -3,9 +3,9 @@
 All stems share one shape; the shade they cast determines the light profile,
 which in turn must make that shape optimal.  At stem length s from the tip
 the log-shade is rho*kappa*s, the leaf mass above, so the angle is explicit
-in s and one forward integration of the depth gives the shape and its
-height: no fixed-point iteration or height search is needed, and the
-fixed-point property is verified a posteriori instead.
+in s and one quadrature of sin(theta) over s gives the depth, the shape and
+its height: no ODE integration, fixed-point iteration or height search is
+needed, and the fixed-point property is verified a posteriori instead.
 """
 
 from __future__ import annotations
@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernels import trapezoid_cumulative
+from .kernels import running_sum, trapezoid_cumulative
 from .lightfield import LightProfile, check_uniqueness_condition
 from .model1 import _theta_star, phi_inverse, solve_op1
-from .numerics import OdeProblem, Trajectory, integrate
+from .numerics import Trajectory, map_blocks
 from .params import ModelParams
 
 _N_GRID = 2048   # cells of the returned equilibrium shape and profile
@@ -43,34 +43,33 @@ def solve_bcp(params: ModelParams) -> Trajectory:
     """Depth of the equilibrium stem below its tip, by stem length s from the tip.
 
     The log-shade at s is rho*kappa*s, so the angle is explicit,
-    theta(s) = phi((e^-kappa - 1) e^(rho kappa s)), starting at theta0, and
-    depth' = sin(theta(s)), depth(0) = 0, is integrated over [0, ell].
+    theta(s) = phi((e^-kappa - 1) e^(rho kappa s)), starting at theta0; the
+    depth, the integral of sin(theta), is composite Simpson on 2 * `_N_GRID`
+    cells, returned at the `_N_GRID` + 1 even nodes with slope sin(theta).
     """
-    rk = params.rho * params.kappa
-    z_top = math.exp(-params.kappa) - 1.0
-
-    def rhs(s, state):
-        return [math.sin(phi_inverse(z_top * math.exp(rk * s), params))]
-
-    return integrate(OdeProblem(1, rhs), (0.0, params.ell), [0.0],
-                     rtol=1e-11, atol=1e-13)
+    s = np.linspace(0.0, params.ell, 2 * _N_GRID + 1)
+    z = (math.exp(-params.kappa) - 1.0) * np.exp(params.rho * params.kappa * s)
+    slope = np.sin(map_blocks(lambda zb: phi_inverse(zb, params), z))
+    pairs = slope[:-2:2] + 4.0 * slope[1:-1:2] + slope[2::2]   # Simpson on cell pairs
+    depth = running_sum(pairs * (params.ell / (6.0 * _N_GRID)))
+    return Trajectory(s[::2], depth[:, None], slope[::2, None])
 
 
 def solve_equilibrium1(params: ModelParams,
                        verify: bool = True) -> Equilibrium1Result:
     """Equilibrium shape, height and light profile for the given density.
 
-    The tip height is the depth of the stem's foot; the shape is sampled at
-    nodes uniform in stem length, the shade profile is assembled from it,
-    and its map residual is measured against exp(-rho*kappa*s), the shade
-    the stem length above each node implies.  With `verify`, the refit
-    residual is measured too, by `verify_fixed_point`.
+    The tip height is the depth of the stem's foot.  The shade profile is
+    assembled from the shape at `solve_bcp`'s nodes, and its map residual is
+    measured against exp(-rho*kappa*s), the shade the stem length above each
+    node implies; with `verify`, `verify_fixed_point` measures the refit too.
     """
-    traj = solve_bcp(params)
-    h_star = float(traj.y[-1, 0])
+    depth = solve_bcp(params).y[::-1, 0]   # foot to tip: y increases
+    h_star = float(depth[0])
+    y = h_star - depth
+    del depth   # the refit below runs without the trajectory's nodes
     rho_kappa = params.rho * params.kappa
-    s = np.linspace(params.ell, 0.0, _N_GRID + 1)   # foot to tip: y increases
-    y = h_star - traj.sample(s)[:, 0]
+    s = np.linspace(params.ell, 0.0, _N_GRID + 1)
     theta_star = phi_inverse((math.exp(-params.kappa) - 1.0) * np.exp(rho_kappa * s),
                              params)
     x = trapezoid_cumulative(y, np.cos(theta_star) / np.sin(theta_star))

@@ -202,22 +202,23 @@ def solve_op1(profile: LightProfile, params: ModelParams,
             continue
         hs = np.linspace(a_in, b_in, max(64, int(_SCAN_HEIGHTS * (b_in - a_in) / ell)))
         pieces.append((hs, _integrate(hs, _SCAN_CELLS, _inv_sin, profile, params) - ell))
-    roots = find_roots(
-        lambda h: float(_integrate([h], n_fine, _inv_sin, profile, params)[0]) - ell,
-        1e-13 * max(1.0, ell), [pieces])
 
-    L = _integrate(roots, n_fine, _inv_sin, profile, params)
+    @functools.cache   # a root's length is the one Brent read there
+    def length_gap(h):
+        return float(_integrate([h], n_fine, _inv_sin, profile, params)[0]) - ell
+
+    roots = find_roots(length_gap, 1e-13 * max(1.0, ell), [pieces])
     P = _integrate(roots, n_fine, lambda y, th: profile.eval(y) * g_profile(th, params),
                    profile, params)
     shapes: list[StemShape1] = []
-    for h, length, payoff in zip(roots, L, P):
+    for h, payoff in zip(roots, P):
         y = np.linspace(0.0, h, n_grid + 1)
         th = _theta_star(y, profile.eval(h), profile, params)
         x = trapezoid_cumulative(y, np.cos(th) / np.sin(th))
         lam = (1.0 - math.exp(-params.kappa)) * profile.eval(h)
         shapes.append(StemShape1(h=float(h), y=y, theta=th, x=x,
                                  payoff=float(payoff), lam=float(lam),
-                                 length_error=float(length - ell)))
+                                 length_error=length_gap(h)))
     shapes.sort(key=lambda s: (-s.payoff, s.h))
     return shapes
 

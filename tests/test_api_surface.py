@@ -327,7 +327,7 @@ def test_the_integrator_runs_on_floats():
     # DP45 keeps its state, stages and tableau in Python floats and tuples:
     # numpy appears in integrate only where it builds the returned
     # Trajectory, not in the helpers integrate calls, and the right sides of
-    # both callers build no numpy array
+    # its one caller, the free-length shot, build no numpy array
     from stemopt import numerics
     tree = ast.parse((SRC / "numerics.py").read_text())
     integrate = _function(tree, "integrate")
@@ -354,14 +354,14 @@ def test_the_integrator_runs_on_floats():
         assert type(value) is tuple and all(type(row) is tuple for row in rows), name
         assert all(type(w) is float for row in rows for w in row), name
 
-    rhs_of = {"model2": ("_costate_rhs", "_sigma_problem"),
-              "equilibrium1": ("solve_bcp",)}
-    for module, functions in rhs_of.items():
-        tree = ast.parse((SRC / f"{module}.py").read_text())
-        for name in functions:
-            fn = _function(tree, name)
-            fn = fn if name == "_costate_rhs" else _function(fn, "rhs")
-            assert "np" not in {_name(node) for node in ast.walk(fn)}, (module, name)
+    callers = {path.stem for path, module in _trees(SRC).items()
+               if path.stem != "numerics"
+               and {"integrate", "OdeProblem"} & {_name(node) for node in ast.walk(module)}}
+    assert callers == {"model2"}, callers
+    tree = ast.parse((SRC / "model2.py").read_text())
+    for fn in (_function(tree, "_costate_rhs"),
+               _function(_function(tree, "_sigma_problem"), "rhs")):
+        assert "np" not in {_name(node) for node in ast.walk(fn)}, fn.name
 
 
 def test_shooting_config_fields_set_by_callers():

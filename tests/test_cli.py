@@ -260,6 +260,19 @@ def test_rejects_what_the_kind_does_not_read_or_cannot_type(tmp_path, capsys, te
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("theta0", "0.5%"), ("kappa", "%(theta0)s")])
+def test_percent_is_read_as_text(tmp_path, capsys, key, value):
+    # a scenario value is its own text: '%' neither escapes nor refers to
+    # another key, so both spellings are malformed numbers
+    text = _scenario("op1", {"params": {key: value}})
+    code = cli.main(["--scenario", str(_write(tmp_path, text)), "--out",
+                     str(tmp_path / "out"), "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"error: params.{key}: malformed value {value!r}" in err
+    assert "Traceback" not in err
+
+
 def test_one_row_csv_profile_rejected(tmp_path, capsys):
     (tmp_path / "one.csv").write_text("y,I\n0.5,0.9\n")
     text = _scenario("op2", {"profile": {"kind": "tabulated", "csv": "one.csv"}})

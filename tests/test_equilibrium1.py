@@ -31,9 +31,14 @@ def _theta_of_s(s, params):
 
 def test_bcp_zero_density_is_flat():
     traj = e1.solve_bcp(_params(0.0))
-    # no shade: theta stays theta0 at every node and the depth is s sin(theta0)
+    # no shade: theta stays theta0 at every node and the depth is s sin(theta0).
+    # Node k sums k <= _N_GRID Simpson terms, each within 4 roundings of exact
+    # (f + 4f, + f, the product and the width), so its error is at most
+    # (k + 4) u times its depth, and u times the depth is below one ulp of h*
     assert np.all(traj.dy[:, 0] == math.sin(math.pi / 4))
-    assert np.max(np.abs(traj.y[:, 0] - traj.t * math.sin(math.pi / 4))) <= 1e-15
+    h_star = traj.y[-1, 0]
+    assert np.max(np.abs(traj.y[:, 0] - traj.t * math.sin(math.pi / 4))) \
+        <= (e1._N_GRID + 4) * np.spacing(h_star)
 
 
 def test_bcp_first_order_taylor():
@@ -110,11 +115,10 @@ def test_fixed_point_residuals(rk):
 
 
 def test_former_runaway_draw():
-    # a wrong feedback root made the equilibrium integration's step size
-    # collapse here
+    # a wrong feedback root once made the step size of the depth's
+    # integration collapse here
     params = ModelParams(theta0=0.7642311192707387, kappa=2.8119289102694713,
                          ell=1.9943380715350787, rho=0.07723037028980666)
-    assert len(e1.solve_bcp(params).t) < 1000
     res = e1.solve_equilibrium1(params)
     assert res.residual_refit <= 1e-6
     assert res.residual_map <= 1e-6
@@ -131,6 +135,28 @@ def test_height_matches_simpson_over_eq1_box():
         height = float(np.sum(weights * np.sin(th))) * params.ell / (3.0 * n)
         res = e1.solve_equilibrium1(params, verify=False)
         assert abs(res.h_star - height) <= 1e-12
+
+
+def test_depth_matches_cumulative_simpson_over_eq1_box():
+    # the depth below the tip at every returned node, against a cumulative
+    # composite Simpson rule on 2^15 cells: 16 of its cells per node
+    n = 2 ** 15
+    for params in _eq1_box_draws(8):
+        th = _theta_of_s(np.linspace(0.0, params.ell, n + 1), params)
+        f = np.sin(th)
+        pairs = (f[:-2:2] + 4.0 * f[1:-1:2] + f[2::2]) * params.ell / (3.0 * n)
+        reference = np.concatenate(([0.0], np.cumsum(pairs)))[::n // (2 * e1._N_GRID)]
+        res = e1.solve_equilibrium1(params, verify=False)
+        depth = (res.h_star - res.y)[::-1]   # tip to foot
+        assert np.max(np.abs(depth - reference)) <= 1e-12
+
+
+def test_residuals_measure_the_equilibrium():
+    # with the depth exact to rounding, both residuals fall to the level of
+    # the profile's and the refit's own quadratures
+    res = e1.solve_equilibrium1(_params(0.05))
+    assert res.residual_map <= 1e-12
+    assert res.residual_refit <= 1e-12
 
 
 def _same_profile(a, b, ys):

@@ -236,8 +236,9 @@ def test_solve_dark_ground_has_no_warning(params45):
 def test_solve_batches_the_feedback_inverse(params45, monkeypatch):
     # the scan reads L(h) for many heights per `phi_inverse` call: one call
     # per sample would be about 1,000 calls on the same elements.  The
-    # elements: 999 scan heights of 129 nodes, then 6 reads of 2,049 nodes
-    # (Brent's 3 steps, the root's length and payoff, the returned angles)
+    # elements: 999 scan heights of 129 nodes, then 5 reads of 2,049 nodes
+    # (Brent's 3 steps, whose last gives the root's length, the root's
+    # payoff, the returned angles)
     calls, elements = [], []
     phi_inverse = m1.phi_inverse
 
@@ -248,7 +249,7 @@ def test_solve_batches_the_feedback_inverse(params45, monkeypatch):
     monkeypatch.setattr(m1, "phi_inverse", counted)
     m1.solve_op1(LightProfile.constant_rate_canopy(1.0, 1.0), params45)
     assert len(calls) <= 100
-    assert sum(elements) == 141_165
+    assert sum(elements) == 139_116
 
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from stemopt import equilibrium1, model2
+from stemopt import model2
 from stemopt import numerics as nx
 from stemopt.errors import (DomainError, NoBracketError, NoSignChangeError, NonFiniteError,
                             StepUnderflowError)
@@ -251,9 +251,9 @@ def test_integrate_step_control_is_pinned(k, tol, steps, evals):
 
 @pytest.mark.parametrize("light", ["canopy", "tabulated", "coupled"])
 def test_right_sides_see_python_floats(light, monkeypatch):
-    # the shot of model2 and the depth of equilibrium1 hand the integrator
-    # a state of Python floats and get one back from each stage, so no
-    # numpy scalar arithmetic runs inside the step loop
+    # the shot of model2 hands the integrator a state of Python floats and
+    # gets one back from each stage, so no numpy scalar arithmetic runs
+    # inside the step loop
     seen = set()
     original = nx.integrate
 
@@ -264,14 +264,12 @@ def test_right_sides_see_python_floats(light, monkeypatch):
             return out
         return original(nx.OdeProblem(problem.dimension, rhs), span, initial, **kwargs)
     monkeypatch.setattr(model2, "integrate", integrate)
-    monkeypatch.setattr(equilibrium1, "integrate", integrate)
     ys = np.linspace(0.0, 1.0, 50)
     profile = {"canopy": LightProfile.constant_rate_canopy(1.0, 1.0),
                "tabulated": LightProfile.tabulated(ys, 0.3 + 0.7 * ys ** 2),
                "coupled": None}[light]
     free = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, rho0=0.05)
     model2.shoot_residual(0.05, profile, free, Op2Config(), 1e-10)
-    equilibrium1.solve_bcp(ModelParams(theta0=math.pi / 4, kappa=1.0, ell=1.0, rho=0.05))
     assert seen == {float}, seen
 
 
