@@ -18,7 +18,7 @@ import numpy as np
 from .kernels import running_sum, trapezoid_cumulative
 from .lightfield import LightProfile, check_uniqueness_condition
 from .model1 import _theta_star, phi_inverse, solve_op1
-from .numerics import Trajectory, map_blocks
+from .numerics import map_blocks
 from .params import ModelParams
 
 _N_GRID = 2048   # cells of the returned equilibrium shape and profile
@@ -39,39 +39,37 @@ class Equilibrium1Result:
     uniqueness_margin: float
 
 
-def solve_bcp(params: ModelParams) -> Trajectory:
-    """Depth of the equilibrium stem below its tip, by stem length s from the tip.
+def solve_bcp(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stem length s from the tip, angle and depth of the equilibrium stem.
 
     The log-shade at s is rho*kappa*s, so the angle is explicit,
     theta(s) = phi((e^-kappa - 1) e^(rho kappa s)), starting at theta0; the
     depth, the integral of sin(theta), is composite Simpson on 2 * `_N_GRID`
-    cells, returned at the `_N_GRID` + 1 even nodes with slope sin(theta).
+    cells, returned tip first at the `_N_GRID` + 1 even nodes, as copies.
     """
     s = np.linspace(0.0, params.ell, 2 * _N_GRID + 1)
     z = (math.exp(-params.kappa) - 1.0) * np.exp(params.rho * params.kappa * s)
-    slope = np.sin(map_blocks(lambda zb: phi_inverse(zb, params), z))
+    theta = map_blocks(lambda zb: phi_inverse(zb, params), z)
+    slope = np.sin(theta)
     pairs = slope[:-2:2] + 4.0 * slope[1:-1:2] + slope[2::2]   # Simpson on cell pairs
     depth = running_sum(pairs * (params.ell / (6.0 * _N_GRID)))
-    return Trajectory(s[::2], depth[:, None], slope[::2, None])
+    return s[::2].copy(), theta[::2].copy(), depth
 
 
 def solve_equilibrium1(params: ModelParams,
                        verify: bool = True) -> Equilibrium1Result:
     """Equilibrium shape, height and light profile for the given density.
 
-    The tip height is the depth of the stem's foot.  The shade profile is
-    assembled from the shape at `solve_bcp`'s nodes, and its map residual is
-    measured against exp(-rho*kappa*s), the shade the stem length above each
-    node implies; with `verify`, `verify_fixed_point` measures the refit too.
+    The shape is `solve_bcp`'s nodes, foot to tip.  The shade profile is
+    assembled from it, and its map residual is measured against
+    exp(-rho*kappa*s), the shade the stem length above each node implies;
+    with `verify`, `verify_fixed_point` measures the refit too.
     """
-    depth = solve_bcp(params).y[::-1, 0]   # foot to tip: y increases
+    s, theta_star, depth = (a[::-1] for a in solve_bcp(params))   # y increases
     h_star = float(depth[0])
     y = h_star - depth
-    del depth   # the refit below runs without the trajectory's nodes
+    del depth   # the refit below runs without the depth's nodes
     rho_kappa = params.rho * params.kappa
-    s = np.linspace(params.ell, 0.0, _N_GRID + 1)
-    theta_star = phi_inverse((math.exp(-params.kappa) - 1.0) * np.exp(rho_kappa * s),
-                             params)
     x = trapezoid_cumulative(y, np.cos(theta_star) / np.sin(theta_star))
     # the shade that identical stems of this shape cast: rate rho*kappa / sin
     I_star = LightProfile.exponential_canopy(y, rho_kappa / np.sin(theta_star),

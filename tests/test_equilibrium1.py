@@ -30,33 +30,59 @@ def _theta_of_s(s, params):
 
 
 def test_bcp_zero_density_is_flat():
-    traj = e1.solve_bcp(_params(0.0))
+    s, theta, depth = e1.solve_bcp(_params(0.0))
     # no shade: theta stays theta0 at every node and the depth is s sin(theta0).
     # Node k sums k <= _N_GRID Simpson terms, each within 4 roundings of exact
     # (f + 4f, + f, the product and the width), so its error is at most
     # (k + 4) u times its depth, and u times the depth is below one ulp of h*
-    assert np.all(traj.dy[:, 0] == math.sin(math.pi / 4))
-    h_star = traj.y[-1, 0]
-    assert np.max(np.abs(traj.y[:, 0] - traj.t * math.sin(math.pi / 4))) \
-        <= (e1._N_GRID + 4) * np.spacing(h_star)
+    assert np.all(theta == math.pi / 4)
+    assert np.max(np.abs(depth - s * math.sin(math.pi / 4))) \
+        <= (e1._N_GRID + 4) * np.spacing(depth[-1])
 
 
 def test_bcp_first_order_taylor():
-    traj = e1.solve_bcp(_params(0.1))
+    s, _, depth = e1.solve_bcp(_params(0.1))
     # depth(s) = s sin(theta0) + O(s^2): the gap quarters when s halves
-    gaps = [traj.sample(np.array([s]))[0, 0] - s * math.sin(math.pi / 4)
-            for s in (0.01, 0.005)]
+    gaps = [depth[k] - s[k] * math.sin(math.pi / 4) for k in (20, 10)]
     assert abs(gaps[0]) < 1e-5
     assert 3.5 < gaps[0] / gaps[1] < 4.5
 
 
 def test_bcp_resubstitution():
+    # the depth's central differences at the nodes give back sin(theta(s))
     params = _params(0.1)
-    traj = e1.solve_bcp(params)
-    ss = np.linspace(1e-4, 0.9, 400)
-    dd = traj.sample(ss + 5e-7)[:, 0] - traj.sample(ss - 5e-7)[:, 0]
-    resid = dd / 1e-6 - np.sin(_theta_of_s(ss, params))
+    s, _, depth = e1.solve_bcp(params)
+    dd = (depth[2:] - depth[:-2]) / (s[2:] - s[:-2])
+    resid = dd - np.sin(_theta_of_s(s[1:-1], params))
     assert np.max(np.abs(resid)) < 1e-6
+
+
+def test_bcp_nodes_are_the_returned_shape():
+    # the solve returns solve_bcp's nodes foot to tip, angles and all
+    params = _params(0.1)
+    s, theta, depth = e1.solve_bcp(params)
+    res = e1.solve_equilibrium1(params, verify=False)
+    assert np.array_equal(res.theta_star, theta[::-1])
+    assert np.array_equal(res.y, depth[-1] - depth[::-1])
+    assert res.h_star == depth[-1]
+
+
+def test_unverified_solve_inverts_the_feedback_once(monkeypatch):
+    # one blocked pass over the 2 * _N_GRID + 1 quadrature nodes gives both
+    # the depth and the returned angles: a second inversion at the returned
+    # nodes would add 2,049 elements
+    calls, elements = [], []
+    phi_inverse = m1.phi_inverse
+
+    def counted(z, params):
+        calls.append(1)
+        elements.append(np.size(z))
+        return phi_inverse(z, params)
+    for module in (e1, m1):
+        monkeypatch.setattr(module, "phi_inverse", counted)
+    e1.solve_equilibrium1(_params(0.05), verify=False)
+    assert sum(elements) == 4_097
+    assert len(calls) == -(-(2 * e1._N_GRID + 1) // numerics._BLOCK)
 
 
 def test_equilibrium_zero_density():
@@ -231,18 +257,15 @@ def eq_draw():
 
 @pytest.mark.parametrize("n", _BLOCKED_SIZES)
 def test_blocked_dense_length_matches_one_shot(n):
-    # the shape on a dense grid in stem length, foot to tip, as the solve
-    # samples it: depth from the dense output, angle explicit in s
-    traj = e1.solve_bcp(_DRAW)
+    # a dense grid in stem length, foot to tip: the angle explicit in s and
+    # the cumulative trapezoid over the height above the foot, blocked and
+    # as one expression
     s = np.linspace(_DRAW.ell, 0.0, n)
-    depth = map_blocks(lambda sb: traj.sample(sb)[:, 0], s)
     th = map_blocks(lambda sb: _theta_of_s(sb, _DRAW), s)
-    ref_depth, ref_th = traj.sample(s)[:, 0], _theta_of_s(s, _DRAW)
-    assert np.array_equal(depth, ref_depth)
-    assert np.array_equal(th, ref_th)
-    y, ref_y = depth[0] - depth, ref_depth[0] - ref_depth
+    assert np.array_equal(th, _theta_of_s(s, _DRAW))
+    y = _DRAW.ell - s
     assert np.array_equal(trapezoid_cumulative(y, np.cos(th) / np.sin(th)),
-                          _one_shot_trapezoid(ref_y, np.cos(ref_th) / np.sin(ref_th)))
+                          _one_shot_trapezoid(y, np.cos(th) / np.sin(th)))
 
 
 def _one_shot_uniqueness_margin(profile, params, ys):
