@@ -23,11 +23,13 @@ Solver layer, seconds of one call per run.  The first run of each side also
 counts, for each solver entry, the rhs evaluations and accepted steps of
 every `numerics.integrate` call, by wrapping the `OdeProblem` it is handed,
 the calls and elements of the feedback inverse `phi_inverse`, and the calls
-and summed sweeps of the planar solve `spatial.solve_op3_single`; the counts
-are deterministic, so the timed runs run unwrapped.  It also counts the
-accepted DP45 steps of one shot at the direct solve's root height, under
-that solve's sampled shade `I_star` and under the coupled shade, at
-rho0 = 0.01 and 0.05.
+and summed sweeps of the planar solve `spatial.solve_op3_single`, and
+records the counted call's tracemalloc peak above what was live before it,
+in MiB (`peak_mib`; the call is warm, as the timed call has filled any
+cache).  The counts and peaks are deterministic, so the timed runs run
+unwrapped and untraced.  It also counts the accepted DP45 steps of one shot
+at the direct solve's root height, under that solve's sampled shade
+`I_star` and under the coupled shade, at rho0 = 0.01 and 0.05.
 
 `--tier1` also runs each side's test suite once and records its wall time.
 Nothing here is a dependency of the package.
@@ -45,6 +47,7 @@ import subprocess
 import sys
 import time
 import timeit
+import tracemalloc
 
 THETA0 = math.pi / 4
 KNOTS = 2864   # knots of the sampled canopy and tabulated light
@@ -243,11 +246,16 @@ def measure_side(count: bool) -> dict:
         counts = {}
         for name, call in _solver_entries(stemopt).items():
             counter = _Counter([numerics, model1, model2, equilibrium1, spatial])
+            tracemalloc.start()
             try:
+                base = tracemalloc.get_traced_memory()[0]
                 call()
+                peak = tracemalloc.get_traced_memory()[1] - base
             finally:
+                tracemalloc.stop()
                 counter.close()
-            counts[name] = {"integrate_calls": len(counter.shots),
+            counts[name] = {"peak_mib": peak / 2 ** 20,
+                            "integrate_calls": len(counter.shots),
                             "rhs_evals": sum(e for e, _ in counter.shots),
                             "steps_accepted": sum(s for _, s in counter.shots),
                             "phi_inverse_calls": counter.phi["calls"],

@@ -117,6 +117,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         np.linspace(0.05 * h0, 2.0 * h0, 1600)]))
     rate_vals = np.zeros_like(y_grid)
     profile: LightProfile = LightProfile.constant(1.0)
+    I_grid = profile.eval(y_grid)   # the iterate's I on the grid
 
     h_last = warm = None
     class_f_ok, multiroot = True, False
@@ -131,17 +132,17 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         h_last = stem.h
         multiroot |= len(stem.h_candidates) > 1   # selection rule: best payoff, flagged
         shade = shade_map(stem, params)
-        # the shade's own C1 rate, I'/I, read on the grid (0 above its top);
-        # the damped update in rate space keeps the iterate a C1 canopy profile
-        shade_rate = shade.derivative(y_grid) / shade.eval(y_grid)
-        new_rate = (1.0 - damping) * rate_vals + damping * shade_rate
+        # the shade's own C1 rate, I'/I, read on the grid in one kernel pass
+        # (0 above its top); the damped update in rate space keeps the
+        # iterate a C1 canopy profile
+        shade_I, shade_slope = shade.eval_and_slope(y_grid, np)
+        new_rate = (1.0 - damping) * rate_vals + damping * (shade_slope / shade_I)
         new_profile = LightProfile.exponential_canopy(y_grid, new_rate,
                                                       float(y_grid[-1]))
-        change = float(np.max(np.abs(new_profile.eval(y_grid)
-                                     - profile.eval(y_grid))))
+        new_I = new_profile.eval(y_grid)
+        change = float(np.max(np.abs(new_I - I_grid)))
         history.append(change)
-        rate_vals = new_rate
-        profile = new_profile
+        rate_vals, profile, I_grid = new_rate, new_profile, new_I
         if not check_class_F(profile, y_max=float(y_grid[-1])).in_class:
             class_f_ok = False
         if change <= 1e-8:

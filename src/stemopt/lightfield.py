@@ -261,8 +261,8 @@ def check_class_F(
                                 profile.discontinuities[0])
     ys = _check_grid(profile, y_max)
     ys = ys[ys > 0.0]
-    bound = _HOLDER_C * ys ** (-_HOLDER_BETA)
-    margins = bound - profile.derivative(ys)
+    margins = numerics.map_blocks(
+        lambda y: _HOLDER_C * y ** (-_HOLDER_BETA) - profile.derivative(y), ys)
     i_worst = int(np.argmin(margins))
     return RegularityReport(
         delta=float(delta),

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DegenerateDenominatorError, DomainError, add_note
 from .kernels import FLOATS, sorted_unique, trapezoid_cumulative
 from .lightfield import LightProfile
-from .numerics import OdeProblem, find_roots, integrate, quad, rk4_mesh
+from .numerics import OdeProblem, find_roots, integrate, map_blocks, quad, rk4_mesh
 from .params import ModelParams, Op2Config
 
 _Q_FLOOR = -0.9         # reduced system extended to slightly negative mass costate
@@ -327,37 +327,46 @@ def _finalize(h, traj, profile, params, cfg: Op2Config) -> StemState2:
     keeps.  Its samples are the integrator nodes, n_out + 1 uniform heights,
     and 321 uniform sigma, which grade them toward the tip where the costate
     curvature blows up; distinct small sigma that map to the same height in
-    floating point keep only the smallest."""
+    floating point keep only the smallest.  They are read, with the
+    Hamiltonian's drift, in blocks (`numerics.map_blocks`)."""
     beta = _stretch(params)
+    t0 = params.theta0
 
-    def read(y, sigma=None):
+    def columns(y, sigma):
         """Columns p, q, z, I, theta, u and w at heights y, from the shot's
-        Hermite dense output at their stretched heights; q is floored at 1e-15 I
-        in the feedback, so u stays finite at the ground, where q is residual."""
-        sigma = (np.maximum(h - y, 0.0) / h) ** beta if sigma is None else sigma
+        Hermite dense output at their stretched heights sigma; q is floored at
+        1e-15 I in the feedback, so u stays finite at the ground, where q is
+        residual."""
         p, q, z = traj.sample(sigma).T
         p, z = np.maximum(p, 0.0), np.maximum(z, 0.0)
         I = _light(y, z, profile, params, np)[0]
-        theta, u, w = feedback_TU(I, p, np.maximum(q, 1e-15 * I), params)
-        return {"p": p, "q": q, "z": z, "I": I, "theta": theta, "u": u, "w": w}
+        return p, q, z, I, *feedback_TU(I, p, np.maximum(q, 1e-15 * I), params)
+
+    def read(y):
+        """The columns at heights y, by name."""
+        sigma = (np.maximum(h - y, 0.0) / h) ** beta
+        return dict(zip(("p", "q", "z", "I", "theta", "u", "w"), columns(y, sigma)))
+
+    def rows(nodes):
+        """p, q, z, I, theta, u and the Hamiltonian, along the integrated (not
+        first-integral) tail mass, one row per node (y, sigma) of `nodes`."""
+        p, q, z, I, theta, u, w = columns(*nodes.T)
+        D = I * _one_minus_r(np.maximum(q, 1e-15 * I) / I, np)
+        S = np.sqrt(math.cos(t0) ** 2 + (w + math.sin(t0)) ** 2)
+        H = p * (math.sin(t0) + w) / S + D * (1.0 + w * math.sin(t0)) / S \
+            - params.c * z ** params.alpha
+        return np.stack([p, q, z, I, theta, u, H], axis=1)
 
     uniform = np.linspace(1.0, 0.0, cfg.n_out + 1) ** beta
     sigma = sorted_unique(np.concatenate([traj.t, uniform, np.linspace(0.0, 1.0, 321)]))
     y = _unstretch(sigma, h, beta)[0]
     keep = np.concatenate([[True], y[1:] < y[:-1]])
     y, sigma = y[keep][::-1], sigma[keep][::-1]
-    p, q, z, I, theta, u, w = read(y, sigma).values()
+    p, q, z, I, theta, u, H = map_blocks(rows, np.stack([y, sigma], axis=1)).T
 
     sin_t = np.sin(theta)
     capture = I * G2(theta, u, params)
     cost_density = params.c * z ** params.alpha
-
-    # Hamiltonian along the integrated (not first-integral) tail mass
-    t0 = params.theta0
-    D = I * _one_minus_r(np.maximum(q, 1e-15 * I) / I, np)
-    S = np.sqrt(math.cos(t0) ** 2 + (w + math.sin(t0)) ** 2)
-    H = p * (math.sin(t0) + w) / S + D * (1.0 + w * math.sin(t0)) / S - cost_density
-
     return StemState2(
         h=float(h), y=y, p=p, q=q, I=I, theta=theta, u=u, z=z,
         x=trapezoid_cumulative(y, np.cos(theta) / sin_t),

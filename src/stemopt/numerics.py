@@ -1,4 +1,5 @@
-"""Shared numerical kernels: bracketed root finding, ODE integration, quadrature.
+"""Shared numerical kernels: bracketed root finding, ODE integration,
+quadrature, and blocked evaluation of elementwise functions.
 
 All routines are pure functions of their inputs and hold no module state, so
 they are safe to call concurrently.  Singular layers are never handled here;
@@ -197,13 +198,12 @@ class Trajectory:
         h = t1 - t0
         s = np.where(h > 0, (ts - t0) / np.where(h == 0, 1.0, h), 0.0)
         s, h = np.clip(s, 0.0, 1.0)[:, None], h[:, None]
-        y0, y1 = y[idx], y[idx + 1]
-        d0, d1 = dy[idx], dy[idx + 1]
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return h00 * y0 + h10 * h * d0 + h01 * y1 + h11 * h * d1
+        # each term gathers its node rows, so one (n, dim) gather is live at a time
+        return h00 * y[idx] + h10 * h * dy[idx] + h01 * y[idx + 1] + h11 * h * dy[idx + 1]
 
 
 # Dormand-Prince 5(4) tableau; the fifth-order weights are the last stage's
@@ -355,12 +355,16 @@ def quad(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
 
 
 def map_blocks(fn, x) -> np.ndarray:
-    """fn(x) for an elementwise fn of a 1-D array, evaluated in blocks of
-    `_BLOCK` elements into one array, so that fn's temporaries do not grow
-    with len(x).  Gives the same bits as fn(x)."""
+    """fn(x) for a fn that maps each element of x (each row of a 2-D x) to a
+    value or to a row of values, evaluated in blocks of `_BLOCK` elements
+    into one array, so that fn's temporaries do not grow with len(x).  Gives
+    the same bits as fn(x)."""
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
+    out = np.empty(0)
     for i in range(0, len(x), _BLOCK):
-        out[i:i + _BLOCK] = fn(x[i:i + _BLOCK])
+        part = fn(x[i:i + _BLOCK])
+        if i == 0:
+            out = np.empty((len(x),) + np.shape(part)[1:])
+        out[i:i + _BLOCK] = part
+        del part   # freed before the next block is formed
     return out
-

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from stemopt import LightProfile, ModelParams, cli
 from stemopt import equilibrium2 as e2
 from stemopt import model2 as m2
+from stemopt import numerics
 from stemopt.errors import NoBracketError, NotConvergedError
 from stemopt.lightfield import check_class_F
 
@@ -284,3 +286,29 @@ def test_full_light_integral_is_computed_once_per_alpha(tmp_path, monkeypatch):
     assert cli.main(["--scenario", str(scenario), "--out", str(tmp_path / "out"),
                      "--quiet"]) == 0
     assert len(calls) == 1
+
+
+def test_eq2_bounded_memory(direct_sweep, params2, canopy_profile, traced_peak):
+    # every dense read of the free-length layer runs in blocks of
+    # numerics._BLOCK points: the stem's read and Hamiltonian drift on its
+    # ~4,600-node output mesh, and the class-F check's ~15,000 slopes
+    params = _params(0.05)
+    assert traced_peak(lambda: e2.solve_equilibrium_direct(
+        params, verify=False)) <= 1.5 * 2 ** 20
+    assert traced_peak(lambda: check_class_F(
+        direct_sweep[0.05].I_star, y_max=2.0 * m2.estimate_h0(params))) <= 0.75 * 2 ** 20
+    assert traced_peak(lambda: m2.shoot_op2(canopy_profile, params2)) <= 1.0 * 2 ** 20
+
+
+@pytest.mark.parametrize("light", ["canopy", "mollified-step", "coupled"])
+def test_blocked_stem_matches_one_shot(light, params2, canopy_profile, monkeypatch):
+    profile, params = {
+        "canopy": (canopy_profile, params2),
+        "mollified-step": (LightProfile.mollified_step(0.5, 0.2, 0.01), params2),
+        "coupled": (None, _params(0.01))}[light]
+    stem = m2.shoot_op2(profile, params)
+    monkeypatch.setattr(numerics, "_BLOCK", sys.maxsize)   # one block
+    ref = m2.shoot_op2(profile, params)
+    for name in ("y", "p", "q", "I", "theta", "u", "z", "x", "T", "payoff",
+                 "transport_cost", "hamiltonian_max_abs"):
+        assert np.array_equal(getattr(stem, name), getattr(ref, name)), name

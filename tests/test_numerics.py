@@ -339,3 +339,31 @@ def test_quad_nonfinite_detection():
         return math.inf if abs(s - 0.5) < 0.2 else 1.0
     with pytest.raises(NonFiniteError):
         nx.quad(f, 0.0, 1.0, 1e-10)
+
+
+# ---------------------------------------------------------------------------
+# map_blocks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [nx._BLOCK - 1, nx._BLOCK, nx._BLOCK + 1])
+def test_map_blocks_gives_the_one_shot_bits(n):
+    x = np.linspace(-3.0, 3.0, n)
+    blocks = []
+
+    def counted(fn):
+        return lambda part: blocks.append(len(part)) or fn(part)
+
+    # one value per element
+    value = lambda v: np.exp(np.sin(v)) / (1.0 + v * v)   # noqa: E731
+    assert np.array_equal(nx.map_blocks(counted(value), x), value(x))
+    assert blocks == [min(n, nx._BLOCK)] + [1] * (n > nx._BLOCK)
+    # one row per element: a dense-output sample of a 2-state shot
+    pr = nx.OdeProblem(2, lambda t, y: [y[1], -math.sin(y[0])])
+    traj = nx.integrate(pr, (0.0, 3.0), [1.0, 0.0], rtol=1e-9, atol=1e-12)
+    ts = np.linspace(0.0, 3.0, n)
+    rows = nx.map_blocks(traj.sample, ts)
+    assert rows.shape == (n, 2) and np.array_equal(rows, traj.sample(ts))
+    # one row per row of a 2-D x
+    pairs = np.stack([x, ts], axis=1)
+    row_fn = lambda r: np.stack([r[:, 0] * r[:, 1], np.hypot(*r.T)], axis=1)  # noqa: E731
+    assert np.array_equal(nx.map_blocks(row_fn, pairs), row_fn(pairs))
