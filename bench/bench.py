@@ -17,9 +17,14 @@ Python float heights and states that DP45 hands the light and costate:
 - one DP45 shot under the canopy at its root height, per rhs evaluation;
 - the DP45 loop alone on a trivial linear 3-state right side, per accepted
   step and per rhs evaluation;
-- one Brent iteration of `numerics.find_root` on a cubic, per evaluation.
+- one Brent iteration of `numerics.find_root` on a cubic, per evaluation;
+- building `LightProfile.exponential_canopy` on 4,642 knots, the size of
+  the direct shade at rho0 = 0.05; the first run of each side also records
+  the build's tracemalloc peak (`canopy_build.peak_mib`).
 
-Solver layer, seconds of one call per run.  The first run of each side also
+Solver layer, seconds of one call per run, among them `eq2.both`: the CLI's
+eq2 runner with `method = both`, which solves and verifies the fixed point
+and the direct method at one pinned rho0.  The first run of each side also
 counts, for each solver entry, the rhs evaluations and accepted steps of
 every `numerics.integrate` call, by wrapping the `OdeProblem` it is handed,
 the calls and elements of the feedback inverse `phi_inverse`, and the calls
@@ -51,10 +56,22 @@ import tracemalloc
 
 THETA0 = math.pi / 4
 KNOTS = 2864   # knots of the sampled canopy and tabulated light
+CANOPY_KNOTS = 4642   # knots of the direct solve's shade at rho0 = 0.05
 
 
 def _per_call_us(fn, number):
     return min(timeit.repeat(fn, number=number, repeat=5)) / number * 1e6
+
+
+def _peak_mib(fn):
+    """The tracemalloc peak of one call above what was live before it, in MiB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def _profiles(LightProfile, np):
@@ -70,9 +87,12 @@ def _profiles(LightProfile, np):
 
 
 def _solver_entries(stemopt):
-    from stemopt import equilibrium1, equilibrium2, model1, model2, spatial
+    from stemopt import cli, equilibrium1, equilibrium2, model1, model2, spatial
     LightProfile, ModelParams = stemopt.LightProfile, stemopt.ModelParams
     free = ModelParams(theta0=THETA0, alpha=0.5, c=1.0)
+    both = cli.Scenario(kind="eq2", params=dataclasses.replace(free, rho0=0.01),
+                        profile=None, options={"method": "both", "damping": 0.5},
+                        source_path="")
     return {
         "shoot_op2.mollified_step": lambda: model2.shoot_op2(
             LightProfile.mollified_step(0.5, 0.2, 0.01), free),
@@ -86,6 +106,8 @@ def _solver_entries(stemopt):
         "solve_equilibrium_fixed_point.rho0_0.001":
             lambda: equilibrium2.solve_equilibrium_fixed_point(
                 dataclasses.replace(free, rho0=0.001)),
+        # both verified solves and the method gaps, as `stemopt` runs them
+        "eq2.both.rho0_0.01": lambda: cli._run_eq2(both),
         "solve_equilibrium1.rho_0.05": lambda: equilibrium1.solve_equilibrium1(
             ModelParams(theta0=THETA0, kappa=1.0, ell=1.0, rho=0.05)),
         # the shape, profile and map residual alone: most of the verified
@@ -109,6 +131,10 @@ def _solver_entries(stemopt):
 
 def _summary(result):
     """The outputs an entry is compared on, as plain floats."""
+    if isinstance(result, tuple):   # a CLI runner's (files, residuals)
+        summary = result[0]["summary.json"]
+        return {name: float(summary[name]) for name in (
+            "h", "residual_map", "residual_refit", "method_gap_I", "method_gap_h")}
     out = {}
     for name in ("h", "payoff", "residual_q0", "residual_map", "residual_refit",
                  "iterations"):
@@ -218,6 +244,12 @@ def measure_side(count: bool) -> dict:
     kernel["brent_us_per_iter"] = _per_call_us(
         lambda: numerics.find_root(cubic, brk, tol=1e-15), 2000) / len(iters)
 
+    knots = np.linspace(0.0, 1.0, CANOPY_KNOTS)
+    rates = 2.0 * (1.0 - knots) ** 2
+    canopy_build = lambda: stemopt.LightProfile.exponential_canopy(  # noqa: E731
+        knots, rates, 1.0)
+    kernel["canopy_build_us"] = _per_call_us(canopy_build, 200)
+
     solver, outputs = {}, {}
     for name, call in _solver_entries(stemopt).items():
         t0 = time.perf_counter()
@@ -246,15 +278,11 @@ def measure_side(count: bool) -> dict:
         counts = {}
         for name, call in _solver_entries(stemopt).items():
             counter = _Counter([numerics, model1, model2, equilibrium1, spatial])
-            tracemalloc.start()
             try:
-                base = tracemalloc.get_traced_memory()[0]
-                call()
-                peak = tracemalloc.get_traced_memory()[1] - base
+                peak = _peak_mib(call)
             finally:
-                tracemalloc.stop()
                 counter.close()
-            counts[name] = {"peak_mib": peak / 2 ** 20,
+            counts[name] = {"peak_mib": peak,
                             "integrate_calls": len(counter.shots),
                             "rhs_evals": sum(e for e, _ in counter.shots),
                             "steps_accepted": sum(s for _, s in counter.shots),
@@ -266,6 +294,7 @@ def measure_side(count: bool) -> dict:
                 counts[name]["op3_calls"] = counter.op3["calls"]
                 counts[name]["op3_sweeps"] = counter.op3["sweeps"]
         out["counts"] = counts
+        out["canopy_build"] = {"knots": CANOPY_KNOTS, "peak_mib": _peak_mib(canopy_build)}
         out["root_shot_steps"] = _root_shot_steps(free)
     out["versions"] = {"python": platform.python_version(), "numpy": np.__version__}
     return out
@@ -359,6 +388,8 @@ def main(argv=None) -> int:
                         "canopy_shot": results[0]["canopy_shot"],
                         "dp45_loop": results[0]["dp45_loop"],
                         "brent_iters": results[0]["brent_iters"],
+                        "canopy_build": next(r["canopy_build"] for r in results
+                                             if "canopy_build" in r),
                         "outputs": results[0]["outputs"]}
     report["median_ratio"] = {
         key: report["change"]["timings"][key]["median"] / value["median"]

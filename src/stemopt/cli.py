@@ -135,13 +135,22 @@ def _run_op2(scn: Scenario):
 
 def _run_eq2(scn: Scenario):
     method = scn.options["method"]
-    results = {}
-    if method in ("direct", "both"):
-        results["direct"] = equilibrium2.solve_equilibrium_direct(scn.params)
-    if method in ("fixed_point", "both"):
-        results["fixed_point"] = equilibrium2.solve_equilibrium_fixed_point(
-            scn.params, damping=scn.options["damping"])
-    primary = results.get("direct") or results["fixed_point"]
+    primary = error = None
+    if method != "direct":
+        try:
+            primary = equilibrium2.solve_equilibrium_fixed_point(
+                scn.params, damping=scn.options["damping"])
+        except StemOptError as exc:
+            if method == "fixed_point":
+                raise
+            error = exc   # raised after the direct solve, whose own error comes first
+    if method != "fixed_point":
+        # of the fixed point, keep only the profile and height that the method
+        # gaps read: its stem is released before the direct solve, the output
+        fixed, primary = primary and (primary.I_star, primary.h), None
+        primary = equilibrium2.solve_equilibrium_direct(scn.params)
+        if error is not None:
+            raise error
     st = primary.stem
     summary = {
         "rho0": scn.params.rho0, "h": primary.h, "iterations": primary.iterations,
@@ -149,12 +158,11 @@ def _run_eq2(scn: Scenario):
         "method": primary.method, "h_roots": primary.h_roots,
         "class_f_ok": primary.class_f_ok, "multiroot_flag": primary.multiroot_flag,
     }
-    if len(results) == 2:
+    if method == "both":
+        I_fixed, h_fixed = fixed
         summary["method_gap_I"] = equilibrium2.profile_gap(
-            results["direct"].I_star, results["fixed_point"].I_star,
-            max(r.h for r in results.values()))
-        summary["method_gap_h"] = abs(results["direct"].h
-                                      - results["fixed_point"].h)
+            primary.I_star, I_fixed, max(primary.h, h_fixed))
+        summary["method_gap_h"] = abs(primary.h - h_fixed)
     return {"equilibrium.csv": {"y": st.y, "theta": st.theta, "u": st.u,
                                 "I_star": primary.I_star.eval(st.y),
                                 "p": st.p, "q": st.q, "z": st.z},

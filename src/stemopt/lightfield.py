@@ -50,8 +50,6 @@ class LightProfile:
     top: float                   # height above which the profile is constant
     discontinuities: tuple[float, ...] = ()
     breakpoints: tuple | np.ndarray = ()   # knots the checks add to their grid
-    rate_y: np.ndarray | None = None
-    rate_v: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -123,21 +121,33 @@ class LightProfile:
             raise ValueError("shading rate must be non-negative")
         if height <= 0.0:
             raise ValueError("canopy height must be positive")
+        # each per-cell array is written into its row of `cells`, rows not yet
+        # due serving as scratch: the one-shot build's operations, so its bits
+        cells = np.empty((7, len(ry) - 1))
+        y0, h, c, v, b1, b2, b3 = cells
+        np.subtract(ry[1:], ry[:-1], out=h)
+        dv = np.subtract(rv[1:], rv[:-1], out=c)
+        s = np.divide(dv, h, out=y0)
+        s0, s1 = s[:-1], s[1:]
         # Fritsch-Butland knot slopes (weighted harmonic means, 0 at an extremum,
         # one-sided at the ends) keep each cell's cubic between its end rates
-        h, dv = np.diff(ry), np.diff(rv)
-        s0, s1 = dv[:-1] / h[:-1], dv[1:] / h[1:]
-        w0, w1 = h[:-1] + 2.0 * h[1:], 2.0 * h[:-1] + h[1:]
-        mid = np.divide((w0 + w1) * s0 * s1, w0 * s1 + w1 * s0,
-                        out=np.zeros_like(s0), where=s0 * s1 > 0.0)
-        slope = np.concatenate([dv[:1] / h[:1], mid, dv[-1:] / h[-1:]])
-        b1, b1_end = h * slope[:-1], h * slope[1:]
-        b2, b3 = 3.0 * dv - 2.0 * b1 - b1_end, b1 + b1_end - 2.0 * dv
+        w0 = np.add(h[:-1], 2.0 * h[1:], out=b1[:-1])
+        w1 = np.add(2.0 * h[:-1], h[1:], out=b2[:-1])
+        slope = np.zeros(len(ry))
+        slope[0], slope[-1] = s[0], s[-1]
+        np.divide(np.multiply((w0 + w1) * s0, s1, out=b3[:-1]),
+                  np.add(w0 * s1, w1 * s0, out=w0), out=slope[1:-1], where=s0 * s1 > 0.0)
+        b1_end = np.multiply(h, slope[1:], out=s)
+        np.multiply(h, slope[:-1], out=b1)
+        del slope
+        np.subtract(3.0 * dv - 2.0 * b1, b1_end, out=b2)
+        np.subtract(b1 + b1_end, 2.0 * dv, out=b3)
         # per cell, t = (y - y_i) / h_i: rate rv_i + t (b1 + t (b2 + t b3)),
         # and its integral from y_i, a quartic, exact at the knots in `cum`
-        cum = running_sum(h * (rv[:-1] + (0.5 * b1 + (b2 / 3.0 + 0.25 * b3))))
-        total = float(cum[-1])
-        cells, inner = np.stack([ry[:-1], h, cum[:-1], rv[:-1], b1, b2, b3]), ry[1:-1]
+        cum = running_sum(np.multiply(h, rv[:-1] + (0.5 * b1 + (b2 / 3.0 + 0.25 * b3)),
+                                      out=dv))
+        y0[:], c[:], v[:] = ry[:-1], cum[:-1], rv[:-1]
+        total, inner = float(cum[-1]), ry[1:-1]
 
         def light(y, xp):   # ndarray.searchsorted takes a float as it takes an array
             y0, dy, c, v, b1, b2, b3 = xp.take(cells, inner.searchsorted(y, "right"), -1)
@@ -146,8 +156,7 @@ class LightProfile:
             R = c + d * (v + t * (0.5 * b1 + t * (b2 / 3.0 + 0.25 * t * b3)))
             I = xp.where(y >= height, 1.0, xp.exp(R - total))
             return I, xp.where(y < height, (v + t * (b1 + t * (b2 + t * b3))) * I, 0.0)
-        return LightProfile("exponential-canopy", light, top=height,
-                            breakpoints=ry, rate_y=ry, rate_v=rv)
+        return LightProfile("exponential-canopy", light, top=height, breakpoints=ry)
 
     @staticmethod
     def constant_rate_canopy(rate: float, height: float) -> "LightProfile":

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -449,8 +450,14 @@ rho = 0.05
     assert header == "y,theta_star,I_star,x"
 
 
-def _fail_not_converged(scenario):
+def _fail_not_converged(*args, **kwargs):
     raise NotConvergedError("fixed point stalled")
+
+
+def _fail_step_underflow(*args, **kwargs):
+    exc = StepUnderflowError("step below floor")
+    add_note(exc, "while refining the bracket [1.0, 2.0]")
+    raise exc
 
 
 @pytest.mark.parametrize("existed", [False, True])
@@ -481,16 +488,38 @@ def test_failed_run_removes_only_the_directory_it_made(
 def test_solver_error_prints_its_notes(tmp_path, monkeypatch, capsys):
     # a note says where a solver error happened, e.g. the bracket Brent was
     # refining; the CLI prints each note below the error line
-    def fail(scenario):
-        exc = StepUnderflowError("step below floor")
-        add_note(exc, "while refining the bracket [1.0, 2.0]")
-        raise exc
-
-    monkeypatch.setitem(cli._KINDS, "op1", cli._KINDS["op1"]._replace(runner=fail))
+    monkeypatch.setitem(cli._KINDS, "op1", cli._KINDS["op1"]._replace(
+        runner=_fail_step_underflow))
     assert cli.main(["--scenario", str(_write(tmp_path, OP1_SCENARIO)),
                      "--out", str(tmp_path / "out"), "--quiet"]) == 1
     assert capsys.readouterr().err == (
         "error: step below floor\nwhile refining the bracket [1.0, 2.0]\n")
+
+
+_STEP_UNDERFLOW = "error: step below floor\nwhile refining the bracket [1.0, 2.0]\n"
+_NOT_CONVERGED = "solver did not converge: fixed point stalled\n"
+
+
+@pytest.mark.parametrize("direct, fixed_point, code, message", [
+    (_fail_step_underflow, None, 1, _STEP_UNDERFLOW),
+    (None, _fail_not_converged, 2, _NOT_CONVERGED),
+    (_fail_step_underflow, _fail_not_converged, 1, _STEP_UNDERFLOW),
+    (_fail_not_converged, _fail_step_underflow, 2, _NOT_CONVERGED),
+], ids=["direct", "fixed-point", "both", "both-direct-not-converged"])
+def test_eq2_both_reports_the_direct_failure_first(tmp_path, monkeypatch, capsys,
+                                                    direct, fixed_point, code, message):
+    # `both` solves the fixed point first, but reports what solving the direct
+    # method first reported: the direct method's error when it fails, else
+    # the fixed point's
+    solved = lambda *args, **kwargs: types.SimpleNamespace(I_star=None, h=0.5)  # noqa: E731
+    monkeypatch.setattr(cli.equilibrium2, "solve_equilibrium_direct", direct or solved)
+    monkeypatch.setattr(cli.equilibrium2, "solve_equilibrium_fixed_point",
+                        fixed_point or solved)
+    out = tmp_path / "out"
+    scenario = _write(tmp_path, _scenario("eq2", {"solver": {"method": "both"}}))
+    assert cli.main(["--scenario", str(scenario), "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
 
 
 OP3_SCENARIO = _scenario("op3", {"profile": {"kind": "exponential-canopy", "rate": "0.1",

@@ -187,8 +187,7 @@ def test_residuals_measure_the_equilibrium():
 
 def _same_profile(a, b, ys):
     return (a.kind == b.kind and a.top == b.top
-            and np.array_equal(a.rate_y, b.rate_y)
-            and np.array_equal(a.rate_v, b.rate_v)
+            and np.array_equal(a.breakpoints, b.breakpoints)
             and np.array_equal(a.eval(ys), b.eval(ys)))
 
 

@@ -20,6 +20,12 @@ def _params(rho0):
     return ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, rho0=rho0)
 
 
+def _shade_rate(stem, params):
+    """The shade's rate at the stem's nodes, d0 u / sin(theta), as
+    `shade_map` hands it to the canopy."""
+    return params.rho0 / math.cos(params.theta0) * stem.u / np.sin(stem.theta)
+
+
 @pytest.fixture(scope="module")
 def direct_sweep():
     return {rho0: e2.solve_equilibrium_direct(_params(rho0), verify=False)
@@ -50,8 +56,8 @@ def test_shade_flat_stem_two_quadratures(stem_flat):
 
 def test_shade_knots_are_the_stem_nodes(stem_flat):
     prof = e2.shade_map(stem_flat, _params(0.02))
-    assert np.array_equal(prof.rate_y, stem_flat.y)
-    assert prof.rate_y[0] == 0.0 and prof.rate_y[-1] == stem_flat.h == prof.top
+    assert np.array_equal(prof.breakpoints, stem_flat.y)
+    assert prof.breakpoints[0] == 0.0 and prof.breakpoints[-1] == stem_flat.h == prof.top
 
 
 def test_shade_above_canopy_is_one(stem_flat):
@@ -186,14 +192,14 @@ def test_fixed_point_warm_brackets_hold_their_root(pair_001, pair_001_shots):
 def test_verify_detects_perturbation(pair_001, dim):
     direct, _, params = pair_001
     prof = direct.I_star
-    ys = prof.rate_y.copy()
+    ys = prof.breakpoints.copy()
     # dim the light below half height by the fraction `dim`, staying in the
     # smooth canopy class: add a narrow rate bump of area -ln(1 - dim) above h/2
     width = 0.05 * direct.h
     mid = direct.h / 2
     bump = -math.log(1.0 - dim) / width * ((ys >= mid) & (ys < mid + width))
     fake_profile = LightProfile.exponential_canopy(
-        ys, prof.rate_v + bump, prof.top)
+        ys, _shade_rate(direct.stem, params) + bump, prof.top)
     fake = e2.Equilibrium2Result(
         I_star=fake_profile, stem=direct.stem, method="direct_shooting",
         iterations=1, residual_map=0.0, residual_refit=0.0, h=direct.h)
@@ -223,9 +229,10 @@ def test_direct_map_residual_detects_a_perturbed_shade(pair_001, monkeypatch,
     shade = e2.shade_map
 
     def denser(stem, params):
-        prof = shade(dataclasses.replace(stem, u=u_scale * stem.u), params)
-        return LightProfile.exponential_canopy(prof.rate_y, rate_scale * prof.rate_v,
-                                               prof.top)
+        stem = dataclasses.replace(stem, u=u_scale * stem.u)
+        prof = shade(stem, params)
+        return LightProfile.exponential_canopy(
+            prof.breakpoints, rate_scale * _shade_rate(stem, params), prof.top)
 
     monkeypatch.setattr(e2, "shade_map", denser)
     perturbed = e2.solve_equilibrium_direct(params, verify=False)
@@ -298,6 +305,17 @@ def test_eq2_bounded_memory(direct_sweep, params2, canopy_profile, traced_peak):
     assert traced_peak(lambda: check_class_F(
         direct_sweep[0.05].I_star, y_max=2.0 * m2.estimate_h0(params))) <= 0.75 * 2 ** 20
     assert traced_peak(lambda: m2.shoot_op2(canopy_profile, params2)) <= 1.0 * 2 ** 20
+
+
+def test_eq2_both_runner_bounded_memory(traced_peak):
+    # `method = both` keeps only the fixed point's profile and height while
+    # the direct method solves and verifies, so no verified stem, with its
+    # dense shot and shade (0.63 MiB), stays alive through the other solve
+    # (a warm peak of 2.05 MiB when the direct result stayed alive through
+    # the fixed point)
+    scn = cli.Scenario(kind="eq2", params=_params(0.01), profile=None,
+                       options={"method": "both", "damping": 0.5}, source_path="")
+    assert traced_peak(lambda: cli._run_eq2(scn)) <= 1.75 * 2 ** 20
 
 
 @pytest.mark.parametrize("light", ["canopy", "mollified-step", "coupled"])

@@ -175,6 +175,76 @@ def test_canopy_rate_stays_non_negative_between_knots():
     assert np.max(rate) <= 3.0 * (1.0 + 1e-15)
 
 
+def _one_shot_canopy(ry, rv, height):
+    """The canopy profile built one array at a time, as `exponential_canopy`
+    built it before it wrote into its cell table: the reference it must
+    match bit for bit."""
+    ry, rv = np.asarray(ry, float), np.asarray(rv, float)
+    h, dv = np.diff(ry), np.diff(rv)
+    s0, s1 = dv[:-1] / h[:-1], dv[1:] / h[1:]
+    w0, w1 = h[:-1] + 2.0 * h[1:], 2.0 * h[:-1] + h[1:]
+    mid = np.divide((w0 + w1) * s0 * s1, w0 * s1 + w1 * s0,
+                    out=np.zeros_like(s0), where=s0 * s1 > 0.0)
+    slope = np.concatenate([dv[:1] / h[:1], mid, dv[-1:] / h[-1:]])
+    b1, b1_end = h * slope[:-1], h * slope[1:]
+    b2, b3 = 3.0 * dv - 2.0 * b1 - b1_end, b1 + b1_end - 2.0 * dv
+    cum = np.concatenate([[0.0], np.cumsum(
+        h * (rv[:-1] + (0.5 * b1 + (b2 / 3.0 + 0.25 * b3))))])
+    total = float(cum[-1])
+    cells, inner = np.stack([ry[:-1], h, cum[:-1], rv[:-1], b1, b2, b3]), ry[1:-1]
+
+    def light(y, xp):
+        y0, dy, c, v, b1, b2, b3 = xp.take(cells, inner.searchsorted(y, "right"), -1)
+        d = xp.minimum(xp.maximum(y - y0, 0.0), dy)
+        t = d / dy
+        R = c + d * (v + t * (0.5 * b1 + t * (b2 / 3.0 + 0.25 * t * b3)))
+        I = xp.where(y >= height, 1.0, xp.exp(R - total))
+        return I, xp.where(y < height, (v + t * (b1 + t * (b2 + t * b3))) * I, 0.0)
+    return LightProfile("exponential-canopy", light, top=height, breakpoints=ry)
+
+
+def _canopy_knots(case):
+    if case == "2-knots":
+        return [0.0, 0.7], [1.3, 0.2], 0.7
+    if case == "3-knots":
+        return [0.0, 0.25, 1.0], [0.4, 2.0, 0.1], 1.0
+    if case == "flat":
+        return np.linspace(0.0, 1.5, 40), np.full(40, 0.8), 1.5
+    if case == "extrema-and-zeros":
+        return ([0.0, 0.05, 0.4, 0.45, 0.7, 1.0, 1.2],
+                [0.0, 3.0, 0.0, 2.5, 2.5, 0.0, 0.0], 1.2)
+    # random knots with the size and unevenness of a direct shade's
+    rng = np.random.default_rng(7)
+    ry = np.cumsum(rng.uniform(1e-5, 1e-3, 4642))
+    ry -= ry[0]
+    return ry, rng.uniform(0.0, 2.0, ry.size) * np.sin(3.0 * ry) ** 2, float(ry[-1])
+
+
+@pytest.mark.parametrize("case", ["2-knots", "3-knots", "flat", "extrema-and-zeros",
+                                  "random-4642"])
+def test_canopy_matches_the_one_shot_build(case):
+    # every cell row is written in place, in the one-shot build's operation
+    # order: the same I and I' bits between, at and beyond the knots
+    ry, rv, height = _canopy_knots(case)
+    prof = LightProfile.exponential_canopy(ry, rv, height)
+    ref = _one_shot_canopy(ry, rv, height)
+    ky = np.asarray(ry, float)
+    mid = 0.5 * (ky[1:] + ky[:-1])
+    ys = np.concatenate([ky, mid, np.linspace(0.0, 1.1 * height, 997)])
+    for got, want in zip(prof.eval_and_slope(ys, np), ref.eval_and_slope(ys, np)):
+        assert got.tobytes() == want.tobytes()
+    floats = [prof.eval_and_slope(y, FLOATS) for y in ys[::37].tolist()]
+    assert floats == [ref.eval_and_slope(y, FLOATS) for y in ys[::37].tolist()]
+
+
+def test_canopy_build_bounded_memory(traced_peak):
+    # the seven cell rows and four knot-sized scratch arrays, not the one-shot
+    # build's ~21 knot-sized arrays (0.71 MiB at 4,642 knots)
+    ry, rv, height = _canopy_knots("random-4642")
+    assert traced_peak(lambda: LightProfile.exponential_canopy(ry, rv, height)) \
+        <= 0.45 * 2 ** 20
+
+
 def test_uniqueness_constant_true(params45):
     ok, margin = check_uniqueness_condition(LightProfile.constant(1.0), params45, 1.0)
     rhs = math.tan(params45.theta0) ** 2 * math.cos(math.pi / 2 - params45.theta0) \
