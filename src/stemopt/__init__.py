@@ -29,7 +29,7 @@ _PUBLIC = {
                "find_nonuniqueness_epsilon"),
     "equilibrium1": ("Equilibrium1Result", "solve_bcp", "solve_equilibrium1",
                      "verify_fixed_point"),
-    "model2": ("G2", "StemState2", "feedback_TU", "z_first_integral", "shoot_op2"),
+    "model2": ("G2", "StemState2", "feedback_TU", "shoot_op2"),
     "equilibrium2": ("Equilibrium2Result", "shade_map", "solve_equilibrium_fixed_point",
                      "solve_equilibrium_direct", "verify_equilibrium"),
     "spatial": ("LightField2D", "StemFamily", "solve_op3_single", "light_from_family",

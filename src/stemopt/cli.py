@@ -373,9 +373,13 @@ def parse_scenario(path) -> Scenario:
     options = {}
     for section, keys in spec.options.items():
         options.update(_read(cp, section, keys))
-    if kind == "op2" and (options["h_lo"] is None) != (options["h_hi"] is None):
-        raise ValidationError("solver.h_lo" if options["h_hi"] is None else "solver.h_hi",
-                              "the warm bracket needs both h_lo and h_hi")
+    if kind == "op2":
+        lo, hi = options["h_lo"], options["h_hi"]
+        if (lo is None) != (hi is None):
+            raise ValidationError("solver.h_lo" if hi is None else "solver.h_hi",
+                                  "the warm bracket needs both h_lo and h_hi")
+        if lo is not None and lo >= hi:
+            raise ValidationError("solver.h_hi", f"{hi!r} is not above h_lo = {lo!r}")
     try:
         params = ModelParams(**values)
         for rho0 in options.get("values", ()):   # each swept density

@@ -79,12 +79,12 @@ def verify_equilibrium(result: Equilibrium2Result,
     """
     fresh = model2.shoot_op2(result.I_star, params)
     ys = np.linspace(0.0, min(fresh.h, result.h) * 0.999, 800)
-    d_theta = np.max(np.abs(fresh.interp("theta", ys)
-                            - result.stem.interp("theta", ys)))
+    new, old = fresh.read(ys), result.stem.read(ys)
+    d_theta = np.max(np.abs(new["theta"] - old["theta"]))
     # the log in the leaf density amplifies ground-level costate noise by 1/q,
     # so the density comparison starts above the ground layer
-    ys_u = ys[ys > 0.05 * result.h]
-    d_u = np.max(np.abs(fresh.interp("u", ys_u) - result.stem.interp("u", ys_u)))
+    above = ys > 0.05 * result.h
+    d_u = np.max(np.abs(new["u"][above] - old["u"][above]))
     return replace(result, residual_refit=float(
         max(d_theta, d_u, abs(fresh.h - result.h))))
 
@@ -93,8 +93,8 @@ def verify_equilibrium(result: Equilibrium2Result,
 # Fixed-point construction
 # ---------------------------------------------------------------------------
 
-def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
-                                  verify: bool = True) -> Equilibrium2Result:
+def solve_equilibrium_fixed_point(params: ModelParams,
+                                  damping: float = 0.5) -> Equilibrium2Result:
     """Damped iteration of best response followed by shading.
 
     r_{k+1} = (1 - damping) r_k + damping * I'/I of shade(best_response(I_k)),
@@ -165,7 +165,7 @@ def solve_equilibrium_fixed_point(params: ModelParams, damping: float = 0.5,
         h_roots=stem.h_candidates, class_f_ok=class_f_ok, multiroot_flag=multiroot,
         history=history,
     )
-    return verify_equilibrium(result, params) if verify else result
+    return verify_equilibrium(result, params)
 
 
 # ---------------------------------------------------------------------------

@@ -254,16 +254,11 @@ def check_uniqueness_condition(
     return margin > 0.0, margin
 
 
-def check_class_F(
-    profile: LightProfile,
-    y_max: float | None = None,
-) -> RegularityReport:
+def check_class_F(profile: LightProfile, y_max: float) -> RegularityReport:
     """Membership in the regular canopy family: I(0) >= 1 - delta and
     I'(y) <= C * y^(-beta) a.e., checked on a dense grid plus all knots,
     with the constants C = 1, beta = 1/2 that the equilibrium theory fixes.
     """
-    if y_max is None:
-        y_max = max(profile.top, 1.0)
     delta = 1.0 - profile.eval(0.0)
     if profile.discontinuities:
         return RegularityReport(delta, False, -math.inf,

@@ -92,23 +92,6 @@ def feedback_TU(I, p, q, params: ModelParams):
     return theta, U, w
 
 
-def z_first_integral(I, p, q, params: ModelParams):
-    """Tail mass from the conserved Hamiltonian (zero on optimal paths):
-
-    z = c^(-1/alpha) { ([I-q+q ln(q/I)] cos t0)^2
-                        + (p + [I-q+q ln(q/I)] sin t0)^2 }^(1/(2 alpha))
-    """
-    I_arr = np.asarray(I, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    q_arr = np.asarray(q, dtype=float)
-    D = I_arr * _one_minus_r(q_arr / I_arr, np)
-    t0 = params.theta0
-    inner = (D * math.cos(t0)) ** 2 + (p_arr + D * math.sin(t0)) ** 2
-    val = params.c ** (-1.0 / params.alpha) * inner ** (1.0 / (2.0 * params.alpha))
-    scalar = all(np.isscalar(v) or np.asarray(v).ndim == 0 for v in (I, p, q))
-    return float(val) if scalar else val
-
-
 def _rhs_terms(I, p, q, params: ModelParams, xp):
     """f1, f2 and the tail-mass slope, with the negative-q guard applied and
     D floored at 1e-300, in the arithmetic of `xp`."""
@@ -214,10 +197,6 @@ class StemState2:
     residual_q0: float
     read: Callable[..., dict]
     h_candidates: list[float] = field(default_factory=list)
-
-    def interp(self, name: str, yq):
-        """A column at heights yq, read through the stem's shot."""
-        return self.read(np.asarray(yq, dtype=float))[name]
 
 
 def _sigma_problem(h, profile, params):

@@ -47,14 +47,6 @@ class LightField2D:
             raise ValueError("intensity values must lie in [0, 1]")
 
     @staticmethod
-    def from_function(f, window, nx: int = 256, ny: int = 256) -> "LightField2D":
-        x0, x1, y0, y1 = window
-        xs = np.linspace(x0, x1, nx)
-        ys = np.linspace(y0, y1, ny)
-        X, Y = np.meshgrid(xs, ys)
-        return LightField2D(xs, ys, np.clip(f(X, Y), 0.0, 1.0))
-
-    @staticmethod
     def stratified(profile: LightProfile, window, nx: int = 64,
                    ny: int = 2048) -> "LightField2D":
         """Vertically stratified field I(x, y) = profile(y)."""
@@ -240,17 +232,12 @@ class StemFamily:
         object.__setattr__(self, "y", y)
 
     @staticmethod
-    def uniform_angles(xi, rho_bar, params: ModelParams, n_s: int = 200,
-                       theta=None) -> "StemFamily":
+    def uniform_angles(xi, rho_bar, params: ModelParams, n_s: int = 200) -> "StemFamily":
         xi = np.asarray(xi, dtype=float)
         s = np.linspace(0.0, params.ell, n_s + 1)
-        th = np.full((len(xi), n_s + 1), params.theta0 if theta is None else theta)
+        th = np.full((len(xi), n_s + 1), params.theta0)
         return StemFamily(xi=xi, rho_bar=np.asarray(rho_bar, dtype=float), s=s,
                           theta=th, kappa=params.kappa, ell=params.ell)
-
-    def total_leaf_mass(self) -> float:
-        """kappa * integral rho_bar(xi) * ell dxi over the root interval."""
-        return float(self.kappa * self.ell * np.trapezoid(self.rho_bar, self.xi))
 
 
 def rho_bar_ramp(xi, b: float, scale: float = 1.0):

@@ -28,7 +28,7 @@ def eq2_cases(pair_001):
     # do not read, so the verified rho0 = 0.01 pair serves them too
     params = ModelParams(theta0=math.pi / 4, alpha=0.5, c=1.0, rho0=0.001)
     return {0.001: (e2.solve_equilibrium_direct(params, verify=False),
-                    e2.solve_equilibrium_fixed_point(params, verify=False),
+                    e2.solve_equilibrium_fixed_point(params),
                     params),
             0.01: pair_001}
 
@@ -51,7 +51,7 @@ def test_criterion_01_op1_flat_light_closed_form():
 def test_criterion_02_op2_flat_light_closed_form(stem_flat, params2):
     dh = abs(stem_flat.h - H0_EXACT)
     ys = np.linspace(0.0, stem_flat.h * 0.98, 100)
-    dq = float(np.max(np.abs(stem_flat.interp("q", ys)
+    dq = float(np.max(np.abs(stem_flat.read(ys)["q"]
                              - oracles.closed_form_q(ys, stem_flat.h, params2))))
     dz = abs(stem_flat.z[0] - 1.0)
     _report(2, "flat-light free-length closed form",

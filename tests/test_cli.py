@@ -237,6 +237,10 @@ def _rejected_cases():
          "inf"),
         ("op2", _scenario("op2", {"solver": {"h_lo": "0.3"}}), "solver.h_lo", "alone"),
         ("op2", _scenario("op2", {"solver": {"h_hi": "0.4"}}), "solver.h_hi", "alone"),
+        ("op2", _scenario("op2", {"solver": {"h_lo": "0.5", "h_hi": "0.2"}}),
+         "solver.h_hi", "reversed"),
+        ("op2", _scenario("op2", {"solver": {"h_lo": "0.3", "h_hi": "0.3"}}),
+         "solver.h_hi", "equal"),
         ("eq2", _scenario("eq2", {"solver": {"method": "fixed_point", "damping": "2"}}),
          "solver.damping", "fixed_point-2"),
         ("halfline", _scenario("halfline", {"halfline": {"n_stems": "0"}}),

@@ -31,7 +31,7 @@ def unique_inputs(monkeypatch):
 
 def test_sorted_unique_is_np_unique_on_the_real_grids(unique_inputs, params45,
                                                       params2, canopy_profile):
-    lightfield.check_class_F(LightProfile.mollified_step(0.3, 0.6, 0.1))
+    lightfield.check_class_F(LightProfile.mollified_step(0.3, 0.6, 0.1), y_max=1.0)
     lightfield.check_uniqueness_condition(canopy_profile, params45, 1.0)
     oracles.oracle_op1(canopy_profile, params45, 8, 9)   # descent, refined grids
     stem = model2.shoot_op2(LightProfile.constant(1.0), params2)

@@ -268,7 +268,7 @@ def test_uniqueness_small_canopy_true():
 
 
 def test_class_f_constant():
-    rep = check_class_F(LightProfile.constant(1.0))
+    rep = check_class_F(LightProfile.constant(1.0), y_max=1.0)
     assert rep.in_class
     assert rep.delta == 0.0
 

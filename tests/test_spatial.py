@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,24 @@ from stemopt import model1 as m1
 from stemopt import spatial as sp
 
 
+def _field(f, window, nx, ny):
+    """The field of intensity f(X, Y), clipped to [0, 1], on an nx by ny grid
+    of `window` (x0, x1, y0, y1)."""
+    x0, x1, y0, y1 = window
+    xs, ys = np.linspace(x0, x1, nx), np.linspace(y0, y1, ny)
+    return sp.LightField2D(xs, ys, np.clip(f(*np.meshgrid(xs, ys)), 0.0, 1.0))
+
+
+def _vertical(family):
+    """The family with every stem vertical."""
+    return replace(family, theta=np.full_like(family.theta, math.pi / 2))
+
+
 @pytest.fixture(scope="module")
 def vertical_family(params45):
     xi = np.linspace(0.0, 3.0, 101)
-    return sp.StemFamily.uniform_angles(xi, np.full(101, 0.3), params45,
-                                        n_s=100, theta=math.pi / 2)
+    return _vertical(sp.StemFamily.uniform_angles(xi, np.full(101, 0.3), params45,
+                                                  n_s=100))
 
 
 # ---------------------------------------------------------------------------
@@ -21,8 +35,8 @@ def vertical_family(params45):
 # ---------------------------------------------------------------------------
 
 def test_constant_field_perpendicular_optimum(params45):
-    fld = sp.LightField2D.from_function(lambda X, Y: np.full_like(X, 0.8),
-                                        (-1.0, 2.0, 0.0, 1.5), 64, 64)
+    fld = _field(lambda X, Y: np.full_like(X, 0.8),
+                 (-1.0, 2.0, 0.0, 1.5), 64, 64)
     res = sp.solve_op3_single(fld, 0.0, params45)
     assert res.converged
     assert np.max(np.abs(res.theta - params45.theta0)) < 1e-12
@@ -44,9 +58,8 @@ def test_stratified_field_reduces_to_height_model(params45, canopy_profile):
 
 
 def test_sideways_gradient_bends_right(params45):
-    fld = sp.LightField2D.from_function(
-        lambda X, Y: np.clip(0.5 + 0.2 * X, 0.0, 1.0),
-        (-1.0, 3.0, 0.0, 1.5), 128, 64)
+    fld = _field(lambda X, Y: np.clip(0.5 + 0.2 * X, 0.0, 1.0),
+                 (-1.0, 3.0, 0.0, 1.5), 128, 64)
     res = sp.solve_op3_single(fld, 0.0, params45)
     assert res.converged
     assert res.stationarity_residual <= 1e-5
@@ -57,10 +70,10 @@ def test_sideways_gradient_bends_right(params45):
 def test_family_curves_match_the_single_stem(params45):
     rng = np.random.default_rng(15)
     xi = np.array([0.0, 0.7, 2.3])
-    fam = sp.StemFamily.uniform_angles(xi, np.ones(3), params45, n_s=120,
-                                       theta=rng.uniform(0.2, 3.0, (3, 121)))
-    fld = sp.LightField2D.from_function(lambda X, Y: np.full_like(X, 0.8),
-                                        (-1.0, 4.0, 0.0, 1.5), 16, 16)
+    fam = replace(sp.StemFamily.uniform_angles(xi, np.ones(3), params45, n_s=120),
+                  theta=rng.uniform(0.2, 3.0, (3, 121)))
+    fld = _field(lambda X, Y: np.full_like(X, 0.8),
+                 (-1.0, 4.0, 0.0, 1.5), 16, 16)
     for i, root in enumerate(xi):
         res = sp.solve_op3_single(fld, float(root), params45, n_s=120,
                                   max_sweeps=0, theta_init=fam.theta[i])
@@ -70,9 +83,8 @@ def test_family_curves_match_the_single_stem(params45):
 
 @pytest.mark.parametrize("n_s", [63, 64, 800])
 def test_blocked_hamiltonian_matches_one_block(params45, monkeypatch, n_s):
-    fld = sp.LightField2D.from_function(
-        lambda X, Y: np.clip(0.5 + 0.2 * X, 0.0, 1.0),
-        (-1.0, 3.0, 0.0, 1.5), 128, 64)
+    fld = _field(lambda X, Y: np.clip(0.5 + 0.2 * X, 0.0, 1.0),
+                 (-1.0, 3.0, 0.0, 1.5), 128, 64)
     results = [sp.solve_op3_single(fld, 0.0, params45, n_s=n_s)]
     for rows in (7, n_s + 1):
         monkeypatch.setattr(sp, "_H_ROWS", rows)
@@ -88,8 +100,8 @@ def test_blocked_hamiltonian_matches_one_block(params45, monkeypatch, n_s):
 
 def test_lone_stem_fields_are_python_scalars(params45):
     # the CLI writes them to JSON, which takes no numpy bool
-    fld = sp.LightField2D.from_function(lambda X, Y: np.full_like(X, 0.8),
-                                        (-1.0, 2.0, 0.0, 1.5), 16, 16)
+    fld = _field(lambda X, Y: np.full_like(X, 0.8),
+                 (-1.0, 2.0, 0.0, 1.5), 16, 16)
     res = sp.solve_op3_single(fld, 0.0, params45, n_s=40)
     for name, kind in (("payoff", float), ("stationarity_residual", float),
                        ("converged", bool), ("theta_left_range", bool), ("sweeps", int)):
@@ -105,9 +117,8 @@ def family_case(params45):
     """A field, five roots and their initial angles, whose rows stop at
     different sweeps: a cold start, random angles, and the angles that a
     lone solve at root 1.1 ends its 500 sweeps with, still cycling."""
-    fld = sp.LightField2D.from_function(
-        lambda X, Y: np.clip(0.6 + 0.3 * np.sin(2.0 * X) * Y, 0.0, 1.0),
-        (-1.0, 3.0, 0.0, 1.5), 96, 96)
+    fld = _field(lambda X, Y: np.clip(0.6 + 0.3 * np.sin(2.0 * X) * Y, 0.0, 1.0),
+                 (-1.0, 3.0, 0.0, 1.5), 96, 96)
     rng = np.random.default_rng(30)
     cycling = sp.solve_op3_single(fld, 1.1, params45, n_s=80).theta
     init = np.stack([np.full(81, params45.theta0), rng.uniform(0.3, 2.5, 81), cycling,
@@ -224,21 +235,23 @@ def test_splat_on_the_right_edge_stays_in_the_last_column(params45, monkeypatch)
     # only the stem rooted on the edge carries mass; the splat is the
     # transpose of the sampler, which reads the edge node alone there
     monkeypatch.setattr(sp, "_SMOOTH_PASSES", 0)
-    fam = sp.StemFamily.uniform_angles(np.array([2.0, 2.5, 3.0]),
-                                       np.array([0.3, 0.0, 0.0]), params45,
-                                       n_s=50, theta=math.pi / 2)
+    fam = _vertical(sp.StemFamily.uniform_angles(np.array([2.0, 2.5, 3.0]),
+                                                 np.array([0.3, 0.0, 0.0]), params45,
+                                                 n_s=50))
     rep = sp.light_from_family(fam, (-1.0, 2.0, 0.0, 1.3), 64, 64,
                                params=params45)
     cell = (rep.field.x[1] - rep.field.x[0]) * (rep.field.y[1] - rep.field.y[0])
     assert np.all(rep.vegetation[:, :-1] == 0.0)
     assert rep.vegetation[:, -1].sum() * cell == pytest.approx(rep.deposited_mass)
-    assert rep.deposited_mass == pytest.approx(fam.total_leaf_mass())
+    assert rep.deposited_mass == pytest.approx(
+        fam.kappa * fam.ell * np.trapezoid(fam.rho_bar, fam.xi))
 
 
 def test_family_mass_conservation(params45, vertical_family):
     rep = sp.light_from_family(vertical_family, (-1.0, 4.0, 0.0, 1.3),
                                256, 256, params=params45)
-    expected = vertical_family.total_leaf_mass()
+    expected = vertical_family.kappa * vertical_family.ell * np.trapezoid(
+        vertical_family.rho_bar, vertical_family.xi)
     assert abs(rep.deposited_mass - expected) <= 0.02 * expected
 
 
