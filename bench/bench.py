@@ -36,6 +36,14 @@ unwrapped and untraced.  It also counts the accepted DP45 steps of one shot
 at the direct solve's root height, under that solve's sampled shade
 `I_star` and under the coupled shade, at rho0 = 0.01 and 0.05.
 
+Set-up layer, per scenario kind, in a fresh interpreter that compiles
+stemopt from source (an empty `PYTHONPYCACHEPREFIX` and
+`PYTHONDONTWRITEBYTECODE=1`, as on a host that writes no bytecode), from
+`import stemopt` through `cli.parse_scenario`, with numpy and the standard
+library modules stemopt imports loaded first: the seconds of each run
+(`setup.<kind>.s` in the timings) and, in the first run, the tracemalloc
+peak in MiB (`setup.<kind>.peak_mib`).
+
 `--tier1` also runs each side's test suite once and records its wall time.
 Nothing here is a dependency of the package.
 """
@@ -43,20 +51,36 @@ Nothing here is a dependency of the package.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
+import importlib.util
 import json
 import math
 import os
 import platform
 import subprocess
 import sys
+import tempfile
 import time
 import timeit
 import tracemalloc
+from pathlib import Path
 
 THETA0 = math.pi / 4
 KNOTS = 2864   # knots of the sampled canopy and tabulated light
 CANOPY_KNOTS = 4642   # knots of the direct solve's shade at rho0 = 0.05
+# per kind: its [params] keys, whether it reads a [profile], and its options
+SET_UP_KINDS = {
+    "op1": ("theta0 kappa ell", True, ""),
+    "eq1": ("theta0 kappa ell rho", False, ""),
+    "op2": ("theta0 alpha c", True, ""),
+    "eq2": ("theta0 alpha c rho0", False, ""),
+    "op3": ("theta0 kappa ell", True, ""),
+    "halfline": ("theta0 kappa ell", False, ""),
+    "sweep": ("theta0 alpha c", False, "[sweep]\nvalues = 0.01 0.05\n"),
+}
+SET_UP_PARAMS = {"theta0": THETA0, "kappa": 1.0, "ell": 1.0, "rho": 0.05,
+                 "alpha": 0.5, "c": 1.0, "rho0": 0.01}
 
 
 def _per_call_us(fn, number):
@@ -107,7 +131,7 @@ def _solver_entries(stemopt):
             lambda: equilibrium2.solve_equilibrium_fixed_point(
                 dataclasses.replace(free, rho0=0.001)),
         # both verified solves and the method gaps, as `stemopt` runs them
-        "eq2.both.rho0_0.01": lambda: cli._run_eq2(both),
+        "eq2.both.rho0_0.01": lambda: cli._KINDS["eq2"].runner(both),
         "solve_equilibrium1.rho_0.05": lambda: equilibrium1.solve_equilibrium1(
             ModelParams(theta0=THETA0, kappa=1.0, ell=1.0, rho=0.05)),
         # the shape, profile and map residual alone: most of the verified
@@ -315,6 +339,51 @@ def _root_shot_steps(free) -> dict:
     return out
 
 
+def _set_up_scenarios(directory: str) -> dict:
+    """One scenario file of each kind in `directory`: {kind: path}."""
+    paths = {}
+    for kind, (keys, profile, options) in SET_UP_KINDS.items():
+        text = (f"[scenario]\nschema_version = 1\nkind = {kind}\n[params]\n"
+                + "".join(f"{key} = {SET_UP_PARAMS[key]!r}\n" for key in keys.split())
+                + ("[profile]\nkind = constant\n" if profile else "") + options)
+        paths[kind] = os.path.join(directory, f"{kind}.ini")
+        Path(paths[kind]).write_text(text)
+    return paths
+
+
+def measure_set_up(path: str, traced: bool) -> float:
+    """Seconds, or with `traced` the tracemalloc peak in MiB, from `import
+    stemopt` through `cli.parse_scenario(path)` in this interpreter, after
+    importing the modules outside the package that its modules import."""
+    package = Path(importlib.util.find_spec("stemopt").submodule_search_locations[0])
+    for module in package.glob("*.py"):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    importlib.import_module(alias.name)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                importlib.import_module(node.module)
+    if traced:
+        tracemalloc.start()
+    t0 = time.perf_counter()
+    import stemopt
+    stemopt.cli.parse_scenario(path)
+    seconds = time.perf_counter() - t0
+    return tracemalloc.get_traced_memory()[1] / 2 ** 20 if traced else seconds
+
+
+def _set_up_side(root: str, path: str, traced: bool) -> float:
+    with tempfile.TemporaryDirectory() as cache:   # empty: no bytecode is read
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"),
+                   PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, os.path.abspath(__file__), "--set-up", path]
+        if traced:
+            cmd.append("--count")
+        done = subprocess.run(cmd, env=env, cwd=root, check=True, capture_output=True,
+                              text=True)
+    return json.loads(done.stdout)
+
+
 def _run_side(root: str, count: bool) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     cmd = [sys.executable, os.path.abspath(__file__), "--side"]
@@ -323,6 +392,9 @@ def _run_side(root: str, count: bool) -> dict:
     done = subprocess.run(cmd, env=env, cwd=root, check=True, capture_output=True,
                           text=True)
     return json.loads(done.stdout)
+
+
+TIMED = ("kernel_us", "solver_s", "setup")   # the result keys whose leaves are timings
 
 
 def _quartiles(values):
@@ -356,6 +428,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--side", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--count", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--set-up", help=argparse.SUPPRESS)
     ap.add_argument("--parent")
     ap.add_argument("--change")
     ap.add_argument("--runs", type=int, default=5)
@@ -365,21 +438,32 @@ def main(argv=None) -> int:
     if args.side:
         json.dump(measure_side(args.count), sys.stdout)
         return 0
+    if args.set_up:
+        json.dump(measure_set_up(args.set_up, args.count), sys.stdout)
+        return 0
     if not (args.parent and args.change):
         ap.error("--parent and --change are required")
     sides = {"parent": args.parent, "change": args.change}
     runs = {"parent": [], "change": []}
-    for i in range(args.runs):
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            runs[side].append(_run_side(sides[side], count=i == 0))
-            print(f"run {i + 1}/{args.runs} {side} done", file=sys.stderr)
+    with tempfile.TemporaryDirectory() as directory:
+        scenarios = _set_up_scenarios(directory)
+        for i in range(args.runs):
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                result = _run_side(sides[side], count=i == 0)
+                result["setup"] = {kind: {"s": _set_up_side(sides[side], path, False)}
+                                   for kind, path in scenarios.items()}
+                if i == 0:
+                    result["setup_peak_mib"] = {
+                        kind: _set_up_side(sides[side], path, True)
+                        for kind, path in scenarios.items()}
+                runs[side].append(result)
+                print(f"run {i + 1}/{args.runs} {side} done", file=sys.stderr)
     report = {"versions": runs["parent"][0]["versions"], "cpus": os.cpu_count(),
               "runs": args.runs, "order": "alternating, parent first on even runs"}
     for side, results in runs.items():
         timed = {}
-        for key, _ in _leaves({k: results[0][k] for k in ("kernel_us", "solver_s")}):
-            values = [dict(_leaves({k: r[k] for k in ("kernel_us", "solver_s")}))[key]
-                      for r in results]
+        for key, _ in _leaves({k: results[0][k] for k in TIMED}):
+            values = [dict(_leaves({k: r[k] for k in TIMED}))[key] for r in results]
             timed[key] = {**_quartiles(values), "runs": values}
         counted = next(r["counts"] for r in results if "counts" in r)
         report[side] = {"timings": timed, "counts": counted,
@@ -390,6 +474,8 @@ def main(argv=None) -> int:
                         "brent_iters": results[0]["brent_iters"],
                         "canopy_build": next(r["canopy_build"] for r in results
                                              if "canopy_build" in r),
+                        "setup": {kind: {"peak_mib": peak} for kind, peak
+                                  in results[0]["setup_peak_mib"].items()},
                         "outputs": results[0]["outputs"]}
     report["median_ratio"] = {
         key: report["change"]["timings"][key]["median"] / value["median"]

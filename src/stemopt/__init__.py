@@ -8,8 +8,8 @@ solver independently.
 Importing the package registers every submodule in ``sys.modules`` without
 executing it; a submodule runs on the first access to one of its attributes,
 so a run executes only the modules whose code it calls (a half-line run:
-``cli``, ``errors``, ``params``, ``kernels`` and ``spatial``).  The public
-names below resolve to their defining module's object.
+``cli``, ``runners``, ``errors``, ``params``, ``kernels`` and ``spatial``).
+The public names below resolve to their defining module's object.
 """
 
 import importlib.util
@@ -36,6 +36,7 @@ _PUBLIC = {
                 "halfline_relaxation"),
     "oracles": ("OracleResult", "Oracle2Result", "payoff_op1", "fold_angles",
                 "rearrange_nonincreasing", "oracle_op1", "oracle_op2"),
+    "runners": (),
     "cli": (),
 }
 _OWNER = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -18,6 +18,7 @@ from .errors import NotConvergedError
 from .kernels import sorted_unique
 from .lightfield import LightProfile, check_class_F
 from .model2 import StemState2
+from .numerics import map_blocks
 from .params import ModelParams, Op2Config
 
 _FP_MAX_ITER = 40
@@ -63,7 +64,7 @@ class Equilibrium2Result:
 def profile_gap(p1: LightProfile, p2: LightProfile, h: float) -> float:
     """Sup gap between two light profiles at 2001 points on [0, 1.05 h]."""
     ys = np.linspace(0.0, h * 1.05, 2001)
-    return float(np.max(np.abs(p1.eval(ys) - p2.eval(ys))))
+    return float(np.max(np.abs(map_blocks(p1.eval, ys) - map_blocks(p2.eval, ys))))
 
 
 def verify_equilibrium(result: Equilibrium2Result,
@@ -190,7 +191,7 @@ def solve_equilibrium_direct(params: ModelParams,
     in_class = check_class_F(profile, y_max=2.0 * model2.estimate_h0(params)).in_class
     result = Equilibrium2Result(
         I_star=profile, stem=stem, method="direct_shooting", iterations=1,
-        residual_map=float(np.max(np.abs(stem.I - profile.eval(stem.y)))),
+        residual_map=float(np.max(np.abs(stem.I - map_blocks(profile.eval, stem.y)))),
         residual_refit=math.nan, h=stem.h,
         h_roots=roots, class_f_ok=in_class, multiroot_flag=len(roots) > 1,
     )

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -313,7 +314,7 @@ def test_parse_rejects_wrong_schema(tmp_path):
 
 # the modules that loading the CLI executes, and those a parse adds: the
 # kind's solver stack
-_CLI_MODULES = {"cli", "errors", "params"}
+_CLI_MODULES = {"cli", "runners", "errors", "params"}
 _FIXED_LENGTH = {"kernels", "lightfield", "numerics", "model1"}
 _FREE_LENGTH = {"kernels", "lightfield", "numerics", "model2"}
 _SOLVER_STACKS = {"op1": _FIXED_LENGTH, "eq1": _FIXED_LENGTH | {"equilibrium1"},
@@ -385,6 +386,74 @@ def test_run_executes_no_module_the_parse_did_not(tmp_path, kind, options):
     assert probe["code"] == 0
     assert probe["run"] == probe["parse"] == _modules(_CLI_MODULES | _SOLVER_STACKS[kind])
     assert not probe["numpy.ma"]
+
+
+_SET_UP_PROBE = """\
+import importlib, sys, tracemalloc
+for name in sys.argv[2:]:
+    importlib.import_module(name)
+tracemalloc.start()
+import stemopt
+stemopt.cli.parse_scenario(sys.argv[1])
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def _absolute_imports(package):
+    """The modules outside the package that its modules import: numpy and
+    the standard library."""
+    names = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module)
+    return sorted(names)
+
+
+@pytest.mark.parametrize("kind", sorted(cli._KINDS))
+def test_set_up_bounded_memory(tmp_path, kind):
+    """A fresh interpreter that compiles stemopt from source, as on a host
+    that writes no bytecode, imports it and parses a `kind` scenario within
+    1.5 MiB traced.  The peak is the largest single module compile on top of
+    what is live: 1.78 MiB when the runners were compiled as part of cli.
+    numpy and the standard library are imported before tracing starts."""
+    package = Path(stemopt.__file__).parent
+    options = {s: _required(keys) for s, keys in cli._KINDS[kind].options.items()}
+    path = _write(tmp_path, _scenario(kind, options))
+    cache = tmp_path / "pycache"   # empty: no module is read from bytecode
+    cache.mkdir()
+    done = subprocess.run(
+        [sys.executable, "-c", _SET_UP_PROBE, str(path), *_absolute_imports(package)],
+        check=True, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(package.parent),
+             "PYTHONPYCACHEPREFIX": str(cache), "PYTHONDONTWRITEBYTECODE": "1"})
+    assert int(done.stdout) <= 1.5 * 2 ** 20
+
+
+def _entry(tmp_path, text, out):
+    """`python -m stemopt` on scenario `text`; returns its exit code."""
+    package = Path(stemopt.__file__).parent
+    return subprocess.run(
+        [sys.executable, "-m", "stemopt", "--scenario", str(_write(tmp_path, text)),
+         "--out", str(out), "--quiet", "--plotdata"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(package.parent)},
+    ).returncode
+
+
+def test_module_entry_writes_the_run_and_its_plot_data(tmp_path):
+    out = tmp_path / "out"
+    assert _entry(tmp_path, _scenario("eq1", {}), out) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest["outputs"]) == {"equilibrium.csv", "summary.json"}
+    assert (out / "plotdata.csv").read_text().startswith("series,x,y\n")
+
+
+def test_module_entry_rejects_a_key_the_kind_does_not_read(tmp_path):
+    out = tmp_path / "out"
+    assert _entry(tmp_path, _scenario("eq1", {"solver": {"grid": "64"}}), out) == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from stemopt import LightProfile, ModelParams, cli
 from stemopt import equilibrium2 as e2
 from stemopt import model2 as m2
-from stemopt import numerics
+from stemopt import numerics, runners
 from stemopt.errors import NoBracketError, NotConvergedError
 from stemopt.lightfield import check_class_F
 
@@ -307,6 +307,19 @@ def test_eq2_bounded_memory(direct_sweep, params2, canopy_profile, traced_peak):
     assert traced_peak(lambda: m2.shoot_op2(canopy_profile, params2)) <= 1.0 * 2 ** 20
 
 
+def test_eq2_canopy_read_bounded_memory(direct_sweep, traced_peak):
+    # the shade read at the direct stem's 4,642 nodes, as the map residual
+    # and the eq2 runner read it, in blocks of numerics._BLOCK points: one
+    # pass gathers the seven cell rows at every node (0.47 MiB)
+    res = direct_sweep[0.05]
+    assert len(res.stem.y) == 4642
+
+    def read():
+        return numerics.map_blocks(res.I_star.eval, res.stem.y)
+    assert np.array_equal(read(), res.I_star.eval(res.stem.y))
+    assert traced_peak(read) <= 0.3 * 2 ** 20
+
+
 def test_eq2_both_runner_bounded_memory(traced_peak):
     # `method = both` keeps only the fixed point's profile and height while
     # the direct method solves and verifies, so no verified stem, with its
@@ -315,7 +328,7 @@ def test_eq2_both_runner_bounded_memory(traced_peak):
     # the fixed point)
     scn = cli.Scenario(kind="eq2", params=_params(0.01), profile=None,
                        options={"method": "both", "damping": 0.5}, source_path="")
-    assert traced_peak(lambda: cli._run_eq2(scn)) <= 1.75 * 2 ** 20
+    assert traced_peak(lambda: runners.eq2(scn)) <= 1.75 * 2 ** 20
 
 
 @pytest.mark.parametrize("light", ["canopy", "mollified-step", "coupled"])
